@@ -127,10 +127,13 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
 fi
 
 # Incremental-exchange smoke gate (default path only): drive an exchange,
-# queue a delta (`apply`), `maintain` it, and re-chase the post-delta
-# source from scratch; the maintained target must be equal up to null
-# renaming (`eqcheck ... equal`) and the whole session byte-identical
-# under MM2_STORAGE=indexed, =segmented, and the env-unset default — the
+# queue a delta (`apply`), `maintain` it, ask `why` about one fact the delta
+# derived and one it deleted (read in place from the maintained session's
+# provenance), and re-chase the post-delta source from scratch; the
+# maintained target must be equal up to null renaming (`eqcheck ...
+# equal`), the two `why` answers must name the inserted source fact and
+# report no derivation, and the whole session must be byte-identical under
+# MM2_STORAGE=indexed, =segmented, and the env-unset default — the
 # incremental path must not leak storage-mode differences into results.
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
   INC_SESSION="$(mktemp)"
@@ -149,6 +152,8 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
     echo 'apply +Addresses(7, "9 Elm", "US")'
     echo 'apply -Names(2, "Bob")'
     echo "maintain mapSSp"
+    echo 'why Local(7, "9 Elm")'
+    echo 'why NamesP(2, "Bob")'
     echo "exchange Rechase mapSSp Dafter"
     echo "eqcheck Dprime Rechase"
     echo "show instance Dprime"
@@ -164,6 +169,14 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
     echo "error: maintained target diverged from the from-scratch re-chase" >&2
     exit 1
   fi
+  if ! grep -qF '<- Addresses(7, "9 Elm", "US")' "$INC_IDX_OUT"; then
+    echo "error: why after maintain did not name the inserted source fact" >&2
+    exit 1
+  fi
+  if ! grep -qF 'NamesP(2, "Bob") has no recorded derivation' "$INC_IDX_OUT"; then
+    echo "error: why after maintain still derives the deleted fact" >&2
+    exit 1
+  fi
   if ! diff -u "$INC_IDX_OUT" "$INC_SEG_OUT"; then
     echo "error: incremental session output diverged under MM2_STORAGE=segmented" >&2
     exit 1
@@ -172,7 +185,7 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
     echo "error: incremental session output diverged under the env-unset default" >&2
     exit 1
   fi
-  echo "incremental smoke gate passed (maintain ≡ re-chase, byte-identical across storage modes)"
+  echo "incremental smoke gate passed (maintain ≡ re-chase, why reads the maintained provenance, byte-identical across storage modes)"
 fi
 
 # DOT-validity gate (default path only): `explain mapping --dot` over the

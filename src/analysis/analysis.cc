@@ -540,21 +540,24 @@ std::uint64_t MappingAnalysis::PredictedTuples(std::uint64_t domain) const {
   return total;
 }
 
+bool MappingAnalysis::RoundsBoundReadsDomain() const {
+  return weakly_acyclic &&
+         (mode == ChaseMode::kClosure ||
+          std::any_of(rules.begin(), rules.end(),
+                      [](const RuleNode& r) { return r.kind == "egd"; }));
+}
+
 std::uint64_t MappingAnalysis::PredictedRounds(std::uint64_t domain) const {
   if (!weakly_acyclic) return kSat;
   std::uint64_t base = SatAdd(2, strata.size());
-  bool has_egds = std::any_of(rules.begin(), rules.end(), [](const RuleNode& r) {
-    return r.kind == "egd";
-  });
+  // Exchange tgds quiesce after one fire+confirm pass; every further round
+  // performs at least one egd unification, each consuming a null.
+  if (!RoundsBoundReadsDomain()) return base;
   std::uint64_t values = PredictedValues(domain);
   std::uint64_t base_values = SatAdd(std::max<std::uint64_t>(domain, 1),
                                      constant_count);
   std::uint64_t nulls = values >= base_values ? values - base_values : 0;
-  if (mode == ChaseMode::kExchange) {
-    // Tgds quiesce after one fire+confirm pass; every further round
-    // performs at least one egd unification, each consuming a null.
-    return has_egds ? SatAdd(base, SatAdd(nulls, 1)) : base;
-  }
+  if (mode == ChaseMode::kExchange) return SatAdd(base, SatAdd(nulls, 1));
   // Closure: every non-final round inserts a tuple or consumes a null.
   return SatAdd(base, SatAdd(PredictedTuples(domain), SatAdd(nulls, 1)));
 }

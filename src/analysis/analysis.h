@@ -115,6 +115,10 @@ struct MappingAnalysis {
   std::uint64_t PredictedValues(std::uint64_t domain) const;
   std::uint64_t PredictedTuples(std::uint64_t domain) const;
   std::uint64_t PredictedRounds(std::uint64_t domain) const;
+  // Whether PredictedRounds reads `domain` at all: closure bounds do, an
+  // exchange bound only through target egds. Otherwise the bound is a
+  // constant of the mapping and callers may skip the active-domain sweep.
+  bool RoundsBoundReadsDomain() const;
 
   bool terminating() const {
     return termination == Termination::kTerminating;

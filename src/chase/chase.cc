@@ -1915,21 +1915,76 @@ bool ApplyForesight(ChaseOptions* options, std::size_t input_tuples) {
   return true;
 }
 
-// Shared back half of both entry points: resolve `stratified` into an
-// analysis, arm foresight, and remember what to stamp into ChaseStats.
-struct AnalysisSetup {
-  ChaseOptions options;  // the adjusted copy the run executes under
-  std::optional<analysis::MappingAnalysis> owned;
-  std::uint64_t domain = 0;
-  bool armed = false;
+// Shared by every entry point: resolves `stratified` into an analysis
+// (`analyze` computes one when none is attached), arms foresight, and
+// packs the finished run into a ChaseResult with the foresight fields
+// stamped. The O(|input|) active-domain sweep runs only when the rounds
+// bound reads it, so an egd-free exchange — every resumed maintenance
+// pass of one included — stays delta-sized.
+class AnalysisSetup {
+ public:
+  template <typename Analyze>
+  AnalysisSetup(const ChaseOptions& options, const Instance& input,
+                Analyze&& analyze)
+      : options_(options) {
+    if (options_.stratified && options_.analysis == nullptr) {
+      owned_.emplace(analyze());
+      options_.analysis = &*owned_;
+    }
+    if (options_.analysis == nullptr) return;
+    if (options_.analysis->RoundsBoundReadsDomain()) {
+      domain_ = ActiveDomainSize(input);
+    }
+    armed_ = ApplyForesight(&options_, input.TotalTuples());
+  }
+  // options_.analysis may point into owned_.
+  AnalysisSetup(const AnalysisSetup&) = delete;
+  AnalysisSetup& operator=(const AnalysisSetup&) = delete;
+
+  // The adjusted copy the run executes under.
+  const ChaseOptions& options() const { return options_; }
+
+  ChaseResult Finish(ChaseRun& run) const {
+    ChaseResult result;
+    result.stats = std::move(run.stats());
+    result.provenance = std::move(run.provenance());
+    result.target = std::move(run.target());
+    result.breach = std::move(run.breach());
+    if (options_.analysis != nullptr) {
+      result.stats.predicted_terminating = options_.analysis->terminating();
+      result.stats.predicted_rounds =
+          options_.analysis->PredictedRounds(domain_);
+      result.stats.foresight_armed = armed_;
+    }
+    MirrorStats(options_.obs, result.stats, result.provenance.size(),
+                result.breach.has_value());
+    return result;
+  }
+
+ private:
+  ChaseOptions options_;
+  std::optional<analysis::MappingAnalysis> owned_;
+  std::uint64_t domain_ = 0;
+  bool armed_ = false;
 };
 
-void StampForesight(const AnalysisSetup& setup, ChaseStats* stats) {
-  if (setup.options.analysis == nullptr) return;
-  stats->predicted_terminating = setup.options.analysis->terminating();
-  stats->predicted_rounds =
-      setup.options.analysis->PredictedRounds(setup.domain);
-  stats->foresight_armed = setup.armed;
+Status RequireWeakAcyclicity(const std::vector<logic::Tgd>& tgds,
+                             const ChaseOptions& options) {
+  if (!options.require_weak_acyclicity) return Status::OK();
+  logic::AcyclicityReport report = logic::CheckWeakAcyclicity(tgds);
+  if (report.weakly_acyclic) return Status::OK();
+  return Status::Unsupported("chase may not terminate: " + report.ToString());
+}
+
+// Runs a mapping's constraints: the SO-tgd's clauses for a second-order
+// mapping, its (optionally acyclicity-checked) tgds otherwise.
+Status RunMapping(ChaseRun& run, const logic::Mapping& mapping,
+                  const ChaseOptions& options) {
+  if (mapping.is_second_order()) {
+    return run.Run(mapping.so_tgd().clauses, {}, mapping.target_egds());
+  }
+  MM2_RETURN_IF_ERROR(RequireWeakAcyclicity(mapping.tgds(), options));
+  return run.Run({}, mapping.tgds(), mapping.target_egds());
 }
 
 }  // namespace
@@ -1954,41 +2009,12 @@ void MirrorValueStats(obs::Context* obs) {
 Result<ChaseResult> RunChase(const logic::Mapping& mapping,
                              const instance::Instance& source,
                              const ChaseOptions& options) {
-  AnalysisSetup setup{options, std::nullopt, 0, false};
-  if (setup.options.stratified && setup.options.analysis == nullptr) {
-    setup.owned.emplace(analysis::AnalyzeMapping(mapping));
-    setup.options.analysis = &*setup.owned;
-  }
-  if (setup.options.analysis != nullptr) {
-    setup.domain = ActiveDomainSize(source);
-    setup.armed = ApplyForesight(&setup.options, source.TotalTuples());
-  }
-  ChaseRun run(&source, Instance::EmptyFor(mapping.target()), setup.options);
-  std::vector<logic::SoTgdClause> clauses;
-  std::vector<logic::Tgd> fo_tgds;
-  if (mapping.is_second_order()) {
-    clauses = mapping.so_tgd().clauses;
-  } else {
-    fo_tgds = mapping.tgds();
-    if (options.require_weak_acyclicity) {
-      logic::AcyclicityReport report = logic::CheckWeakAcyclicity(fo_tgds);
-      if (!report.weakly_acyclic) {
-        return Status::Unsupported("chase may not terminate: " +
-                                   report.ToString());
-      }
-    }
-  }
-  MM2_RETURN_IF_ERROR(run.Run(clauses, fo_tgds, mapping.target_egds()));
-
-  ChaseResult result;
-  result.stats = run.stats();
-  result.provenance = std::move(run.provenance());
-  result.target = std::move(run.target());
-  result.breach = std::move(run.breach());
-  StampForesight(setup, &result.stats);
-  MirrorStats(options.obs, result.stats, result.provenance.size(),
-              result.breach.has_value());
-  return result;
+  AnalysisSetup setup(options, source,
+                      [&] { return analysis::AnalyzeMapping(mapping); });
+  ChaseRun run(&source, Instance::EmptyFor(mapping.target()),
+               setup.options());
+  MM2_RETURN_IF_ERROR(RunMapping(run, mapping, options));
+  return setup.Finish(run);
 }
 
 Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
@@ -1998,86 +2024,36 @@ Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
                                 ChaseSessionState* state,
                                 FactDelta* net_change,
                                 const ChaseOptions& options) {
-  AnalysisSetup setup{options, std::nullopt, 0, false};
+  ChaseOptions resumed = options;
   // Provenance is the DRed substrate — a session without it cannot answer
   // deletions, so maintenance always records it.
-  setup.options.track_provenance = true;
+  resumed.track_provenance = true;
   // A resumed session already knows the next free null label (kept current
   // across calls, including labels smuggled in via source deltas), so the
   // O(|instance|) max-label sweep is skipped.
   if (state != nullptr && state->initialized) {
-    setup.options.first_null_label =
-        std::max(setup.options.first_null_label, state->next_label);
-    setup.options.trust_first_null_label = true;
+    resumed.first_null_label =
+        std::max(resumed.first_null_label, state->next_label);
+    resumed.trust_first_null_label = true;
   }
-  if (setup.options.stratified && setup.options.analysis == nullptr) {
-    setup.owned.emplace(analysis::AnalyzeMapping(mapping));
-    setup.options.analysis = &*setup.owned;
-  }
-  if (setup.options.analysis != nullptr) {
-    setup.domain = ActiveDomainSize(source);
-    setup.armed = ApplyForesight(&setup.options, source.TotalTuples());
-  }
-  ChaseRun run(&source, std::move(target), setup.options);
+  AnalysisSetup setup(resumed, source,
+                      [&] { return analysis::AnalyzeMapping(mapping); });
+  ChaseRun run(&source, std::move(target), setup.options());
   run.AttachSession(state, std::move(provenance), net_change);
-  std::vector<logic::SoTgdClause> clauses;
-  std::vector<logic::Tgd> fo_tgds;
-  if (mapping.is_second_order()) {
-    clauses = mapping.so_tgd().clauses;
-  } else {
-    fo_tgds = mapping.tgds();
-    if (options.require_weak_acyclicity) {
-      logic::AcyclicityReport report = logic::CheckWeakAcyclicity(fo_tgds);
-      if (!report.weakly_acyclic) {
-        return Status::Unsupported("chase may not terminate: " +
-                                   report.ToString());
-      }
-    }
-  }
-  MM2_RETURN_IF_ERROR(run.Run(clauses, fo_tgds, mapping.target_egds()));
-
-  ChaseResult result;
-  result.stats = run.stats();
-  result.provenance = std::move(run.provenance());
-  result.target = std::move(run.target());
-  result.breach = std::move(run.breach());
-  StampForesight(setup, &result.stats);
-  MirrorStats(options.obs, result.stats, result.provenance.size(),
-              result.breach.has_value());
-  return result;
+  MM2_RETURN_IF_ERROR(RunMapping(run, mapping, options));
+  return setup.Finish(run);
 }
 
 Result<ChaseResult> ChaseInstance(const std::vector<logic::Tgd>& tgds,
                                   const std::vector<logic::Egd>& egds,
                                   const instance::Instance& database,
                                   const ChaseOptions& options) {
-  if (options.require_weak_acyclicity) {
-    logic::AcyclicityReport report = logic::CheckWeakAcyclicity(tgds);
-    if (!report.weakly_acyclic) {
-      return Status::Unsupported("chase may not terminate: " +
-                                 report.ToString());
-    }
-  }
-  AnalysisSetup setup{options, std::nullopt, 0, false};
-  if (setup.options.stratified && setup.options.analysis == nullptr) {
-    setup.owned.emplace(analysis::AnalyzeClosure(tgds, egds));
-    setup.options.analysis = &*setup.owned;
-  }
-  if (setup.options.analysis != nullptr) {
-    setup.domain = ActiveDomainSize(database);
-    setup.armed = ApplyForesight(&setup.options, database.TotalTuples());
-  }
-  ChaseRun run(nullptr, database, setup.options);
+  MM2_RETURN_IF_ERROR(RequireWeakAcyclicity(tgds, options));
+  AnalysisSetup setup(options, database,
+                      [&] { return analysis::AnalyzeClosure(tgds, egds); });
+  ChaseRun run(nullptr, database, setup.options());
   MM2_RETURN_IF_ERROR(run.Run({}, tgds, egds));
-  ChaseResult result;
-  result.stats = run.stats();
-  result.provenance = std::move(run.provenance());
-  result.target = std::move(run.target());
-  result.breach = std::move(run.breach());
-  StampForesight(setup, &result.stats);
-  MirrorStats(options.obs, result.stats, result.provenance.size(),
-              result.breach.has_value());
-  return result;
+  return setup.Finish(run);
 }
 
 Result<std::vector<Tuple>> CertainAnswers(const logic::ConjunctiveQuery& query,

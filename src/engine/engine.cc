@@ -34,7 +34,14 @@ Status Repository::PutMapping(logic::Mapping mapping) {
 }
 
 Status Repository::PutInstance(std::string name, instance::Instance db) {
+  return PutInstance(std::move(name),
+                     std::make_shared<const instance::Instance>(std::move(db)));
+}
+
+Status Repository::PutInstance(std::string name,
+                               std::shared_ptr<const instance::Instance> db) {
   if (name.empty()) return Status::InvalidArgument("instance needs a name");
+  if (db == nullptr) return Status::InvalidArgument("instance is null");
   instances_.insert_or_assign(std::move(name), std::move(db));
   return Status::OK();
 }
@@ -57,11 +64,17 @@ Result<logic::Mapping> Repository::GetMapping(const std::string& name) const {
 
 Result<instance::Instance> Repository::GetInstance(
     const std::string& name) const {
-  auto it = instances_.find(name);
-  if (it == instances_.end()) {
+  std::shared_ptr<const instance::Instance> db = FindInstance(name);
+  if (db == nullptr) {
     return Status::NotFound("no instance '" + name + "' in repository");
   }
-  return it->second;
+  return *db;
+}
+
+std::shared_ptr<const instance::Instance> Repository::FindInstance(
+    const std::string& name) const {
+  auto it = instances_.find(name);
+  return it == instances_.end() ? nullptr : it->second;
 }
 
 bool Repository::HasSchema(const std::string& name) const {
@@ -103,6 +116,16 @@ namespace {
 
 std::size_t MappingClauses(const logic::Mapping& m) {
   return m.is_second_order() ? m.so_tgd().clauses.size() : m.tgds().size();
+}
+
+// Registers a session's target under `out` without copying it: an aliasing
+// pointer that shares ownership of the whole session but points at its
+// target, which later maintains update in place.
+Status RegisterTarget(Repository& repo,
+                      const std::shared_ptr<runtime::ExchangeSession>& session,
+                      const std::string& out) {
+  return repo.PutInstance(
+      out, std::shared_ptr<const instance::Instance>(session, &session->target));
 }
 
 }  // namespace
@@ -268,8 +291,9 @@ Status Engine::Exchange(const std::string& out_instance,
     // So is mapping analysis: stratum labels feed `explain` and the
     // heartbeat events, and foresight auto-arms a tuple budget when the
     // classifier flags the mapping as potentially non-terminating. The
-    // analysis pass is static (no instance scan beyond the active-domain
-    // count) and engine exchanges are interactive, not benchmarked.
+    // analysis pass is static; the only instance scan, the active-domain
+    // count, runs only for mappings with target egds (the one case where
+    // the predicted-rounds bound reads it).
     options.stratified = true;
     options.wall_budget_us = budget_wall_us_;
     options.tuple_budget = budget_tuples_;
@@ -279,26 +303,20 @@ Status Engine::Exchange(const std::string& out_instance,
     // can propagate source deltas without re-chasing; a one-shot exchange
     // pays only the session bookkeeping (provenance was always on here).
     MM2_ASSIGN_OR_RETURN(
-        runtime::ExchangeSession session,
+        runtime::ExchangeSession begun,
         runtime::BeginExchangeSession(m, std::move(source), options));
-    op.SetAttribute("target_tuples", session.target.TotalTuples());
-    last_exchange_ = chase::ChaseResult{};
-    last_exchange_.stats = session.last_stats;
-    last_exchange_.provenance = session.provenance;
-    last_exchange_.breach = session.breach;
-    has_last_exchange_ = true;
+    auto session = std::make_shared<runtime::ExchangeSession>(std::move(begun));
+    op.SetAttribute("target_tuples", session->target.TotalTuples());
     // A budget stop still registers the partial instance — the telemetry
     // and the data it did derive are the whole point of a graceful stop —
     // but the command itself reports the breach.
-    MM2_RETURN_IF_ERROR(repo_.PutInstance(out_instance, session.target));
-    const bool breached = session.breach.has_value();
-    const std::string diagnostic =
-        breached ? session.breach->diagnostic : std::string();
-    session_out_[mapping] = out_instance;
-    sessions_.insert_or_assign(mapping, std::move(session));
-    if (breached) {
+    MM2_RETURN_IF_ERROR(RegisterTarget(repo_, session, out_instance));
+    sessions_.insert_or_assign(mapping, OpenSession{session, out_instance});
+    why_session_ = session;
+    if (session->breach.has_value()) {
       return Status::ResourceExhausted("exchange into '" + out_instance +
-                                       "' stopped early: " + diagnostic);
+                                       "' stopped early: " +
+                                       session->breach->diagnostic);
     }
     return Status::OK();
   }());
@@ -511,7 +529,8 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
     return Status::NotFound("no incremental session for mapping '" + mapping +
                             "' (run `exchange` with it first)");
   }
-  runtime::ExchangeSession& session = it->second;
+  const OpenSession& open = it->second;
+  runtime::ExchangeSession& session = *open.session;
   // The session replays the engine's current knobs, not the ones in force
   // when the exchange opened it.
   session.options.threads = threads_;
@@ -523,19 +542,17 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
   op.SetAttribute("delta_size", pending_delta_.Size());
   runtime::Delta delta = std::move(pending_delta_);
   pending_delta_ = runtime::Delta{};  // consumed either way
+  // Re-point the output at the session target (O(1); it restores an output
+  // replaced since the exchange) and `why` at this session. Both follow the
+  // session whether or not the maintain succeeds: a failed one empties
+  // target and provenance together.
+  why_session_ = open.session;
   Result<runtime::Delta> result = [&]() -> Result<runtime::Delta> {
+    MM2_RETURN_IF_ERROR(RegisterTarget(repo_, open.session, open.out));
     MM2_ASSIGN_OR_RETURN(runtime::Delta target_delta,
                          runtime::MaintainExchange(session, delta));
     op.SetAttribute("target_inserts", target_delta.inserts.TotalTuples());
     op.SetAttribute("target_deletes", target_delta.deletes.TotalTuples());
-    // Refresh what `why` and the repository serve.
-    last_exchange_ = chase::ChaseResult{};
-    last_exchange_.stats = session.last_stats;
-    last_exchange_.provenance = session.provenance;
-    last_exchange_.breach = session.breach;
-    has_last_exchange_ = true;
-    MM2_RETURN_IF_ERROR(
-        repo_.PutInstance(session_out_[mapping], session.target));
     if (session.breach.has_value()) {
       return Status::ResourceExhausted("maintain of '" + mapping +
                                        "' stopped early: " +
@@ -549,10 +566,14 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
 
 Result<std::string> Engine::EqCheck(const std::string& a,
                                     const std::string& b) {
-  MM2_ASSIGN_OR_RETURN(instance::Instance left, repo_.GetInstance(a));
-  MM2_ASSIGN_OR_RETURN(instance::Instance right, repo_.GetInstance(b));
-  if (left.Equals(right)) return std::string("equal");
-  if (instance::InstanceEqualsUpToNulls(left, right)) {
+  std::shared_ptr<const instance::Instance> left = repo_.FindInstance(a);
+  std::shared_ptr<const instance::Instance> right = repo_.FindInstance(b);
+  if (left == nullptr || right == nullptr) {
+    return Status::NotFound("no instance '" + (left == nullptr ? a : b) +
+                            "' in repository");
+  }
+  if (left->Equals(*right)) return std::string("equal");
+  if (instance::InstanceEqualsUpToNulls(*left, *right)) {
     return std::string("equal-up-to-nulls");
   }
   return std::string("different");
@@ -819,7 +840,7 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
       }
     } else if (op == "why") {
       MM2_RETURN_IF_ERROR(need(1));
-      if (!has_last_exchange_) {
+      if (why_session_ == nullptr) {
         return fail("why needs a prior exchange in this engine (provenance "
                     "is recorded per exchange)");
       }
@@ -832,14 +853,13 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
       auto fact_result = ParseFactLiteral(literal);
       if (!fact_result.ok()) return fail(fact_result.status().message());
       const chase::Fact& fact = fact_result.value();
-      std::string explanation = runtime::ExplainFact(last_exchange_, fact);
-      std::istringstream explain_lines(explanation);
+      const chase::Provenance& provenance = why_session_->provenance;
+      std::istringstream explain_lines(runtime::ExplainFact(provenance, fact));
       std::string explain_line;
       while (std::getline(explain_lines, explain_line)) {
         log.push_back(std::move(explain_line));
       }
-      std::vector<chase::Fact> lineage =
-          runtime::Lineage(last_exchange_, fact);
+      std::vector<chase::Fact> lineage = runtime::Lineage(provenance, fact);
       if (!lineage.empty()) {
         std::string sources = "  sources:";
         for (const chase::Fact& f : lineage) sources += " " + f.ToString();
@@ -861,7 +881,7 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
       MM2_RETURN_IF_ERROR(need(1));
       MM2_ASSIGN_OR_RETURN(runtime::Delta target_delta, Maintain(tokens[1]));
       log.push_back(
-          "maintained " + tokens[1] + " -> " + session_out_[tokens[1]] +
+          "maintained " + tokens[1] + " -> " + sessions_.at(tokens[1]).out +
           ": +" + std::to_string(target_delta.inserts.TotalTuples()) + " -" +
           std::to_string(target_delta.deletes.TotalTuples()) + " tuples");
     } else if (op == "eqcheck") {

@@ -28,10 +28,19 @@ class Repository {
   Status PutSchema(model::Schema schema);
   Status PutMapping(logic::Mapping mapping);
   Status PutInstance(std::string name, instance::Instance db);
+  // Registers an instance without copying it. The owner may keep updating
+  // it in place (the engine registers each incremental session's target
+  // this way); readers see every update.
+  Status PutInstance(std::string name,
+                     std::shared_ptr<const instance::Instance> db);
 
   Result<model::Schema> GetSchema(const std::string& name) const;
   Result<logic::Mapping> GetMapping(const std::string& name) const;
   Result<instance::Instance> GetInstance(const std::string& name) const;
+  // The stored instance itself, without the copy GetInstance makes;
+  // nullptr when absent.
+  std::shared_ptr<const instance::Instance> FindInstance(
+      const std::string& name) const;
 
   bool HasSchema(const std::string& name) const;
   bool HasMapping(const std::string& name) const;
@@ -48,7 +57,7 @@ class Repository {
  private:
   std::map<std::string, model::Schema> schemas_;
   std::map<std::string, logic::Mapping> mappings_;
-  std::map<std::string, instance::Instance> instances_;
+  std::map<std::string, std::shared_ptr<const instance::Instance>> instances_;
   std::map<std::string, std::size_t> schema_versions_;
   std::map<std::string, std::size_t> mapping_versions_;
 };
@@ -135,16 +144,21 @@ class Engine {
                   modelgen::InheritanceStrategy strategy);
   // exchange(out_instance, mapping, source_instance). Also opens (or
   // replaces) the mapping's incremental session, so a later Maintain can
-  // propagate source deltas without a full re-chase.
+  // propagate source deltas without a full re-chase. `out_instance` is the
+  // session's target itself, shared with the repository, not a copy.
   Status Exchange(const std::string& out_instance, const std::string& mapping,
                   const std::string& source_instance);
   // Queues one signed fact for the next Maintain: "+Rel(...)" inserts,
   // "-Rel(...)" deletes. The literal uses the same value syntax as `why`.
   Status ApplyDeltaFact(const std::string& literal);
   // Propagates the queued delta through the mapping's incremental session:
-  // mutates the session's source, maintains its target (DRed + resumed
-  // semi-naive chase), refreshes the stored output instance, and returns
-  // the induced target delta. The queue is consumed either way.
+  // mutates the session's source, maintains its target in place (DRed +
+  // resumed semi-naive chase) and returns the induced target delta. Cost is
+  // the runtime's plus O(1): the output name is re-pointed at the session
+  // target (restoring it if something else was stored there since), and
+  // `why` answers from this session's provenance from now on. A failed
+  // maintain leaves the session empty until the next one rebuilds it
+  // (runtime::MaintainExchange). The queue is consumed either way.
   Result<runtime::Delta> Maintain(const std::string& mapping);
   // Compares two stored instances: "equal" (identical tuple sets),
   // "equal-up-to-nulls" (isomorphic modulo a labeled-null bijection), or
@@ -210,17 +224,18 @@ class Engine {
   //                                   also settable via MM2_LOG_LEVEL)
   //   budget tuples|wall_us|rss_kb <n>   (soft chase budgets; `budget off`
   //                                   clears all three)
-  //   why <Rel(v1,v2,...)>           (why-provenance of a target fact from
-  //                                   the last exchange; values use the
-  //                                   instance literal syntax: 42, 4.5,
+  //   why <Rel(v1,v2,...)>           (why-provenance of a target fact,
+  //                                   read in place from the session of the
+  //                                   last exchange or maintain; values use
+  //                                   the instance literal syntax: 42, 4.5,
   //                                   "s", #t, null, N7, d:123)
   //   apply +Rel(...)|-Rel(...)      (queue a source insert/delete for the
   //                                   next maintain; same literal syntax
   //                                   as why)
   //   maintain <m>                   (propagate the queued delta through
   //                                   <m>'s incremental session — opened by
-  //                                   the last `exchange` via <m> — and
-  //                                   refresh the stored target instance)
+  //                                   the last `exchange` via <m> — whose
+  //                                   target is the stored output instance)
   //   eqcheck <a> <b>                (compare stored instances: equal,
   //                                   equal-up-to-nulls, or different)
   // Blank lines and lines starting with '#' are skipped. Returns one log
@@ -240,15 +255,17 @@ class Engine {
   std::uint64_t budget_wall_us_ = 0;         // soft chase budgets; 0 = off
   std::size_t budget_tuples_ = 0;
   std::size_t budget_rss_kb_ = 0;
-  // Chase result of the most recent exchange (provenance + stats only; the
-  // target lives in the repository) — the `why` command's data source.
-  chase::ChaseResult last_exchange_;
-  bool has_last_exchange_ = false;
-  // Incremental sessions keyed by mapping name (opened by Exchange), the
-  // repository instance each one refreshes on Maintain, and the queued
-  // source delta the next Maintain consumes.
-  std::map<std::string, runtime::ExchangeSession> sessions_;
-  std::map<std::string, std::string> session_out_;
+  // Incremental sessions keyed by mapping name (opened by Exchange), each
+  // with the repository name its target is registered under.
+  struct OpenSession {
+    std::shared_ptr<runtime::ExchangeSession> session;
+    std::string out;
+  };
+  std::map<std::string, OpenSession> sessions_;
+  // The last exchanged or maintained session: `why` reads its provenance.
+  // Shared, so a session replaced in sessions_ cannot dangle here.
+  std::shared_ptr<const runtime::ExchangeSession> why_session_;
+  // The queued source delta the next Maintain consumes.
   runtime::Delta pending_delta_;
 };
 

@@ -19,14 +19,21 @@ RelationInstance::RelationInstance(const RelationInstance& other)
       // copied runs' log spans no longer describe it: slice-served deltas
       // must decline until the next full rebuild restores the tiling.
       runs_tiled_(other.runs_.empty()),
-      tail_(other.tail_),
       segment_dirty_(other.segment_dirty_),
       segment_generation_(other.segment_generation_) {
-  // Indexes and the insert log hold pointers into the *source* set; rebuild
-  // the log over our own nodes (set order — deterministic) and let indexes
-  // re-materialize lazily. Watermark 0 still means "everything".
+  // Indexes, the insert log and the tail hold pointers into the *source*
+  // set; rebuild the log over our own nodes (set order — deterministic),
+  // re-point the tail, and let indexes re-materialize lazily. Watermark 0
+  // still means "everything".
   log_.reserve(tuples_.size());
   for (const Tuple& t : tuples_) log_.push_back(&t);
+  CopyTail(other);
+}
+
+void RelationInstance::CopyTail(const RelationInstance& other) {
+  tail_.clear();
+  tail_.reserve(other.tail_.size());
+  for (const Tuple* t : other.tail_) tail_.push_back(&*tuples_.find(*t));
 }
 
 RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
@@ -46,7 +53,7 @@ RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
   policy_ = other.policy_;
   runs_ = other.runs_;
   runs_tiled_ = other.runs_.empty();  // see copy ctor: log is in set order
-  tail_ = other.tail_;
+  CopyTail(other);
   segment_dirty_ = other.segment_dirty_;
   segment_generation_ = other.segment_generation_;
   return *this;
@@ -138,7 +145,7 @@ bool RelationInstance::Insert(Tuple tuple) {
   // Segment tail: remember the insert so the next seal can merge
   // incrementally. Pointless once dirty (a full rebuild is coming anyway).
   if (storage_mode_ == StorageMode::kSegmented && !segment_dirty_) {
-    tail_.push_back(*node);
+    tail_.push_back(node);
   }
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   IndexInsert(node);
@@ -335,11 +342,9 @@ void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
     // log span since the last seal — the base runs are left untouched, and
     // tiered compaction below decides how much merging is actually due.
     const std::size_t span_begin = runs_.back().log_end;
-    SegmentInserter inserter(arity_);
-    for (Tuple& t : tail_) inserter.Add(std::move(t));
-    tail_.clear();
     SealedRun run;
-    run.segment = inserter.Seal(&local);
+    run.segment = SegmentInserter::FromRefs(arity_, std::move(tail_), &local);
+    tail_.clear();
     run.log_begin = span_begin;
     run.log_end = log_.size();
     runs_.push_back(std::move(run));
@@ -473,7 +478,7 @@ void RelationInstance::RetainExisting(
   const bool incremental = !current && !runs_.empty() && !segment_dirty_ &&
                            storage_mode_ == StorageMode::kSegmented;
   if (current || incremental) {
-    std::vector<Tuple> tail_sorted;
+    std::vector<const Tuple*> tail_sorted;
     if (incremental && !tail_.empty()) {
       tail_sorted = tail_;
       CountedSort(&tail_sorted, &local);
@@ -533,11 +538,11 @@ void RelationInstance::RetainExisting(
       if (!hit && !tail_sorted.empty()) {
         while (tail_cursor < tail_sorted.size()) {
           ++local.compares;
-          if (tail_sorted[tail_cursor] < cand) {
+          if (*tail_sorted[tail_cursor] < cand) {
             ++tail_cursor;
             continue;
           }
-          hit = !(cand < tail_sorted[tail_cursor]);
+          hit = !(cand < *tail_sorted[tail_cursor]);
           ++local.compares;
           break;
         }

@@ -413,20 +413,25 @@ class RelationInstance {
   // Merges the newest runs while they violate the size-tier invariant
   // (see SegmentPolicy). Requires the exclusive lock.
   void CompactLocked(SegmentOpStats* stats) const;
+  // Copies `other`'s tail as pointers to the equal tuples of our own set
+  // (tuples_ must already hold the copy).
+  void CopyTail(const RelationInstance& other);
 
   // Tiered view state. Runs are immutable and shared across copies, oldest
-  // (largest) first; `tail_` holds tuples inserted since the last seal
-  // (kSegmented only); `segment_dirty_` marks erases/clears, which
-  // invalidate the tail and force a full rebuild. `segment_generation_` is
-  // the generation the sealed view corresponds to. `runs_tiled_` records
-  // whether the run/log spans can be trusted: copies rebuild the log in
-  // set order, which breaks the tiling, so copied relations decline slice
-  // serving until the next full rebuild restores it.
+  // (largest) first; `tail_` points at the tuples inserted since the last
+  // seal (kSegmented only; set nodes are stable, and every erase clears the
+  // tail, so no pointer outlives its node); `segment_dirty_` marks
+  // erases/clears, which invalidate the tail and force a full rebuild.
+  // `segment_generation_` is the generation the sealed view corresponds
+  // to. `runs_tiled_` records whether the run/log spans can be trusted:
+  // copies rebuild the log in set order, which breaks the tiling, so copied
+  // relations decline slice serving until the next full rebuild restores
+  // it.
   StorageMode storage_mode_ = StorageMode::kIndexed;
   SegmentPolicy policy_;
   mutable std::vector<SealedRun> runs_;
   mutable bool runs_tiled_ = true;
-  mutable std::vector<Tuple> tail_;
+  mutable std::vector<const Tuple*> tail_;
   mutable bool segment_dirty_ = false;
   mutable std::uint64_t segment_generation_ = 0;
   mutable AtomicSegmentStats seg_stats_;

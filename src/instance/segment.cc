@@ -165,27 +165,35 @@ void Segment::FinalizeBounds() {
 // ---------------------------------------------------------------------------
 
 SegmentPtr SegmentInserter::Seal(SegmentOpStats* stats) {
-  auto segment = std::make_shared<Segment>();
-  segment->arity_ = arity_;
-  segment->columns_.resize(arity_);
   std::vector<Tuple> rows;
   rows.swap(pending_);
+  std::vector<const Tuple*> refs;
+  refs.reserve(rows.size());
+  for (const Tuple& row : rows) refs.push_back(&row);
+  return FromRefs(arity_, std::move(refs), stats);
+}
+
+SegmentPtr SegmentInserter::FromRefs(std::size_t arity,
+                                     std::vector<const Tuple*> rows,
+                                     SegmentOpStats* stats) {
+  auto segment = std::make_shared<Segment>();
+  segment->arity_ = arity;
+  segment->columns_.resize(arity);
   CountedSort(&rows, stats);
   std::size_t out = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) {
       Count(stats, 1);
-      if (rows[i] == rows[out - 1]) continue;
+      if (*rows[i] == *rows[out - 1]) continue;
     }
-    if (out != i) rows[out] = std::move(rows[i]);
-    ++out;
+    rows[out++] = rows[i];
   }
   rows.resize(out);
   segment->rows_ = rows.size();
-  for (std::size_t c = 0; c < arity_; ++c) {
+  for (std::size_t c = 0; c < arity; ++c) {
     std::vector<Value>& col = segment->columns_[c];
     col.reserve(rows.size());
-    for (const Tuple& row : rows) col.push_back(row[c]);
+    for (const Tuple* row : rows) col.push_back((*row)[c]);
   }
   segment->FinalizeBounds();
   if (stats != nullptr) {
@@ -388,6 +396,15 @@ void CountedSort(std::vector<Tuple>* rows, SegmentOpStats* stats) {
             [compares](const Tuple& a, const Tuple& b) {
               ++*compares;
               return a < b;
+            });
+}
+
+void CountedSort(std::vector<const Tuple*>* rows, SegmentOpStats* stats) {
+  std::uint64_t* compares = stats != nullptr ? &stats->compares : nullptr;
+  std::sort(rows->begin(), rows->end(),
+            [compares](const Tuple* a, const Tuple* b) {
+              if (compares != nullptr) ++*compares;
+              return *a < *b;
             });
 }
 

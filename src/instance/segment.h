@@ -211,6 +211,13 @@ class SegmentInserter {
 
   SegmentPtr Seal(SegmentOpStats* stats);
 
+  // Seal() over rows held elsewhere: sorts the pointers by row value
+  // (counting compares), drops duplicates and copies the survivors
+  // column-major. The rows are never copied as tuples.
+  static SegmentPtr FromRefs(std::size_t arity,
+                             std::vector<const Tuple*> rows,
+                             SegmentOpStats* stats);
+
   // Seals a std::set's contents directly: set iteration is already sorted
   // and unique, so this is a straight column-major copy (no compares).
   static SegmentPtr FromSorted(std::size_t arity, const std::set<Tuple>& rows,
@@ -306,7 +313,9 @@ class SegmentRangeCursor {
 // ---------------------------------------------------------------------------
 
 // Sorts rows ascending, counting comparisons into `stats` when non-null.
+// The pointer form orders by the rows pointed to.
 void CountedSort(std::vector<Tuple>* rows, SegmentOpStats* stats);
+void CountedSort(std::vector<const Tuple*>* rows, SegmentOpStats* stats);
 
 // Binary-search membership in an ascending row vector.
 bool SortedContains(const std::vector<Tuple>& sorted, const Tuple& tuple,

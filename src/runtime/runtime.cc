@@ -365,10 +365,9 @@ std::string ErrorTranslator::Translate(const std::string& table,
 // Provenance
 // ---------------------------------------------------------------------------
 
-std::string ExplainFact(const chase::ChaseResult& result,
+std::string ExplainFact(const chase::Provenance& provenance,
                         const chase::Fact& fact) {
-  const std::vector<chase::Witness>* witnesses =
-      result.provenance.WitnessesOf(fact);
+  const std::vector<chase::Witness>* witnesses = provenance.WitnessesOf(fact);
   if (witnesses == nullptr || witnesses->empty()) {
     return fact.ToString() + " has no recorded derivation";
   }
@@ -381,11 +380,15 @@ std::string ExplainFact(const chase::ChaseResult& result,
   return out;
 }
 
-std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
+std::string ExplainFact(const chase::ChaseResult& result,
+                        const chase::Fact& fact) {
+  return ExplainFact(result.provenance, fact);
+}
+
+std::vector<chase::Fact> Lineage(const chase::Provenance& provenance,
                                  const chase::Fact& fact) {
   std::vector<chase::Fact> lineage;
-  const std::vector<chase::Witness>* witnesses =
-      result.provenance.WitnessesOf(fact);
+  const std::vector<chase::Witness>* witnesses = provenance.WitnessesOf(fact);
   if (witnesses == nullptr) return lineage;
   std::set<chase::Fact> seen;
   for (const chase::Witness& w : *witnesses) {
@@ -394,6 +397,11 @@ std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
     }
   }
   return lineage;
+}
+
+std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
+                                 const chase::Fact& fact) {
+  return Lineage(result.provenance, fact);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,8 +486,19 @@ bool JournalTouches(const std::vector<chase::Witness>& journal,
 void AdoptChaseResult(ExchangeSession* session, chase::ChaseResult chased) {
   session->target = std::move(chased.target);
   session->provenance = std::move(chased.provenance);
-  session->last_stats = chased.stats;
+  session->last_stats = std::move(chased.stats);
   session->breach = std::move(chased.breach);
+}
+
+// Every maintain mutates the session's source, so it follows the chase's
+// storage mode the way the chase keeps the target's: under segmented
+// storage, resumed passes then defer its erase-dirtied reseals too, instead
+// of rebuilding each source relation's segments from scratch per call. The
+// naive oracle never reads segments, so its source stays plain.
+void SyncSourceStorage(ExchangeSession* session) {
+  session->source.SetStorageMode(session->options.naive
+                                     ? instance::StorageMode::kIndexed
+                                     : session->options.storage);
 }
 
 }  // namespace
@@ -498,6 +517,7 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
   session.source = std::move(source);
   session.options = options;
   session.options.track_provenance = true;
+  SyncSourceStorage(&session);
   // Same span as Exchange: telemetry consumers see one "exchange.run" per
   // from-scratch chase, session-opening or not.
   obs::ObsSpan span(options.obs, "exchange.run");
@@ -518,13 +538,16 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
   return session;
 }
 
-Result<Delta> MaintainExchange(ExchangeSession& session,
-                               const Delta& source_delta) {
+namespace {
+
+Result<Delta> MaintainSession(ExchangeSession& session,
+                              const Delta& source_delta) {
   const auto start = std::chrono::steady_clock::now();
   obs::Context* obs = session.options.obs;
   obs::ObsSpan span(obs, "exchange.maintain");
   span.SetAttribute("mapping", session.mapping.name());
   span.SetAttribute("delta_size", source_delta.Size());
+  SyncSourceStorage(&session);  // the options may have changed since
 
   // A breached session holds a partial solution and a dead frontier;
   // resuming it would maintain the wrong baseline.
@@ -694,6 +717,23 @@ Result<Delta> MaintainExchange(ExchangeSession& session,
   span.SetAttribute("fallback", fallback ? 1 : 0);
   if (session.breach.has_value()) {
     span.SetAttribute("breach", session.breach->kind);
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<Delta> MaintainExchange(ExchangeSession& session,
+                               const Delta& source_delta) {
+  Result<Delta> out = MaintainSession(session, source_delta);
+  if (!out.ok()) {
+    // The source already holds (part of) the delta, and a failed chase took
+    // the target and provenance down with it: nothing left is a resume
+    // point. Empty the session and reset its frontier so the next call
+    // rebuilds through the counted fallback path.
+    session.target = Instance::EmptyFor(session.mapping.target());
+    session.provenance = chase::Provenance{};
+    session.state = chase::ChaseSessionState{};
   }
   return out;
 }

@@ -172,14 +172,19 @@ class ErrorTranslator {
 // Provenance (Section 5: "Provenance" / "Debugging")
 // ---------------------------------------------------------------------------
 
-// Renders the why-provenance of a target fact from a chase result: each
-// witness is the list of source facts that fired the deriving rule.
+// Renders the why-provenance of a target fact: each witness is the list of
+// source facts that fired the deriving rule. The Provenance form reads a
+// live map in place (the engine passes its session's).
+std::string ExplainFact(const chase::Provenance& provenance,
+                        const chase::Fact& fact);
 std::string ExplainFact(const chase::ChaseResult& result,
                         const chase::Fact& fact);
 
 // All source facts contributing to any derivation of `fact` (flattened
 // witness union) — the "source data that contributed to a particular
 // target data item".
+std::vector<chase::Fact> Lineage(const chase::Provenance& provenance,
+                                 const chase::Fact& fact);
 std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
                                  const chase::Fact& fact);
 
@@ -298,6 +303,11 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
 //
 // Budgets and the CancelToken in the session's options apply to the resumed
 // chase exactly as they do to Exchange.
+//
+// On error (e.g. an egd equating two constants) the source keeps the delta
+// applied so far, while the target and provenance are emptied and the
+// frontier reset: the next call then rebuilds from scratch and counts a
+// fallback.
 Result<Delta> MaintainExchange(ExchangeSession& session,
                                const Delta& source_delta);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "instance/instance.h"
 #include "logic/formula.h"
@@ -325,6 +326,47 @@ TEST(ChaseInstanceTest, ClosesUnderIntraSchemaTgds) {
   auto result = ChaseInstance({trans}, {}, db);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->target.Find("E")->size(), 6u);  // transitive closure
+}
+
+// Stratified runs stamp the analysis' round bound at the input's active
+// domain. The chase counts the domain only when the bound reads it, so the
+// stamp must still equal the bound at the true domain size in every case:
+// egd-free exchange (a constant), exchange with egds, and closure.
+TEST(ChaseTest, ForesightStampsRoundBoundAtActiveDomain) {
+  ChaseOptions options;
+  options.stratified = true;
+  Tgd tgd;
+  tgd.body = {Atom{"Emp", {V("e"), V("d")}}};
+  tgd.head = {Atom{"Worker", {V("e"), V("m")}}};
+  Egd key;
+  key.body = {Atom{"Worker", {V("e"), V("m1")}},
+              Atom{"Worker", {V("e"), V("m2")}}};
+  key.left = "m1";
+  key.right = "m2";
+  for (const std::vector<Egd>& egds :
+       {std::vector<Egd>{}, std::vector<Egd>{key}}) {
+    Mapping m =
+        Mapping::FromTgds("m", SourceSchema(), TargetSchema(), {tgd}, egds);
+    analysis::MappingAnalysis a = analysis::AnalyzeMapping(m);
+    EXPECT_EQ(a.RoundsBoundReadsDomain(), !egds.empty());
+    auto result = RunChase(m, SourceDb(), options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // SourceDb's active domain: eids 1 and 2, depts "sales" and "eng".
+    EXPECT_EQ(result->stats.predicted_rounds, a.PredictedRounds(4));
+  }
+
+  Tgd trans;
+  trans.body = {Atom{"E", {V("x"), V("y")}}, Atom{"E", {V("y"), V("z")}}};
+  trans.head = {Atom{"E", {V("x"), V("z")}}};
+  Instance db;
+  db.DeclareRelation("E", 2);
+  ASSERT_TRUE(db.Insert("E", {Value::Int64(1), Value::Int64(2)}).ok());
+  ASSERT_TRUE(db.Insert("E", {Value::Int64(2), Value::Int64(3)}).ok());
+  analysis::MappingAnalysis closure = analysis::AnalyzeClosure({trans}, {});
+  EXPECT_TRUE(closure.RoundsBoundReadsDomain());
+  auto closed = ChaseInstance({trans}, {}, db, options);
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  EXPECT_EQ(closed->stats.predicted_rounds, closure.PredictedRounds(3));
 }
 
 TEST(CertainAnswersTest, NullCarryingRowsAreDropped) {

@@ -448,5 +448,150 @@ TEST_F(EngineExtTest, StatsReportsPeakRss) {
   EXPECT_GT(gauge->value, 0);
 }
 
+// --- Incremental maintenance through the engine ----------------------------
+
+std::string Joined(const std::vector<std::string>& lines) {
+  std::string joined;
+  for (const std::string& line : lines) joined += line + "\n";
+  return joined;
+}
+
+// Adds order 2 and drops order 1's line: Flat(2,"gizmo",5) is derived,
+// Flat(1,"widget",3) loses its only derivation.
+constexpr const char* kOrderDelta = R"(
+apply +Orders(2,"gizmo")
+apply +Lines(2,5)
+apply -Lines(1,3)
+)";
+
+TEST_F(EngineExtTest, MaintainedOutputMatchesFreshExchange) {
+  auto log = engine_.RunScript("exchange Dout flatten D\n" +
+                               std::string(kOrderDelta) + "maintain flatten");
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_NE(Joined(*log).find("maintained flatten -> Dout: +1 -1 tuples"),
+            std::string::npos)
+      << Joined(*log);
+
+  Instance after = engine_.repo().GetInstance("D").value();
+  ASSERT_TRUE(after.Insert("Orders", {Value::Int64(2),
+                                      Value::String("gizmo")}).ok());
+  ASSERT_TRUE(after.Insert("Lines", {Value::Int64(2), Value::Int64(5)}).ok());
+  ASSERT_TRUE(after.Erase("Lines", {Value::Int64(1), Value::Int64(3)}).ok());
+  auto fresh = runtime::Exchange(engine_.repo().GetMapping("flatten").value(),
+                                 after);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  auto maintained = engine_.repo().GetInstance("Dout");
+  ASSERT_TRUE(maintained.ok());
+  EXPECT_TRUE(instance::InstanceEqualsUpToNulls(*maintained, fresh->target));
+  EXPECT_EQ(maintained->Find("Flat")->size(), 1u);
+}
+
+TEST_F(EngineExtTest, WhyAfterMaintainReadsTheMaintainedProvenance) {
+  ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D\n" +
+                                std::string(kOrderDelta) + "maintain flatten")
+                  .ok());
+  auto derived = engine_.RunScript("why Flat(2,\"gizmo\",5)");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  std::string joined = Joined(*derived);
+  EXPECT_NE(joined.find("because:"), std::string::npos) << joined;
+  EXPECT_NE(joined.find("Orders(2, \"gizmo\")"), std::string::npos) << joined;
+  EXPECT_NE(joined.find("Lines(2, 5)"), std::string::npos) << joined;
+
+  auto deleted = engine_.RunScript("why Flat(1,\"widget\",3)");
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_NE(Joined(*deleted).find("no recorded derivation"),
+            std::string::npos)
+      << Joined(*deleted);
+}
+
+TEST_F(EngineExtTest, MaintainRestoresAnOverwrittenOutput) {
+  ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D").ok());
+  ASSERT_TRUE(engine_.repo().PutInstance("Dout", Instance{}).ok());
+  ASSERT_TRUE(engine_.RunScript(R"(
+apply +Orders(2,"gizmo")
+apply +Lines(2,5)
+maintain flatten
+)").ok());
+  auto restored = engine_.repo().GetInstance("Dout");
+  ASSERT_TRUE(restored.ok());
+  ASSERT_NE(restored->Find("Flat"), nullptr);
+  EXPECT_EQ(restored->Find("Flat")->size(), 2u);
+}
+
+TEST_F(EngineExtTest, MaintainMakesWhyAnswerFromItsSession) {
+  Mapping second = engine_.repo().GetMapping("flatten").value();
+  second.set_name("flatten2");
+  ASSERT_TRUE(engine_.repo().PutMapping(second).ok());
+  Instance other = engine_.repo().GetInstance("D").value();
+  ASSERT_TRUE(other.Insert("Orders", {Value::Int64(5),
+                                      Value::String("bolt")}).ok());
+  ASSERT_TRUE(other.Insert("Lines", {Value::Int64(5), Value::Int64(1)}).ok());
+  ASSERT_TRUE(engine_.repo().PutInstance("D2", std::move(other)).ok());
+
+  ASSERT_TRUE(engine_.RunScript(R"(
+exchange Dout flatten D
+exchange Dother flatten2 D2
+)").ok());
+  // `why` follows the last exchange: only the second session knows order 5.
+  auto before = engine_.RunScript("why Flat(5,\"bolt\",1)");
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_NE(Joined(*before).find("because:"), std::string::npos);
+
+  // Maintaining the first session makes `why` answer from it again.
+  ASSERT_TRUE(engine_.RunScript(std::string(kOrderDelta) + "maintain flatten")
+                  .ok());
+  auto second_only = engine_.RunScript("why Flat(5,\"bolt\",1)");
+  ASSERT_TRUE(second_only.ok()) << second_only.status();
+  EXPECT_NE(Joined(*second_only).find("no recorded derivation"),
+            std::string::npos);
+  auto first = engine_.RunScript("why Flat(2,\"gizmo\",5)");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_NE(Joined(*first).find("because:"), std::string::npos);
+}
+
+TEST_F(EngineExtTest, FailedMaintainKeepsOutputAndWhyConsistent) {
+  // Flat keyed on OrderId: a second item for order 1 equates two constants.
+  Mapping keyed = engine_.repo().GetMapping("flatten").value();
+  keyed.set_name("keyed");
+  logic::Egd key;
+  key.body = {Atom{"Flat", {V("o"), V("i1"), V("q1")}},
+              Atom{"Flat", {V("o"), V("i2"), V("q2")}}};
+  key.left = "i1";
+  key.right = "i2";
+  keyed.AddTargetEgd(key);
+  ASSERT_TRUE(engine_.repo().PutMapping(keyed).ok());
+  ASSERT_TRUE(engine_.RunScript("exchange Dk keyed D").ok());
+
+  auto failed = engine_.RunScript(R"(
+apply +Orders(1,"gadget")
+maintain keyed
+)");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInconsistent);
+
+  // The stored output no longer holds the old fact, and `why` agrees.
+  auto stored = engine_.repo().GetInstance("Dk");
+  ASSERT_TRUE(stored.ok());
+  const instance::RelationInstance* flat = stored->Find("Flat");
+  EXPECT_TRUE(flat == nullptr ||
+              !flat->Contains({Value::Int64(1), Value::String("widget"),
+                               Value::Int64(3)}));
+  auto why = engine_.RunScript("why Flat(1,\"widget\",3)");
+  ASSERT_TRUE(why.ok()) << why.status();
+  EXPECT_NE(Joined(*why).find("no recorded derivation"), std::string::npos)
+      << Joined(*why);
+
+  // Retracting the clash rebuilds the session from scratch.
+  auto repaired = engine_.RunScript(R"(
+apply -Orders(1,"gadget")
+maintain keyed
+why Flat(1,"widget",3)
+)");
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_NE(Joined(*repaired).find("because:"), std::string::npos)
+      << Joined(*repaired);
+  EXPECT_EQ(engine_.repo().GetInstance("Dk")->Find("Flat")->size(), 1u);
+}
+
 }  // namespace
 }  // namespace mm2::engine

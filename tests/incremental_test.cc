@@ -435,6 +435,65 @@ TEST(MaintainDRedTest, InsertOnlyMaintainMatchesRechase) {
   EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target));
 }
 
+// R(k, v) -> T(k, v) under a key egd on T.
+Mapping KeyedCopyMapping() {
+  model::Schema src("Src", model::Metamodel::kRelational);
+  src.AddRelation(model::Relation(
+      "R", {{"k", model::DataType::Int64(), false},
+            {"v", model::DataType::Int64(), false}}, {}));
+  model::Schema tgt("Tgt", model::Metamodel::kRelational);
+  tgt.AddRelation(model::Relation(
+      "T", {{"k", model::DataType::Int64(), false},
+            {"v", model::DataType::Int64(), false}}, {}));
+  Tgd copy;
+  copy.body = {Atom{"R", {V("k"), V("v")}}};
+  copy.head = {Atom{"T", {V("k"), V("v")}}};
+  Egd key;
+  key.body = {Atom{"T", {V("k"), V("v1")}}, Atom{"T", {V("k"), V("v2")}}};
+  key.left = "v1";
+  key.right = "v2";
+  return Mapping::FromTgds("m", src, tgt, {copy}, {key});
+}
+
+// A maintain whose resumed chase fails (the key egd equates two constants)
+// has already applied its delta to the source and handed the target and
+// provenance to the chase. The session must not resume over nothing: it is
+// emptied, and the next maintain rebuilds through the counted fallback.
+TEST(MaintainDRedTest, FailedMaintainFallsBackOnNextCall) {
+  Mapping m = KeyedCopyMapping();
+  Instance source;
+  source.DeclareRelation("R", 2);
+  ASSERT_TRUE(source.Insert("R", Row2(1, 10)).ok());
+  ASSERT_TRUE(source.Insert("R", Row2(2, 20)).ok());
+  auto begun = BeginExchangeSession(m, std::move(source));
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ExchangeSession session = std::move(begun.value());
+  ASSERT_EQ(session.target.Find("T")->size(), 2u);
+
+  Delta clash;
+  clash.inserts.DeclareRelation("R", 2);
+  clash.inserts.InsertUnchecked("R", Row2(1, 11));
+  auto failed = MaintainExchange(session, clash);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInconsistent);
+  EXPECT_EQ(session.target.TotalTuples(), 0u);
+  EXPECT_EQ(session.provenance.size(), 0u);
+
+  Delta repair;
+  repair.deletes.DeclareRelation("R", 2);
+  repair.deletes.InsertUnchecked("R", Row2(1, 11));
+  repair.inserts.DeclareRelation("R", 2);
+  repair.inserts.InsertUnchecked("R", Row2(3, 30));
+  auto maintained = MaintainExchange(session, repair);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().message();
+  EXPECT_EQ(session.fallbacks, 1u);
+  EXPECT_EQ(maintained.value().inserts.TotalTuples(), 3u);
+  EXPECT_EQ(session.target.Find("T")->size(), 3u);
+  auto full = Exchange(m, session.source, ExchangeOptions{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target));
+}
+
 TEST(MaintainDRedTest, BeginRejectsComputeCore) {
   Mapping m = KeyedExistentialMapping();
   ExchangeOptions options;
