@@ -1,17 +1,12 @@
-// Parallel chase executor scaling: the partitioned match phase swept over
-// a (threads x chain length) grid on the same transitive-closure workload
-// as chase_scaling_bench (rules = 4 copies so every round re-matches four
-// rule bodies — enough candidate fan-out for the pool to bite), plus the
-// sharded-build/partitioned-probe hash join over Const inputs.
+// Parallel hash join scaling: the sharded-build/partitioned-probe join
+// over Const inputs at 1, 2 and 4 threads. The chase itself is serial; this
+// binary keeps its historical name so the `parallel_join.*` keys stay
+// comparable across baselines.
 //
-// Each (t, n) point records a `chase_parallel.t<t>.n<n>.r4.wall_us`
-// histogram; the custom main derives `chase_parallel.speedup_t<t>.n64.r4`
-// (serial p50 / t-thread p50) before dumping the registry, so the speedup
-// lands in BENCH_<label>.json alongside the raw walls. Every JSON line
-// carries the ambient `threads` + `hw_concurrency` (bench_report.h), and
-// bench_compare.py refuses to diff across differing thread counts — on a
-// single-core box the speedup is expected to sit near (or below) 1x and
-// that is not a regression.
+// Each (t, rows) point records a `parallel_join.t<t>.rows<rows>.wall_us`
+// histogram. Every JSON line carries the ambient `threads` +
+// `hw_concurrency` (bench_report.h), and bench_compare.py refuses to diff
+// across differing thread counts.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,93 +18,12 @@
 
 #include "algebra/eval.h"
 #include "algebra/expr.h"
-#include "chase/chase.h"
 #include "instance/instance.h"
-#include "logic/formula.h"
 
 namespace {
 
 using mm2::instance::Instance;
 using mm2::instance::Value;
-using mm2::logic::Atom;
-using mm2::logic::Term;
-using mm2::logic::Tgd;
-
-Term V(const std::string& name) { return Term::Var(name); }
-
-constexpr std::int64_t kRules = 4;
-
-std::vector<Tgd> ClosureRules(std::int64_t copies) {
-  std::vector<Tgd> tgds;
-  for (std::int64_t k = 0; k < copies; ++k) {
-    std::string t = "T" + std::to_string(k);
-    Tgd copy;
-    copy.body = {Atom{"R", {V("x"), V("y")}}};
-    copy.head = {Atom{t, {V("x"), V("y")}}};
-    Tgd step;
-    step.body = {Atom{t, {V("x"), V("y")}}, Atom{"R", {V("y"), V("z")}}};
-    step.head = {Atom{t, {V("x"), V("z")}}};
-    tgds.push_back(std::move(copy));
-    tgds.push_back(std::move(step));
-  }
-  return tgds;
-}
-
-Instance ChainInstance(std::int64_t n, std::int64_t copies) {
-  Instance db;
-  db.DeclareRelation("R", 2);
-  for (std::int64_t k = 0; k < copies; ++k) {
-    db.DeclareRelation("T" + std::to_string(k), 2);
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    db.InsertUnchecked("R", {Value::Int64(i), Value::Int64(i + 1)});
-  }
-  return db;
-}
-
-void BM_ChaseParallel(benchmark::State& state) {
-  std::int64_t threads = state.range(0);
-  std::int64_t n = state.range(1);
-  std::vector<Tgd> tgds = ClosureRules(kRules);
-  Instance db = ChainInstance(n, kRules);
-  mm2::chase::ChaseOptions options;  // semi-naive default
-  options.threads = static_cast<std::size_t>(threads);
-
-  std::string point = "chase_parallel.t" + std::to_string(threads) + ".n" +
-                      std::to_string(n) + ".r" + std::to_string(kRules);
-  auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
-
-  std::size_t closure = 0;
-  mm2::chase::ChaseStats stats;
-  for (auto _ : state) {
-    auto start = std::chrono::steady_clock::now();
-    auto result = mm2::chase::ChaseInstance(tgds, {}, db, options);
-    double us = std::chrono::duration_cast<
-                    std::chrono::duration<double, std::micro>>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    wall.Record(us);
-    closure = result->target.Find("T0")->size();
-    stats = result->stats;
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * n * kRules);
-  state.counters["closure_edges"] = static_cast<double>(closure);
-  state.counters["workers"] = static_cast<double>(stats.workers);
-  state.counters["parallel_regions"] =
-      static_cast<double>(stats.parallel_regions);
-  state.counters["parallel_tasks"] = static_cast<double>(stats.parallel_tasks);
-  state.counters["steals"] = static_cast<double>(stats.parallel_steals);
-}
-BENCHMARK(BM_ChaseParallel)
-    ->ArgNames({"threads", "n"})
-    ->ArgsProduct({{1, 2, 4, 8}, {16, 32, 64}})
-    ->Unit(benchmark::kMillisecond);
 
 // Generic hash join, serial vs parallel: Const children on both sides keep
 // the evaluator off the scan-probe fast path, so this times exactly the
@@ -162,33 +76,6 @@ BENCHMARK(BM_ParallelJoin)
     ->ArgsProduct({{1, 2, 4}, {4096, 16384}})
     ->Unit(benchmark::kMillisecond);
 
-// Derives serial/parallel p50 ratios from the recorded walls and prints
-// them as extra JSON lines. Runs after the benchmark loop, before the
-// registry dump (the ratio itself is stateless, so ordering only matters
-// for readability of the output).
-void ReportSpeedups() {
-  mm2::obs::MetricsSnapshot snap = mm2::bench::Obs().metrics.Snapshot();
-  auto p50 = [&snap](const std::string& name) -> double {
-    const mm2::obs::HistogramSnapshot* h = snap.FindHistogram(name);
-    return h == nullptr || h->count == 0 ? 0.0 : h->Percentile(0.5);
-  };
-  for (std::int64_t n : {16, 32, 64}) {
-    std::string suffix =
-        ".n" + std::to_string(n) + ".r" + std::to_string(kRules);
-    double serial = p50("chase_parallel.t1" + suffix + ".wall_us");
-    if (serial <= 0) continue;
-    for (std::int64_t t : {2, 4, 8}) {
-      double parallel =
-          p50("chase_parallel.t" + std::to_string(t) + suffix + ".wall_us");
-      if (parallel <= 0) continue;
-      mm2::bench::PrintJsonLine(
-          "chase_parallel_bench",
-          "chase_parallel.speedup_t" + std::to_string(t) + suffix,
-          serial / parallel, "x");
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -203,7 +90,6 @@ int main(int argc, char** argv) {
                         .count();
   mm2::bench::Obs().metrics.GetHistogram("bench.total_runtime_us")
       .Record(total_us);
-  ReportSpeedups();
   mm2::bench::ReportRegistry("chase_parallel_bench");
   return 0;
 }

@@ -61,9 +61,6 @@ void PrintHelp() {
       "                                answer m D Q(x) :- T(x, y)\n"
       "  compose <out> <m12> <m23>     (and the other engine commands:\n"
       "  invert/inverse/extract/diff/merge/modelgen/exchange/match)\n"
-      "  threads <n>                   worker threads for chase-backed\n"
-      "                                commands (0 = MM2_THREADS env);\n"
-      "                                pool metrics land in stats/explain\n"
       "  storage indexed|segmented     chase storage representation (or\n"
       "                                start with MM2_STORAGE=segmented);\n"
       "                                results bit-identical; segment\n"

@@ -12,9 +12,10 @@
 #
 # Usage: scripts/bench_all.sh <label> [build-dir]    (build-dir: ./build)
 # Env:
-#   MM2_THREADS       ambient worker count for the parallel chase/join
-#                     paths (default 1 = serial); inherited by every bench
-#                     binary and recorded in the envelope + every record
+#   MM2_THREADS       ambient worker count for the algebra's parallel hash
+#                     join (default 1 = serial; the chase is always
+#                     serial); inherited by every bench binary and recorded
+#                     in the envelope + every record
 #   MM2_BENCH_ARGS    extra flags passed to every bench binary
 #                     (e.g. --benchmark_min_time=0.05; the seed baselines
 #                     are taken with --benchmark_min_time=0.05, see

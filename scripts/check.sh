@@ -4,11 +4,13 @@
 # and counter atomics should stay race- and UB-clean — but the gate covers
 # every target. Usage:
 #   scripts/check.sh                # address,undefined (default)
-#   scripts/check.sh --tsan         # ThreadSanitizer over the storage layer:
-#                                   # lazy index construction races with
-#                                   # concurrent Probe()s, so the chase
-#                                   # differential + instance suites run
-#                                   # under -fsanitize=thread (build-tsan/)
+#   scripts/check.sh --tsan         # ThreadSanitizer over the shared-state
+#                                   # suites: the thread pool and parallel
+#                                   # hash join, the storage layer's locks,
+#                                   # intern pool, event log and cancel
+#                                   # token, plus the chase differential
+#                                   # sweeps that drive them, all under
+#                                   # -fsanitize=thread (build-tsan/)
 #   MM2_SANITIZE=thread scripts/check.sh   # TSan over the full suite
 #   BUILD_DIR=/tmp/san scripts/check.sh
 #   MM2_BENCH_SMOKE=1 scripts/check.sh   # also run the bench-regression
@@ -25,8 +27,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   BUILD_DIR="${BUILD_DIR_TSAN:-build-tsan}"
   # The suites exercising RelationInstance's index/delta machinery
   # (concurrent-probe test, naive-vs-indexed differential sweep) plus the
-  # parallel executor: the work-stealing pool itself, the threads-axis
-  # chase differentials, and the sharded parallel hash join. InternPool /
+  # thread pool's one user: the work-stealing pool itself, its thread-count
+  # resolution, and the sharded parallel hash join. InternPool /
   # ValueIntern cover the sharded string pool: racing Intern() calls and
   # lock-free Get()s from freshly published chunks.
   # EventLog/CancelToken/Watchdog join the filter: the event log's ring
@@ -38,15 +40,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # events ride the shared registry/event-log mutexes.
   # Segment/RelationSegment/ChaseSegmentedDiffProperty/
   # ClosureSegmentedDiffProperty cover the columnar segment layer: the
-  # const PrepareSegments reseal under index_mu_, segment probes racing
-  # the chase's parallel match fan-out, and the batched retain pass whose
-  # candidate chunks are evaluated across the worker pool.
+  # const PrepareSegments reseal under index_mu_, which shares its lock
+  # with the lazy hash-index build, and the batched retain pass.
   # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep cover
   # the incremental-exchange layer: tombstone-aware delta views slicing
   # runs the (const, mutex-guarded) reseal path also mutates, and session
   # maintenance driving Erase/Insert churn against the lazily built
   # log-position map under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep"
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep"
 fi
 
 cmake -B "$BUILD_DIR" -S . \

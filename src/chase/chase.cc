@@ -2,18 +2,15 @@
 
 #include "analysis/analysis.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "logic/acyclicity.h"
 #include "obs/obs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 
 namespace mm2::chase {
@@ -275,222 +272,29 @@ std::vector<Assignment> MatchAtomsIndexed(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel partitioned matching. The match phase is read-only (firing is
-// strictly sequential and happens only after matching returns), so the
-// parallel executor partitions the depth-0 candidate tuples into contiguous
-// chunks, runs MatchIndexedRec on each chunk concurrently, and concatenates
-// the per-chunk result vectors in chunk order. Chunk 0 covers the lowest
-// candidate positions, so the concatenation enumerates assignments in
-// literally the same order the serial recursion would — firing order, null
-// naming, and every ChaseStats firing count are bit-identical at any thread
-// count.
-
-// Per-depth probe column sets are statically determined by the join order
-// (constants plus variables bound by earlier atoms), so the indexes every
-// worker will probe can be built once, up front, instead of stampeding the
-// lazy build inside the fan-out.
-void PrebuildProbeIndexes(const std::vector<Atom>& atoms,
-                          const std::vector<std::size_t>& order,
-                          const Instance& db) {
-  std::set<std::string, std::less<>> bound;
-  for (std::size_t depth = 0; depth < order.size(); ++depth) {
-    const Atom& atom = atoms[order[depth]];
-    if (depth > 0) {
-      const instance::RelationInstance* rel = db.Find(atom.relation);
-      if (rel != nullptr && atom.terms.size() == rel->arity()) {
-        instance::RelationInstance::ColumnSet cols;
-        for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-          const Term& term = atom.terms[i];
-          if (term.kind() == Term::Kind::kConstant ||
-              (term.kind() == Term::Kind::kVariable &&
-               bound.count(term.name()) > 0)) {
-            cols.push_back(i);
-          }
-        }
-        // Prefix probes are served by the sealed columnar segment when one
-        // is current; building the hash index too would be pure waste.
-        bool segment_serves = !cols.empty() &&
-                              cols.back() == cols.size() - 1 &&
-                              rel->SegmentCurrent();
-        if (!cols.empty() && !segment_serves) rel->EnsureIndex(cols);
-      }
-    }
-    for (const Term& t : atom.terms) {
-      if (t.kind() == Term::Kind::kVariable) bound.insert(t.name());
-    }
-  }
-}
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<
-             std::chrono::duration<double, std::micro>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Fans the candidate list out over the pool; results come back concatenated
-// in candidate order. `stats` collects the fan-out telemetry (never null
-// here — parallel matching only runs inside a ChaseRun or ComputeCore).
-std::vector<Assignment> MatchPartitioned(
-    const std::vector<Atom>& atoms, const std::vector<std::size_t>& order,
-    const Instance& db,
-    const instance::RelationInstance::TupleRefs& candidates,
-    common::ThreadPool& pool, ChaseStats* stats, obs::Context* obs,
-    const obs::CancelToken* cancel) {
-  PrebuildProbeIndexes(atoms, order, db);
-  std::size_t chunks = std::min(pool.size(), candidates.size());
-  std::vector<std::vector<Assignment>> partial(chunks);
-  std::vector<double> busy(chunks, 0.0);
-  auto region_start = std::chrono::steady_clock::now();
-  pool.ParallelFor(
-      candidates.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        // Stop requests skip whole chunks; MatchIndexedRec handles the
-        // finer-grained unwind inside a chunk already underway.
-        if (cancel != nullptr && cancel->stop_requested()) return;
-        auto start = std::chrono::steady_clock::now();
-        obs::ObsSpan span(obs, "chase.match.worker");
-        span.SetAttribute("chunk", chunk);
-        span.SetAttribute("candidates", end - begin);
-        instance::RelationInstance::TupleRefs slice(
-            candidates.begin() + static_cast<std::ptrdiff_t>(begin),
-            candidates.begin() + static_cast<std::ptrdiff_t>(end));
-        Assignment assignment;
-        MatchIndexedRec(atoms, order, 0, db, &slice, cancel, &assignment,
-                        &partial[chunk], /*limit=*/0);
-        span.SetAttribute("assignments", partial[chunk].size());
-        busy[chunk] = MicrosSince(start);
-      });
-  stats->parallel_wall_us += MicrosSince(region_start);
-  ++stats->parallel_regions;
-  stats->parallel_tasks += chunks;
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<Assignment> out;
-  out.reserve(total);
-  for (auto& p : partial) {
-    for (Assignment& a : p) out.push_back(std::move(a));
-  }
-  for (double b : busy) stats->parallel_busy_us += b;
-  return out;
-}
-
-// Worth fanning out only when every worker gets a few candidates; below
-// this the chunk setup dominates the probes it saves.
-bool WorthParallel(const common::ThreadPool* pool, std::size_t candidates) {
-  return pool != nullptr && candidates >= pool->size() * 2 &&
-         candidates >= 4;
-}
-
-// Depth-0 anchored match over rows [begin, end) of a hybrid DeltaView —
-// the log/slice analogue of handing MatchIndexedRec an anchor slice.
+// Depth-0 anchored match over every row of a hybrid DeltaView — the
+// log/slice analogue of handing MatchIndexedRec an anchor slice.
 // Slice-backed rows are materialized one at a time into a scratch tuple
 // inside ForEachRow, so the delta never has to exist as a ref vector.
 void MatchViewAnchored(const std::vector<Atom>& atoms,
                        const std::vector<std::size_t>& order,
                        const Instance& db, const instance::DeltaView& view,
-                       std::size_t begin, std::size_t end,
-                       const obs::CancelToken* cancel, Assignment* assignment,
+                       const obs::CancelToken* cancel,
                        std::vector<Assignment>* out) {
   const Atom& atom = atoms[order[0]];
   const instance::RelationInstance* rel = db.Find(atom.relation);
   if (rel == nullptr || atom.terms.size() != rel->arity()) return;
-  view.ForEachRow(begin, end, [&](const Tuple& tuple) {
+  Assignment assignment;
+  view.ForEachRow(0, view.size(), [&](const Tuple& tuple) {
     if (cancel != nullptr && cancel->stop_requested()) return false;
     std::vector<const std::string*> newly_bound;
-    if (MatchTuple(atom, tuple, assignment, &newly_bound)) {
-      MatchIndexedRec(atoms, order, 1, db, nullptr, cancel, assignment, out,
+    if (MatchTuple(atom, tuple, &assignment, &newly_bound)) {
+      MatchIndexedRec(atoms, order, 1, db, nullptr, cancel, &assignment, out,
                       /*limit=*/0);
     }
-    for (const std::string* v : newly_bound) assignment->erase(*v);
+    for (const std::string* v : newly_bound) assignment.erase(*v);
     return true;
   });
-}
-
-// MatchPartitioned over a DeltaView: identical chunking and ordered
-// concatenation, with each chunk enumerating its view rows in place.
-std::vector<Assignment> MatchPartitionedView(
-    const std::vector<Atom>& atoms, const std::vector<std::size_t>& order,
-    const Instance& db, const instance::DeltaView& view,
-    common::ThreadPool& pool, ChaseStats* stats, obs::Context* obs,
-    const obs::CancelToken* cancel) {
-  PrebuildProbeIndexes(atoms, order, db);
-  std::size_t chunks = std::min(pool.size(), view.size());
-  std::vector<std::vector<Assignment>> partial(chunks);
-  std::vector<double> busy(chunks, 0.0);
-  auto region_start = std::chrono::steady_clock::now();
-  pool.ParallelFor(
-      view.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        if (cancel != nullptr && cancel->stop_requested()) return;
-        auto start = std::chrono::steady_clock::now();
-        obs::ObsSpan span(obs, "chase.match.worker");
-        span.SetAttribute("chunk", chunk);
-        span.SetAttribute("candidates", end - begin);
-        Assignment assignment;
-        MatchViewAnchored(atoms, order, db, view, begin, end, cancel,
-                          &assignment, &partial[chunk]);
-        span.SetAttribute("assignments", partial[chunk].size());
-        busy[chunk] = MicrosSince(start);
-      });
-  stats->parallel_wall_us += MicrosSince(region_start);
-  ++stats->parallel_regions;
-  stats->parallel_tasks += chunks;
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<Assignment> out;
-  out.reserve(total);
-  for (auto& p : partial) {
-    for (Assignment& a : p) out.push_back(std::move(a));
-  }
-  for (double b : busy) stats->parallel_busy_us += b;
-  return out;
-}
-
-// Parallel top-level match (seed empty, no limit): computes the depth-0
-// candidate list exactly as the serial recursion would — probe on the
-// first atom's constant columns, else a full ordered scan — then fans out.
-std::vector<Assignment> MatchAtomsIndexedTop(
-    const std::vector<Atom>& atoms, const Instance& db,
-    common::ThreadPool* pool, ChaseStats* stats, obs::Context* obs,
-    const obs::CancelToken* cancel) {
-  if (pool == nullptr || atoms.empty()) {
-    return MatchAtomsIndexed(atoms, db, Assignment(), /*limit=*/0, cancel);
-  }
-  std::vector<std::size_t> order = PlanAtomOrder(atoms, db, Assignment());
-  const Atom& first = atoms[order[0]];
-  const instance::RelationInstance* rel = db.Find(first.relation);
-  if (rel == nullptr || first.terms.size() != rel->arity()) return {};
-  instance::RelationInstance::ColumnSet cols;
-  Tuple key;
-  for (std::size_t i = 0; i < first.terms.size(); ++i) {
-    const Term& term = first.terms[i];
-    if (term.kind() == Term::Kind::kConstant) {
-      cols.push_back(i);
-      key.push_back(term.value());
-    } else if (term.kind() == Term::Kind::kFunction) {
-      return {};
-    }
-  }
-  instance::RelationInstance::TupleRefs candidates;
-  if (cols.empty()) {
-    candidates.reserve(rel->size());
-    for (const Tuple& t : rel->tuples()) candidates.push_back(&t);
-  } else {
-    const instance::RelationInstance::TupleRefs* refs = rel->Probe(cols, key);
-    if (refs == nullptr) return {};
-    candidates = *refs;
-  }
-  if (!WorthParallel(pool, candidates.size())) {
-    std::vector<Assignment> out;
-    Assignment assignment;
-    MatchIndexedRec(atoms, order, 0, db, &candidates, cancel, &assignment,
-                    &out, /*limit=*/0);
-    return out;
-  }
-  return MatchPartitioned(atoms, order, db, candidates, *pool, stats, obs,
-                          cancel);
 }
 
 // Semi-naive delta match: only assignments where at least one body atom
@@ -499,15 +303,10 @@ std::vector<Assignment> MatchAtomsIndexedTop(
 // rest probe as usual — deduplicated across passes (an assignment can touch
 // two delta tuples). `delta_tuples` accumulates the delta sizes consumed
 // (per distinct body relation); zero means the caller could have skipped.
-// With a pool, each per-atom anchor pass fans its delta out chunk-wise; the
-// dedupe set sorts assignments, so pass-internal order never leaks out
-// anyway.
 std::vector<Assignment> MatchAtomsDelta(
     const std::vector<Atom>& atoms, const Instance& db,
     const std::map<std::string, std::size_t, std::less<>>& watermarks,
-    std::size_t* delta_tuples, common::ThreadPool* pool = nullptr,
-    ChaseStats* stats = nullptr, obs::Context* obs = nullptr,
-    const obs::CancelToken* cancel = nullptr) {
+    std::size_t* delta_tuples, const obs::CancelToken* cancel) {
   // Deltas arrive as hybrid views: whole segment runs sealed past the
   // watermark come back as zero-copy slices, the rest as log refs. The
   // per-pass dedupe set below already canonicalizes assignment order, so
@@ -532,14 +331,7 @@ std::vector<Assignment> MatchAtomsDelta(
     std::vector<std::size_t> order =
         PlanAtomOrder(atoms, db, Assignment(), i);
     std::vector<Assignment> found;
-    if (WorthParallel(pool, delta.size())) {
-      found = MatchPartitionedView(atoms, order, db, delta, *pool, stats,
-                                   obs, cancel);
-    } else {
-      Assignment assignment;
-      MatchViewAnchored(atoms, order, db, delta, 0, delta.size(), cancel,
-                        &assignment, &found);
-    }
+    MatchViewAnchored(atoms, order, db, delta, cancel, &found);
     for (Assignment& a : found) dedupe.insert(std::move(a));
   }
   return std::vector<Assignment>(dedupe.begin(), dedupe.end());
@@ -641,14 +433,6 @@ class ChaseRun {
     span.SetAttribute("tgds", fo_tgds.size());
     span.SetAttribute("egds", egds.size());
     span.SetAttribute("source_tuples", read_db().TotalTuples());
-    // The naive oracle always runs serial; otherwise an explicit
-    // ChaseOptions::threads wins over the MM2_THREADS environment variable,
-    // and both default to 1 (the PR-3 serial executor, byte-for-byte).
-    std::size_t workers =
-        options_.naive ? 1 : common::ResolveThreadCount(options_.threads);
-    stats_.workers = workers;
-    if (workers > 1) pool_ = std::make_unique<common::ThreadPool>(workers);
-    span.SetAttribute("workers", workers);
     obs::ScopedLatency latency(options_.obs, "chase.run.latency_us");
     // Arm the watchdog. One writable token serves every layer: the caller's
     // options_.cancel when provided, else a run-local token when any budget
@@ -956,13 +740,6 @@ class ChaseRun {
       span.SetAttribute("segment_probes", stats_.segment.probes);
       span.SetAttribute("segment_compares", stats_.segment.compares);
     }
-    if (pool_ != nullptr) {
-      common::ThreadPoolStats pool_stats = pool_->Stats();
-      stats_.parallel_steals = pool_stats.stolen;
-      stats_.pool_peak_queue = pool_stats.peak_queue;
-      span.SetAttribute("parallel_regions", stats_.parallel_regions);
-      span.SetAttribute("parallel_tasks", stats_.parallel_tasks);
-    }
     span.SetAttribute("rounds", stats_.rounds);
     span.SetAttribute("target_tuples", target_.TotalTuples());
     span.SetAttribute("index_probes", stats_.index_probes);
@@ -1112,14 +889,13 @@ class ChaseRun {
     } else if (options_.semi_naive && matched_once_[rule_index]) {
       out.delta_pass = true;
       std::size_t consumed = 0;
-      out.assignments =
-          MatchAtomsDelta(atoms, db, watermarks_[rule_index], &consumed,
-                          pool_.get(), &stats_, options_.obs, watch_token_);
+      out.assignments = MatchAtomsDelta(atoms, db, watermarks_[rule_index],
+                                        &consumed, watch_token_);
       stats_.delta_tuples += consumed;
       if (consumed == 0) ++stats_.delta_skips;
     } else {
-      out.assignments = MatchAtomsIndexedTop(atoms, db, pool_.get(), &stats_,
-                                             options_.obs, watch_token_);
+      out.assignments =
+          MatchAtomsIndexed(atoms, db, Assignment(), /*limit=*/0, watch_token_);
       if (options_.semi_naive) {
         // The first full pass consumes the whole extension as its delta.
         for (const auto& [name, mark] : out.watermarks) {
@@ -1293,39 +1069,16 @@ class ChaseRun {
     const std::size_t n = assignments.size();
     std::vector<std::vector<Fact>> facts(n);
     // Head evaluation is read-only here (no invention, no Skolem table
-    // writes), and each worker owns a disjoint slice of pre-sized slots, so
-    // the fan-out is race-free and the concatenation positional. An unbound
-    // head variable stops the batch at the lowest offending index so the
-    // serial error behavior (earlier assignments fire, then the error
-    // surfaces) is preserved exactly.
-    std::atomic<std::size_t> first_unbound{n};
-    auto eval_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (i >= first_unbound.load(std::memory_order_relaxed)) return;
-        std::optional<std::vector<Fact>> f =
-            EvalHead(head, assignments[i], /*invent=*/false);
-        if (!f.has_value()) {
-          std::size_t cur = first_unbound.load(std::memory_order_relaxed);
-          while (i < cur &&
-                 !first_unbound.compare_exchange_weak(cur, i)) {
-          }
-          return;
-        }
-        facts[i] = std::move(*f);
-      }
-    };
-    if (WorthParallel(pool_.get(), n)) {
-      auto region_start = std::chrono::steady_clock::now();
-      pool_->ParallelFor(n,
-                         [&](std::size_t begin, std::size_t end,
-                             std::size_t) { eval_range(begin, end); });
-      stats_.parallel_wall_us += MicrosSince(region_start);
-      ++stats_.parallel_regions;
-      stats_.parallel_tasks += std::min(pool_->size(), n);
-    } else {
-      eval_range(0, n);
+    // writes). An unbound head variable stops the batch at the first
+    // offending index so the serial error behavior (earlier assignments
+    // fire, then the error surfaces) is preserved exactly.
+    std::size_t usable = 0;
+    for (; usable < n; ++usable) {
+      std::optional<std::vector<Fact>> f =
+          EvalHead(head, assignments[usable], /*invent=*/false);
+      if (!f.has_value()) break;
+      facts[usable] = std::move(*f);
     }
-    const std::size_t usable = first_unbound.load();
     // Group candidate tuples per target relation, sort each group (compares
     // booked chase-locally — they never touch a relation's counters), and
     // resolve the whole group with one merge walk over the segments.
@@ -1639,8 +1392,8 @@ class ChaseRun {
   }
 
   // Books a budget breach and trips the shared stop token, so in-flight
-  // (possibly parallel) match work unwinds through the same switch the
-  // round loop is about to poll. First breach wins, like the token itself.
+  // match work unwinds through the same switch the round loop is about to
+  // poll. First breach wins, like the token itself.
   void RecordBreach(const char* kind, std::uint64_t limit,
                     std::uint64_t observed, std::size_t round) {
     if (breach_.has_value()) return;
@@ -1710,9 +1463,6 @@ class ChaseRun {
   // the rule has completed its first (full) pass.
   std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks_;
   std::vector<bool> matched_once_;
-  // Non-null only when the resolved thread count exceeds 1. Workers live
-  // for the whole run; each partitioned match is one fork/join region.
-  std::unique_ptr<common::ThreadPool> pool_;
   // Columnar-storage state: the resolved ChaseOptions::storage knob, and
   // the chase-local segment counters (batched-retain candidate sorting)
   // that no single relation can book for itself.
@@ -1761,22 +1511,6 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
   m.GetCounter("index.builds").Increment(stats.index_builds);
   m.GetCounter("chase.delta.tuples").Increment(stats.delta_tuples);
   m.GetCounter("chase.delta.rule_skips").Increment(stats.delta_skips);
-  // The parallel family only materializes for parallel runs, so serial
-  // sessions keep their exact pre-existing `stats` output (and `explain`
-  // omits the parallelism section entirely).
-  if (stats.workers > 1) {
-    m.GetGauge("chase.parallel.workers")
-        .Set(static_cast<std::int64_t>(stats.workers));
-    m.GetCounter("chase.parallel.regions").Increment(stats.parallel_regions);
-    m.GetCounter("chase.parallel.tasks").Increment(stats.parallel_tasks);
-    m.GetCounter("chase.parallel.steals").Increment(stats.parallel_steals);
-    m.GetGauge("chase.parallel.queue_depth_peak")
-        .Set(static_cast<std::int64_t>(stats.pool_peak_queue));
-    m.GetCounter("chase.parallel.busy_us")
-        .Increment(static_cast<std::uint64_t>(stats.parallel_busy_us + 0.5));
-    m.GetCounter("chase.parallel.wall_us")
-        .Increment(static_cast<std::uint64_t>(stats.parallel_wall_us + 0.5));
-  }
   m.GetHistogram("chase.rounds_per_run",
                  {1, 2, 3, 5, 8, 13, 21, 50, 100, 1000, 10000})
       .Record(static_cast<double>(stats.rounds));
@@ -2121,15 +1855,10 @@ bool ExistsHomomorphism(const Instance& from, const Instance& to) {
 }
 
 instance::Instance ComputeCore(const Instance& database, obs::Context* obs,
-                               std::size_t threads,
                                const obs::CancelToken* cancel) {
   obs::ObsSpan span(obs, "chase.core");
   span.SetAttribute("input_tuples", database.TotalTuples());
   obs::ScopedLatency latency(obs, "chase.core.latency_us");
-  std::size_t workers = common::ResolveThreadCount(threads);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<common::ThreadPool>(workers);
-  span.SetAttribute("workers", workers);
   std::size_t iterations = 0;
   Instance core = database;
   bool changed = true;
@@ -2181,30 +1910,10 @@ instance::Instance ComputeCore(const Instance& database, obs::Context* obs,
         }
         return true;
       };
-      // Serial scan stops at the first valid candidate in value order; the
-      // parallel scan evaluates candidates partitioned across workers
-      // (Contains is a const set lookup — safe concurrently) and then picks
-      // the first valid one, so the applied retraction is identical.
-      std::vector<Value> ordered(values.begin(), values.end());
-      std::vector<char> valid_flags;
-      if (pool != nullptr && ordered.size() >= workers * 2 &&
-          !affected.empty()) {
-        valid_flags.assign(ordered.size(), 0);
-        pool->ParallelFor(
-            ordered.size(),
-            [&](std::size_t begin, std::size_t end, std::size_t) {
-              for (std::size_t i = begin; i < end; ++i) {
-                if (ordered[i] == null) continue;
-                valid_flags[i] = retraction_valid(ordered[i]) ? 1 : 0;
-              }
-            });
-      }
-      for (std::size_t ci = 0; ci < ordered.size(); ++ci) {
-        const Value& candidate = ordered[ci];
+      // The scan stops at the first valid candidate in value order.
+      for (const Value& candidate : values) {
         if (candidate == null) continue;
-        bool valid = valid_flags.empty() ? retraction_valid(candidate)
-                                         : valid_flags[ci] != 0;
-        if (valid) {
+        if (retraction_valid(candidate)) {
           // Apply in place: affected tuples collapse onto their images
           // (an image never equals another affected tuple — images no
           // longer contain `null`, affected tuples all do).

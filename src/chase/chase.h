@@ -114,15 +114,6 @@ struct ChaseOptions {
   // inserted since the rule's per-relation watermark).
   bool naive = false;
   bool semi_naive = true;
-  // Worker threads for the partitioned match phase. 0 defers to the
-  // MM2_THREADS environment variable, which defaults to 1 (serial — the
-  // exact PR-3 code path). The parallel executor partitions each rule's
-  // depth-0 candidates into contiguous chunks matched concurrently against
-  // the immutable pre-fire snapshot and concatenates chunk results in
-  // order, so firing order — and with it null naming, ChaseStats firing
-  // counts, and egd semantics — is identical to the serial run at any
-  // thread count. The naive oracle ignores this and always runs serial.
-  std::size_t threads = 0;
   // Physical storage for the match/fire hot paths. kSegmented shadows each
   // relation with immutable sorted column-major segments (sealed at round
   // boundaries): bound-prefix probes binary-search the sorted view instead
@@ -181,10 +172,10 @@ struct ChaseOptions {
   bool stratified = false;
   const analysis::MappingAnalysis* analysis = nullptr;
   // Optional external stop switch (a server admission controller, a test).
-  // The chase polls it at round boundaries and inside the (possibly
-  // parallel) match path; budget breaches trip the same token, so every
-  // layer unwinds through one mechanism. May outlive the call site's
-  // ChaseOptions copy semantics: not owned.
+  // The chase polls it at round boundaries and inside the match path;
+  // budget breaches trip the same token, so every layer unwinds through
+  // one mechanism. May outlive the call site's ChaseOptions copy
+  // semantics: not owned.
   obs::CancelToken* cancel = nullptr;
   // Optional collector: when set, the chase opens a `chase.run` span with
   // one `chase.round` child per round, emits a `chase.heartbeat` event and
@@ -242,17 +233,6 @@ struct ChaseStats {
   // empty.
   std::size_t delta_tuples = 0;
   std::size_t delta_skips = 0;
-  // Parallel-executor telemetry, mirrored as `chase.parallel.*`. `workers`
-  // is the resolved thread count (1 = serial run, the fields below stay 0).
-  // busy/wall let `explain` derive speedup (busy/wall) and efficiency
-  // (speedup/workers) for the parallelism section.
-  std::size_t workers = 1;
-  std::size_t parallel_regions = 0;     // partitioned match fan-outs
-  std::size_t parallel_tasks = 0;       // chunks executed across regions
-  std::uint64_t parallel_steals = 0;    // pool work-stealing events
-  std::uint64_t pool_peak_queue = 0;    // max pending tasks observed
-  double parallel_busy_us = 0;          // summed per-chunk worker time
-  double parallel_wall_us = 0;          // summed fan-out wall time
   // Segment-storage telemetry, mirrored as `storage.segment.*`. `segmented`
   // records which backend ran; everything stays zero on indexed runs so
   // their stats/metric surface is untouched. `segment` is diffed from the
@@ -387,16 +367,11 @@ bool ExistsHomomorphism(const instance::Instance& from,
 // reaches the core (the smallest universal solution, "getting to the
 // core"). Returns the retracted instance. When `obs` is set, emits a
 // `chase.core` span and counts applied retractions as
-// `chase.core_iterations`. `threads` resolves like ChaseOptions::threads
-// (0 = MM2_THREADS, else serial); with more than one worker the candidate
-// validity scan per null runs partitioned, still applying the same (first
-// valid in value order) retraction the serial scan picks. `cancel` is the
-// cooperative stop switch: polled between retraction searches, and on
-// request the current (valid but possibly non-minimal) instance is
-// returned immediately.
+// `chase.core_iterations`. `cancel` is the cooperative stop switch: polled
+// between retraction searches, and on request the current (valid but
+// possibly non-minimal) instance is returned immediately.
 instance::Instance ComputeCore(const instance::Instance& database,
                                obs::Context* obs = nullptr,
-                               std::size_t threads = 0,
                                const obs::CancelToken* cancel = nullptr);
 
 // Refreshes the `value.intern.*` / `value.bytes_per_value` gauges in `obs`

@@ -1,6 +1,5 @@
-// Work-stealing thread pool shared by the parallel chase match phase, the
-// parallel hash join in algebra::Evaluate, and the ComputeCore candidate
-// scan. Design points:
+// Work-stealing thread pool behind the parallel hash join in
+// algebra::Evaluate (sharded build + partitioned probe). Design points:
 //
 //   * One deque per worker, guarded by a per-worker mutex. Owners push/pop
 //     at the back (LIFO, cache-friendly), thieves steal from the front
@@ -11,10 +10,10 @@
 //   * Submit returns a std::future so callers can propagate values and
 //     exceptions from workers; parallel regions are fork/join (ParallelFor)
 //     and results are always concatenated in submission order, which is how
-//     the chase keeps its output bit-identical to the serial executor.
+//     the join keeps its output row order identical to the serial join.
 //   * Construction with size() <= 1 never spawns threads; Submit runs the
 //     task inline. This is the graceful single-thread fallback that keeps
-//     the PR-3 serial paths the differential oracle.
+//     the serial join the differential oracle.
 //
 // Thread-count resolution (ResolveThreadCount): an explicit request wins,
 // else the MM2_THREADS environment variable, else 1 (serial). The pool

@@ -283,7 +283,6 @@ Status Engine::Exchange(const std::string& out_instance,
     op.SetAttribute("clauses", MappingClauses(m));
     op.SetAttribute("source_tuples", source.TotalTuples());
     runtime::ExchangeOptions options;
-    options.threads = threads_;
     options.storage = storage_;
     // Provenance is always on for engine-level exchanges: it is what the
     // `why` command reads back, and breach diagnostics lean on it too.
@@ -533,7 +532,6 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
   runtime::ExchangeSession& session = *open.session;
   // The session replays the engine's current knobs, not the ones in force
   // when the exchange opened it.
-  session.options.threads = threads_;
   session.options.storage = storage_;
   session.options.wall_budget_us = budget_wall_us_;
   session.options.tuple_budget = budget_tuples_;
@@ -695,15 +693,6 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
                            Match(tokens[1], tokens[2]));
       log.push_back("matched " + tokens[1] + " ~ " + tokens[2] + ": " +
                     std::to_string(result.best.size()) + " correspondences");
-    } else if (op == "threads") {
-      MM2_RETURN_IF_ERROR(need(1));
-      char* end = nullptr;
-      long n = std::strtol(tokens[1].c_str(), &end, 10);
-      if (end == tokens[1].c_str() || *end != '\0' || n < 0) {
-        return fail("threads takes a non-negative integer (0 = MM2_THREADS)");
-      }
-      SetThreads(static_cast<std::size_t>(n));
-      log.push_back("threads " + tokens[1]);
     } else if (op == "storage") {
       MM2_RETURN_IF_ERROR(need(1));
       if (tokens[1] == "indexed") {

@@ -93,12 +93,6 @@ class Engine {
     return *owned_obs_;
   }
 
-  // Worker threads for chase-backed operators (exchange, core). 0 defers
-  // to the MM2_THREADS environment variable (default 1 = serial). Scripts
-  // set this via the `threads <n>` command.
-  void SetThreads(std::size_t threads) { threads_ = threads; }
-  std::size_t threads() const { return threads_; }
-
   // Storage representation for chase-backed operators. kDefault defers to
   // the MM2_STORAGE environment variable (default: segmented); kSegmented
   // backs the chase hot path with a tiered list of sorted columnar
@@ -193,8 +187,6 @@ class Engine {
   //   oogen <outSchema> <outMap> <relationalSchema>
   //   nestedgen <outSchema> <outMap> <relationalSchema>
   //   match <left> <right>
-  //   threads <n>                    (worker threads for chase-backed
-  //                                   commands; 0 defers to MM2_THREADS)
   //   storage indexed|segmented      (chase storage representation;
   //                                   default defers to MM2_STORAGE.
   //                                   segmented = sorted columnar segments
@@ -250,7 +242,6 @@ class Engine {
   Repository repo_;
   obs::Context* obs_ = nullptr;              // attached collector, if any
   std::unique_ptr<obs::Context> owned_obs_;  // fallback, created lazily
-  std::size_t threads_ = 0;                  // 0 = MM2_THREADS, else serial
   instance::StorageMode storage_ = instance::StorageMode::kDefault;
   std::uint64_t budget_wall_us_ = 0;         // soft chase budgets; 0 = off
   std::size_t budget_tuples_ = 0;

@@ -254,16 +254,6 @@ const RelationInstance::TupleRefs* RelationInstance::Probe(
   return lookup(it->second, key);
 }
 
-void RelationInstance::EnsureIndex(const ColumnSet& cols) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    if (indexes_.count(cols) > 0) return;
-  }
-  std::unique_lock<std::shared_mutex> lock(index_mu_);
-  if (indexes_.count(cols) > 0) return;
-  BuildIndexLocked(cols);
-}
-
 RelationInstance::TupleRefs RelationInstance::DeltaSince(
     std::size_t watermark) const {
   TupleRefs out;

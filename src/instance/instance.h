@@ -106,13 +106,10 @@ struct DeltaView {
 //    the tuples inserted since. Erased tuples are tombstoned in the log, so
 //    watermarks stay stable. This is what makes the chase semi-naive.
 //
-// Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe
-// AND scalable — index lookups take a shared lock, so concurrent probes from
-// parallel-chase workers do not serialize; only the first Probe of a new
-// column set upgrades to an exclusive lock to build. Callers that fan out
-// can EnsureIndex() the column sets they will probe up front, so no worker
-// ever blocks on a build. Mutation still requires external synchronization,
-// like the containers this wraps.
+// Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe —
+// index lookups take a shared lock, and only the first Probe of a new
+// column set upgrades to an exclusive lock to build. Mutation still requires
+// external synchronization, like the containers this wraps.
 class RelationInstance {
  public:
   using ColumnSet = std::vector<std::size_t>;
@@ -159,11 +156,6 @@ class RelationInstance {
   // pointer stays valid until the next mutation of this relation.
   const TupleRefs* Probe(const ColumnSet& cols, const Tuple& key) const;
 
-  // Builds the hash index over `cols` if it does not exist yet (counts as a
-  // build, not a probe). Parallel readers call this before fanning out so
-  // every subsequent Probe(cols, ...) takes only the shared lock.
-  void EnsureIndex(const ColumnSet& cols) const;
-
   // Bumped by every successful Insert/Erase/Clear.
   std::uint64_t generation() const { return generation_; }
 
@@ -195,9 +187,10 @@ class RelationInstance {
   const SegmentPolicy& segment_policy() const { return policy_; }
 
   // (Re)seals the segment view to cover the current extension. Const with
-  // cache semantics like EnsureIndex, so const source instances can be
-  // sealed once before a run. Works in any mode (full rebuild from the
-  // set); incremental tail seal + tiered compaction only under kSegmented.
+  // cache semantics like Probe's lazy index build, so const source
+  // instances can be sealed once before a run. Works in any mode (full
+  // rebuild from the set); incremental tail seal + tiered compaction only
+  // under kSegmented.
   // No-op if current. With defer_dirty_rebuild, an erase-dirtied view with
   // few tombstones (< 1/4 of the live rows) skips the O(n) full rebuild and
   // stays stale: probes and retains decline to the index path (correct,

@@ -27,10 +27,10 @@ namespace mm2::instance {
 // Thread safety: fully concurrent. Interning is sharded 16 ways by string
 // hash; each shard takes a shared lock for the (overwhelmingly common) hit
 // path and upgrades to exclusive only to insert a new string — consistent
-// with RelationInstance's reader-parallel locking story. Get()/HashOf() are
-// lock-free: ids index into append-only chunk arrays whose chunk pointers
-// are published with release stores, so parallel chase workers resolving
-// string order never contend.
+// with RelationInstance's shared-lock probes. Get()/HashOf() are lock-free:
+// ids index into append-only chunk arrays whose chunk pointers are
+// published with release stores, so concurrent readers resolving string
+// order (the parallel hash join's workers) never contend.
 class StringPool {
  public:
   using StringId = std::uint32_t;

@@ -139,7 +139,7 @@ class EventLog {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation. A watchdog (the chase's own budget checks, or
 // an external controller like the server-to-be) calls RequestStop; the
-// chase round loop, the partitioned match path, and ComputeCore poll
+// chase round loop, the indexed match path, and ComputeCore poll
 // stop_requested() and unwind gracefully — partial results and telemetry
 // intact — instead of burning a core until max_rounds hard-errors.
 // ---------------------------------------------------------------------------

@@ -273,33 +273,6 @@ void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
   }
 }
 
-void BuildParallel(const MetricsSnapshot& metrics, ProfileReport* report) {
-  ParallelCost& p = report->parallel;
-  for (const CounterSnapshot& c : metrics.counters) {
-    if (c.name == "chase.parallel.regions") {
-      p.regions = c.value;
-    } else if (c.name == "chase.parallel.tasks") {
-      p.tasks = c.value;
-    } else if (c.name == "chase.parallel.steals") {
-      p.steals = c.value;
-    } else if (c.name == "chase.parallel.busy_us") {
-      p.busy_us = static_cast<double>(c.value);
-    } else if (c.name == "chase.parallel.wall_us") {
-      p.wall_us = static_cast<double>(c.value);
-    }
-  }
-  if (const GaugeSnapshot* g = metrics.FindGauge("chase.parallel.workers")) {
-    p.workers = g->value < 0 ? 0 : static_cast<std::uint64_t>(g->value);
-  }
-  if (const GaugeSnapshot* g =
-          metrics.FindGauge("chase.parallel.queue_depth_peak")) {
-    p.queue_depth_peak = g->value < 0 ? 0 : static_cast<std::uint64_t>(g->value);
-  }
-  p.speedup = p.wall_us == 0 ? 0 : p.busy_us / p.wall_us;
-  p.efficiency =
-      p.workers == 0 ? 0 : p.speedup / static_cast<double>(p.workers);
-}
-
 void BuildValues(const MetricsSnapshot& metrics, ProfileReport* report) {
   ValueCost& v = report->values;
   auto gauge = [&metrics](const char* name) -> std::uint64_t {
@@ -558,23 +531,6 @@ std::vector<std::string> ProfileReport::Lines() const {
       lines.push_back(std::move(line));
     }
   }
-  if (parallel.any()) {
-    lines.push_back("parallelism:");
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"workers", std::to_string(parallel.workers)});
-    rows.push_back({"match regions", std::to_string(parallel.regions)});
-    rows.push_back({"match tasks", std::to_string(parallel.tasks)});
-    rows.push_back({"steals", std::to_string(parallel.steals)});
-    rows.push_back(
-        {"queue depth peak", std::to_string(parallel.queue_depth_peak)});
-    rows.push_back({"busy_us", Fixed1(parallel.busy_us)});
-    rows.push_back({"wall_us", Fixed1(parallel.wall_us)});
-    rows.push_back({"speedup", Fixed1(parallel.speedup) + "x"});
-    rows.push_back({"efficiency", Percent(parallel.efficiency)});
-    for (std::string& line : Tabulate(rows, "lr")) {
-      lines.push_back(std::move(line));
-    }
-  }
   if (values.any()) {
     lines.push_back("values:");
     std::uint64_t lookups = values.intern_hits + values.intern_misses;
@@ -731,16 +687,7 @@ std::string ProfileReport::ToJson() const {
        << ", \"segment_tiers\": " << storage.segment_tiers
        << ", \"segment_tail_rows\": " << storage.segment_tail_rows;
   }
-  os << "}, \"parallel\": {\"workers\": " << parallel.workers
-     << ", \"regions\": " << parallel.regions
-     << ", \"tasks\": " << parallel.tasks
-     << ", \"steals\": " << parallel.steals
-     << ", \"queue_depth_peak\": " << parallel.queue_depth_peak
-     << ", \"busy_us\": " << FormatDouble(parallel.busy_us)
-     << ", \"wall_us\": " << FormatDouble(parallel.wall_us)
-     << ", \"speedup\": " << FormatDouble(parallel.speedup)
-     << ", \"efficiency\": " << FormatDouble(parallel.efficiency)
-     << "}, \"values\": {\"value_bytes\": " << values.value_bytes
+  os << "}, \"values\": {\"value_bytes\": " << values.value_bytes
      << ", \"interned_strings\": " << values.interned_strings
      << ", \"interned_bytes\": " << values.interned_bytes
      << ", \"intern_hits\": " << values.intern_hits
@@ -769,7 +716,6 @@ ProfileReport Profiler::Build(const MetricsSnapshot& metrics,
   BuildStrata(metrics, &report);
   BuildForesight(metrics, &report);
   BuildStorage(metrics, &report);
-  BuildParallel(metrics, &report);
   BuildValues(metrics, &report);
   BuildIncremental(metrics, &report);
   BuildPhases(spans, &report);

@@ -122,24 +122,6 @@ struct StorageCost {
   }
 };
 
-// Parallel-executor telemetry, read from the `chase.parallel.*` family the
-// chase mirrors for runs with more than one worker. speedup is summed
-// worker busy time over fan-out wall time (how many cores the match phase
-// actually kept busy); efficiency normalizes by the worker count.
-struct ParallelCost {
-  std::uint64_t workers = 0;          // 0 = no parallel run recorded
-  std::uint64_t regions = 0;          // partitioned match fan-outs
-  std::uint64_t tasks = 0;            // chunks executed across regions
-  std::uint64_t steals = 0;           // pool work-stealing events
-  std::uint64_t queue_depth_peak = 0; // max pending tasks observed
-  double busy_us = 0;                 // summed per-chunk worker time
-  double wall_us = 0;                 // summed fan-out wall time
-  double speedup = 0;                 // busy_us / wall_us
-  double efficiency = 0;              // speedup / workers
-
-  bool any() const { return workers > 1; }
-};
-
 // Value-layer telemetry: the process-wide string intern pool behind the
 // compact Value representation, read from the `value.*` gauges that
 // chase::MirrorValueStats refreshes. The hit rate is how often string
@@ -182,7 +164,6 @@ struct ProfileReport {
   std::vector<PhaseCost> phases;        // by self_us desc (empty w/o tracing)
   std::vector<StratumCost> strata;      // by index asc (empty w/o analysis)
   StorageCost storage;
-  ParallelCost parallel;
   ValueCost values;
   IncrementalCost incremental;
   ForesightCost foresight;

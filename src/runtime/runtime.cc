@@ -419,7 +419,6 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   chase_options.naive = options.naive;
   chase_options.semi_naive = options.semi_naive;
   chase_options.stratified = options.stratified;
-  chase_options.threads = options.threads;
   chase_options.storage = options.storage;
   chase_options.wall_budget_us = options.wall_budget_us;
   chase_options.tuple_budget = options.tuple_budget;
@@ -437,8 +436,8 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   // the partial target as-is for post-mortem inspection.
   if (options.compute_core && !result.breach.has_value()) {
     result.pre_core_tuples = chased.target.TotalTuples();
-    result.target = chase::ComputeCore(chased.target, options.obs,
-                                       options.threads, options.cancel);
+    result.target =
+        chase::ComputeCore(chased.target, options.obs, options.cancel);
   } else {
     result.target = std::move(chased.target);
   }
@@ -462,7 +461,6 @@ chase::ChaseOptions SessionChaseOptions(const ExchangeOptions& options) {
   copts.naive = options.naive;
   copts.semi_naive = options.semi_naive;
   copts.stratified = options.stratified;
-  copts.threads = options.threads;
   copts.storage = options.storage;
   copts.wall_budget_us = options.wall_budget_us;
   copts.tuple_budget = options.tuple_budget;

@@ -208,9 +208,6 @@ struct ExchangeOptions {
   // budget is set). Off by default: the flat semi-naive chase is the
   // baseline and the analysis pass is not free.
   bool stratified = false;
-  // Worker threads for the parallel chase executor (and the core scan when
-  // compute_core is set): 0 defers to MM2_THREADS, default 1 = serial.
-  std::size_t threads = 0;
   // Storage representation for the chase hot path, forwarded to
   // ChaseOptions::storage. kDefault defers to MM2_STORAGE (default:
   // indexed); kSegmented backs probe/dedup work with sorted columnar

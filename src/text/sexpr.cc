@@ -168,6 +168,11 @@ class Parser {
       return Error("unexpected end of input");
     }
     if (text_[pos_] == '(') {
+      if (depth_ == kMaxNestingDepth) {
+        return Error("nesting deeper than " +
+                     std::to_string(kMaxNestingDepth));
+      }
+      ++depth_;
       Node list;
       list.offset = pos_;
       ++pos_;
@@ -176,6 +181,7 @@ class Parser {
         if (pos_ >= text_.size()) return Error("missing ')'");
         if (text_[pos_] == ')') {
           ++pos_;
+          --depth_;
           return list;
         }
         MM2_ASSIGN_OR_RETURN(Node child, ParseOne());
@@ -227,6 +233,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // lists currently open
 };
 
 Status NodeError(const Node& node, const std::string& message) {

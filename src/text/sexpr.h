@@ -1,6 +1,7 @@
 #ifndef MM2_TEXT_SEXPR_H_
 #define MM2_TEXT_SEXPR_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -46,6 +47,13 @@ namespace mm2::text {
 std::string SchemaToText(const model::Schema& schema);
 std::string InstanceToText(const instance::Instance& database);
 std::string MappingToText(const logic::Mapping& mapping);
+
+// Deepest list nesting the parsers accept. The parser and every walker of
+// its tree (types, function terms, the tree's destructor) recurse once per
+// level, so deeper input is refused up front with InvalidArgument instead
+// of exhausting the stack; the bound leaves room for sanitizer builds'
+// larger frames. Real schemas, instances and mappings nest a handful deep.
+inline constexpr std::size_t kMaxNestingDepth = 1000;
 
 // Parsing. Errors carry a character offset.
 Result<model::Schema> ParseSchema(std::string_view text);

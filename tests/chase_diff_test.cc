@@ -290,118 +290,6 @@ TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureDiffProperty, ::testing::Range(0, 20));
 
-// Parallel executor axis: the partitioned match phase must be a pure
-// implementation detail. At any thread count the chase partitions depth-0
-// candidates into contiguous chunks and concatenates chunk results in
-// order, so the assignment enumeration — and with it firing order, null
-// naming and every ChaseStats firing counter — is identical to the serial
-// run. We assert exact instance equality (stronger than the hom-equivalence
-// the acceptance bar asks for) plus counter identity. Index telemetry is
-// deliberately excluded: the parallel path pre-builds probe indexes before
-// fanning out, so index_builds may differ from the lazy serial schedule.
-ChaseOptions ThreadedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o;
-  o.naive = false;
-  o.semi_naive = semi_naive;
-  o.threads = threads;
-  return o;
-}
-
-void ExpectSameFiringCounts(const ChaseStats& serial,
-                            const ChaseStats& parallel, int seed,
-                            std::size_t threads) {
-  EXPECT_EQ(serial.rounds, parallel.rounds)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.tgd_firings, parallel.tgd_firings)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.nulls_created, parallel.nulls_created)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.egd_unifications, parallel.egd_unifications)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.assignments_matched, parallel.assignments_matched)
-      << "seed " << seed << " threads " << threads;
-}
-
-class ChaseParallelDiffProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChaseParallelDiffProperty, ThreadCountIsImplementationDetail) {
-  Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
-  Mapping mapping =
-      Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-
-  for (bool semi_naive : {false, true}) {
-    auto serial = RunChase(mapping, s.db, ThreadedMode(1, semi_naive));
-    if (serial.ok()) {
-      EXPECT_EQ(serial->stats.workers, 1u);
-    }
-    for (std::size_t threads : {2u, 4u, 8u}) {
-      auto parallel =
-          RunChase(mapping, s.db, ThreadedMode(threads, semi_naive));
-      ASSERT_EQ(serial.status().code(), parallel.status().code())
-          << "seed " << GetParam() << " threads " << threads
-          << ": serial=" << serial.status()
-          << " parallel=" << parallel.status();
-      if (!serial.ok()) continue;
-      EXPECT_EQ(parallel->stats.workers, threads);
-      EXPECT_TRUE(parallel->target.Equals(serial->target))
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive;
-      EXPECT_TRUE(HomEquivalent(serial->target, parallel->target))
-          << "seed " << GetParam() << " threads " << threads;
-      ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
-                             threads);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ChaseParallelDiffProperty,
-                         ::testing::Range(0, 40));
-
-// Transitive closure at thread counts {1,2,4,8}: multi-round semi-naive
-// delta propagation through the partitioned per-anchor passes must stay
-// exactly equal to the serial fixpoint, and the parallel telemetry must
-// only appear when more than one worker ran.
-class ClosureParallelDiffProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(ClosureParallelDiffProperty, ParallelClosureExactlyEqual) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  Instance db;
-  db.DeclareRelation("R", 2);
-  db.DeclareRelation("T", 2);
-  std::size_t nodes = 8 + rng.Uniform(9);
-  std::size_t edges = nodes + rng.Uniform(2 * nodes);
-  for (std::size_t e = 0; e < edges; ++e) {
-    db.InsertUnchecked(
-        "R", {Value::Int64(static_cast<std::int64_t>(rng.Uniform(nodes))),
-              Value::Int64(static_cast<std::int64_t>(rng.Uniform(nodes)))});
-  }
-
-  Tgd copy;
-  copy.body = {Atom{"R", {Term::Var("x"), Term::Var("y")}}};
-  copy.head = {Atom{"T", {Term::Var("x"), Term::Var("y")}}};
-  Tgd step;
-  step.body = {Atom{"T", {Term::Var("x"), Term::Var("y")}},
-               Atom{"R", {Term::Var("y"), Term::Var("z")}}};
-  step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
-  std::vector<Tgd> tgds = {copy, step};
-
-  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1, true));
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(serial->stats.parallel_regions, 0u);
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    auto parallel = ChaseInstance(tgds, {}, db, ThreadedMode(threads, true));
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_TRUE(parallel->target.Equals(serial->target))
-        << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
-                           threads);
-    EXPECT_EQ(parallel->stats.workers, threads);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ClosureParallelDiffProperty,
-                         ::testing::Range(0, 12));
-
 // Stratified-scheduling axis: running the chase with mapping analysis
 // attached (ChaseOptions::stratified) must be a pure scheduling
 // optimization. Strata only defer egd matching until the tgd strata are
@@ -543,20 +431,33 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureStratifiedDiffProperty,
 // batched retain anti-join replace per-tuple set probes, but the match
 // order, firing order, and null naming are untouched, so segmented runs
 // must be bit-identical to indexed runs — same instance text, same firing
-// counters — at every thread count. Only the storage telemetry may differ.
-ChaseOptions SegmentedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o = ThreadedMode(threads, semi_naive);
+// counters. Only the storage telemetry may differ.
+ChaseOptions SegmentedMode(bool semi_naive) {
+  ChaseOptions o;
+  o.semi_naive = semi_naive;
   o.storage = instance::StorageMode::kSegmented;
   return o;
 }
 
-// Baseline with the storage mode pinned: ThreadedMode leaves kDefault,
-// which MM2_STORAGE=segmented would resolve to the segmented backend —
-// and this sweep needs a genuinely indexed reference run either way.
-ChaseOptions IndexedThreadedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o = ThreadedMode(threads, semi_naive);
+// Baseline with the storage mode pinned: the default kDefault would resolve
+// to the segmented backend under MM2_STORAGE=segmented — and this sweep
+// needs a genuinely indexed reference run either way.
+ChaseOptions IndexedStorageMode(bool semi_naive) {
+  ChaseOptions o;
+  o.semi_naive = semi_naive;
   o.storage = instance::StorageMode::kIndexed;
   return o;
+}
+
+void ExpectSameFiringCounts(const ChaseStats& indexed,
+                            const ChaseStats& segmented, int seed) {
+  EXPECT_EQ(indexed.rounds, segmented.rounds) << "seed " << seed;
+  EXPECT_EQ(indexed.tgd_firings, segmented.tgd_firings) << "seed " << seed;
+  EXPECT_EQ(indexed.nulls_created, segmented.nulls_created) << "seed " << seed;
+  EXPECT_EQ(indexed.egd_unifications, segmented.egd_unifications)
+      << "seed " << seed;
+  EXPECT_EQ(indexed.assignments_matched, segmented.assignments_matched)
+      << "seed " << seed;
 }
 
 class ChaseSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
@@ -568,30 +469,24 @@ TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
 
   auto naive = RunChase(mapping, s.db, NaiveMode());
   for (bool semi_naive : {false, true}) {
-    for (std::size_t threads : {1u, 4u}) {
-      auto indexed =
-          RunChase(mapping, s.db, IndexedThreadedMode(threads, semi_naive));
-      auto seg = RunChase(mapping, s.db, SegmentedMode(threads, semi_naive));
-      ASSERT_EQ(indexed.status().code(), seg.status().code())
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive << ": indexed=" << indexed.status()
-          << " segmented=" << seg.status();
-      if (!indexed.ok()) continue;
-      EXPECT_TRUE(seg->stats.segmented);
-      EXPECT_FALSE(indexed->stats.segmented);
-      // Bit-identical result: instance text pins down relation contents,
-      // tuple order, and the exact null names.
-      EXPECT_EQ(text::InstanceToText(seg->target),
-                text::InstanceToText(indexed->target))
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive;
-      ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam(),
-                             threads);
-      // And the naive oracle must agree up to null renaming.
-      if (naive.ok()) {
-        EXPECT_TRUE(HomEquivalent(naive->target, seg->target))
-            << "seed " << GetParam() << " threads " << threads;
-      }
+    auto indexed = RunChase(mapping, s.db, IndexedStorageMode(semi_naive));
+    auto seg = RunChase(mapping, s.db, SegmentedMode(semi_naive));
+    ASSERT_EQ(indexed.status().code(), seg.status().code())
+        << "seed " << GetParam() << " semi_naive " << semi_naive
+        << ": indexed=" << indexed.status() << " segmented=" << seg.status();
+    if (!indexed.ok()) continue;
+    EXPECT_TRUE(seg->stats.segmented);
+    EXPECT_FALSE(indexed->stats.segmented);
+    // Bit-identical result: instance text pins down relation contents,
+    // tuple order, and the exact null names.
+    EXPECT_EQ(text::InstanceToText(seg->target),
+              text::InstanceToText(indexed->target))
+        << "seed " << GetParam() << " semi_naive " << semi_naive;
+    ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam());
+    // And the naive oracle must agree up to null renaming.
+    if (naive.ok()) {
+      EXPECT_TRUE(HomEquivalent(naive->target, seg->target))
+          << "seed " << GetParam();
     }
   }
 }
@@ -629,33 +524,27 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto indexed = ChaseInstance(tgds, {}, db, IndexedThreadedMode(1, true));
+  auto indexed = ChaseInstance(tgds, {}, db, IndexedStorageMode(true));
   ASSERT_TRUE(indexed.ok()) << indexed.status();
-  for (std::size_t threads : {1u, 4u}) {
-    auto seg = ChaseInstance(tgds, {}, db, SegmentedMode(threads, true));
-    ASSERT_TRUE(seg.ok()) << seg.status();
-    EXPECT_TRUE(seg->target.Equals(indexed->target))
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_EQ(text::InstanceToText(seg->target),
-              text::InstanceToText(indexed->target))
-        << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam(), threads);
-    EXPECT_TRUE(seg->stats.segmented);
-    // The segment layer must actually carry the hot path: prefix probes
-    // served from sealed segments and head dedup through batched retain.
-    EXPECT_GT(seg->stats.segment.probes, 0u)
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_GT(seg->stats.segment.retain_batches, 0u)
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_GT(seg->stats.segment.seals, 0u);
-    // A segmented run that only ever declined (fallbacks with zero served
-    // probes) would mean the tiered view silently never engaged.
-    EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
-                 seg->stats.segment.probes == 0)
-        << "silent fallback: " << seg->stats.segment.fallbacks
-        << " fallbacks with zero served probes (seed " << GetParam()
-        << " threads " << threads << ")";
-  }
+  auto seg = ChaseInstance(tgds, {}, db, SegmentedMode(true));
+  ASSERT_TRUE(seg.ok()) << seg.status();
+  EXPECT_TRUE(seg->target.Equals(indexed->target)) << "seed " << GetParam();
+  EXPECT_EQ(text::InstanceToText(seg->target),
+            text::InstanceToText(indexed->target))
+      << "seed " << GetParam();
+  ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam());
+  EXPECT_TRUE(seg->stats.segmented);
+  // The segment layer must actually carry the hot path: prefix probes
+  // served from sealed segments and head dedup through batched retain.
+  EXPECT_GT(seg->stats.segment.probes, 0u) << "seed " << GetParam();
+  EXPECT_GT(seg->stats.segment.retain_batches, 0u) << "seed " << GetParam();
+  EXPECT_GT(seg->stats.segment.seals, 0u);
+  // A segmented run that only ever declined (fallbacks with zero served
+  // probes) would mean the tiered view silently never engaged.
+  EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
+               seg->stats.segment.probes == 0)
+      << "silent fallback: " << seg->stats.segment.fallbacks
+      << " fallbacks with zero served probes (seed " << GetParam() << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,

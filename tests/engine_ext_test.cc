@@ -127,39 +127,6 @@ TEST_F(EngineExtTest, ScriptArgumentErrors) {
   EXPECT_FALSE(engine_.RunScript("nestedgen a b Missing").ok());
 }
 
-TEST_F(EngineExtTest, ThreadsCommandMirrorsIntoExchange) {
-  // `threads 4` persists on the engine and flows into the chase behind
-  // exchange; the result must be identical to the serial run, and the
-  // mirrored pool telemetry must land in the engine's metrics registry
-  // (surfaced by the `stats` command).
-  auto serial = engine_.RunScript("exchange Dserial flatten D");
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  auto log = engine_.RunScript(R"(
-threads 4
-exchange Dpar flatten D
-stats
-)");
-  ASSERT_TRUE(log.ok()) << log.status();
-  EXPECT_EQ(engine_.threads(), 4u);
-  auto ser = engine_.repo().GetInstance("Dserial");
-  auto par = engine_.repo().GetInstance("Dpar");
-  ASSERT_TRUE(ser.ok() && par.ok());
-  EXPECT_TRUE(par->Equals(*ser));
-  std::string joined;
-  for (const std::string& line : *log) joined += line + "\n";
-  EXPECT_NE(joined.find("threads 4"), std::string::npos);
-  EXPECT_NE(joined.find("chase.parallel.workers"), std::string::npos)
-      << joined;
-}
-
-TEST_F(EngineExtTest, ThreadsCommandRejectsBadArguments) {
-  EXPECT_FALSE(engine_.RunScript("threads").ok());
-  EXPECT_FALSE(engine_.RunScript("threads four").ok());
-  EXPECT_FALSE(engine_.RunScript("threads -1").ok());
-  EXPECT_TRUE(engine_.RunScript("threads 0").ok());  // 0 = defer to env
-  EXPECT_EQ(engine_.threads(), 0u);
-}
-
 TEST_F(EngineExtTest, ExplainReportsOperatorAndRuleAttribution) {
   auto log = engine_.RunScript(R"(
 exchange Dout flatten D

@@ -10,6 +10,7 @@
 // replay the old target into the new one exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -631,6 +632,44 @@ Delta MakeRandomDelta(const SweepCase& c, const Instance& current,
   return delta;
 }
 
+// The support-index invariant deletion maintenance relies on: the
+// session's provenance keys are exactly the target's facts, every fact
+// keeps at least one witness, and every witness fact lists the fact it
+// supports among its dependents.
+::testing::AssertionResult SupportIndexConsistent(
+    const ExchangeSession& session) {
+  std::set<chase::Fact> target_facts;
+  for (const auto& [name, rel] : session.target.relations()) {
+    for (const Tuple& t : rel.tuples()) target_facts.insert({name, t});
+  }
+  std::set<chase::Fact> keys;
+  for (const auto& [fact, witnesses] : session.provenance.entries()) {
+    keys.insert(fact);
+    if (witnesses.empty()) {
+      return ::testing::AssertionFailure()
+             << fact.ToString() << " has no witness";
+    }
+    for (const chase::Witness& witness : witnesses) {
+      for (const chase::Fact& f : witness) {
+        auto it = session.state.dependents.find(f);
+        if (it == session.state.dependents.end() ||
+            std::find(it->second.begin(), it->second.end(), fact) ==
+                it->second.end()) {
+          return ::testing::AssertionFailure()
+                 << "witness fact " << f.ToString() << " of "
+                 << fact.ToString() << " does not list it as a dependent";
+        }
+      }
+    }
+  }
+  if (keys != target_facts) {
+    return ::testing::AssertionFailure()
+           << keys.size() << " provenance keys vs " << target_facts.size()
+           << " target facts";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     Rng rng(seed);
@@ -639,6 +678,7 @@ TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
     ASSERT_TRUE(begun.ok()) << "seed " << seed << ": "
                             << begun.status().message();
     ExchangeSession session = std::move(begun.value());
+    ASSERT_TRUE(SupportIndexConsistent(session)) << "seed " << seed;
 
     const std::size_t epochs = 2 + rng.Uniform(2);
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
@@ -648,6 +688,8 @@ TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
       ASSERT_TRUE(maintained.ok())
           << "seed " << seed << " epoch " << epoch << ": "
           << maintained.status().message();
+      ASSERT_TRUE(SupportIndexConsistent(session))
+          << "seed " << seed << " epoch " << epoch;
 
       // The returned delta replays the old target into the new one.
       ASSERT_TRUE(ApplyDelta(maintained.value(), &before).ok())
@@ -702,12 +744,15 @@ TEST(IncrementalSweepTest, SegmentedStorageSweep) {
     auto begun = BeginExchangeSession(c.mapping, c.source, options);
     ASSERT_TRUE(begun.ok()) << "seed " << seed;
     ExchangeSession session = std::move(begun.value());
+    ASSERT_TRUE(SupportIndexConsistent(session)) << "seed " << seed;
     for (std::size_t epoch = 0; epoch < 2; ++epoch) {
       Delta delta = MakeRandomDelta(c, session.source, epoch, &rng);
       auto maintained = MaintainExchange(session, delta);
       ASSERT_TRUE(maintained.ok())
           << "seed " << seed << " epoch " << epoch << ": "
           << maintained.status().message();
+      ASSERT_TRUE(SupportIndexConsistent(session))
+          << "seed " << seed << " epoch " << epoch;
       auto full = Exchange(c.mapping, session.source, options);
       ASSERT_TRUE(full.ok());
       ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))

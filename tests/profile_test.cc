@@ -301,68 +301,6 @@ bool JsonWellFormed(const std::string& json) {
   return depth == 0 && !in_string;
 }
 
-TEST(ProfilerTest, ParallelismSectionAppearsOnlyForParallelRuns) {
-  model::Schema src =
-      model::SchemaBuilder("S", model::Metamodel::kRelational)
-          .Relation("R", {{"A", DataType::Int64()}, {"B", DataType::Int64()}},
-                    {"A"})
-          .Build();
-  model::Schema tgt =
-      model::SchemaBuilder("T", model::Metamodel::kRelational)
-          .Relation("Join", {{"A", DataType::Int64()},
-                             {"B", DataType::Int64()}},
-                    {"A"})
-          .Build();
-  Tgd join;
-  join.body = {Atom{"R", {V("x"), V("y")}}, Atom{"R", {V("z"), V("w")}}};
-  join.head = {Atom{"Join", {V("x"), V("w")}}};
-  Mapping mapping = Mapping::FromTgds("m", src, tgt, {join});
-  Instance db;
-  db.DeclareRelation("R", 2);
-  for (int i = 0; i < 40; ++i) {
-    db.InsertUnchecked("R", {Value::Int64(i), Value::Int64(i + 1)});
-  }
-
-  // Serial run: no chase.parallel.* metrics, no parallelism section.
-  {
-    Context ctx;
-    ChaseOptions options = WithObs(&ctx);
-    options.threads = 1;
-    auto result = chase::RunChase(mapping, db, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->stats.workers, 1u);
-    ProfileReport report = Profiler::Build(ctx);
-    EXPECT_FALSE(report.parallel.any());
-    EXPECT_EQ(report.ToString().find("parallelism:"), std::string::npos);
-  }
-
-  // 4-worker run: the mirrored pool telemetry must surface in the report,
-  // both as text and JSON.
-  {
-    Context ctx;
-    ChaseOptions options = WithObs(&ctx);
-    options.threads = 4;
-    auto result = chase::RunChase(mapping, db, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->stats.workers, 4u);
-    EXPECT_GT(result->stats.parallel_regions, 0u);
-    EXPECT_GT(result->stats.parallel_tasks, 0u);
-    ProfileReport report = Profiler::Build(ctx);
-    ASSERT_TRUE(report.parallel.any());
-    EXPECT_EQ(report.parallel.workers, 4u);
-    EXPECT_GT(report.parallel.regions, 0u);
-    EXPECT_GE(report.parallel.tasks, report.parallel.regions);
-    EXPECT_GE(report.parallel.speedup, 0.0);
-    std::string text = report.ToString();
-    EXPECT_NE(text.find("parallelism:"), std::string::npos) << text;
-    EXPECT_NE(text.find("workers"), std::string::npos);
-    std::string json = report.ToJson();
-    EXPECT_TRUE(JsonWellFormed(json)) << json;
-    EXPECT_NE(json.find("\"parallel\": {"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"workers\": 4"), std::string::npos) << json;
-  }
-}
-
 TEST(ProfilerTest, JsonReportIsWellFormed) {
   Context ctx;
   ctx.tracer.Enable();

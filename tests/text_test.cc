@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "text/sexpr.h"
 
 namespace mm2::text {
@@ -105,6 +109,41 @@ TEST(SexprParseErrorTest, ReportsOffset) {
   auto err = ParseSchema("(schema X relational (relation))");
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("offset"), std::string::npos);
+}
+
+std::string Nested(std::size_t depth) {
+  return std::string(depth, '(') + std::string(depth, ')');
+}
+
+// Every parser entry point shares one S-expression reader; hostile nesting
+// must come back as InvalidArgument instead of recursing until the stack
+// runs out.
+std::vector<Status> ParseAllForms(const std::string& text) {
+  return {ParseSchema(text).status(), ParseInstance(text).status(),
+          ParseMapping(text).status()};
+}
+
+TEST(SexprParseErrorTest, DeepNestingIsRefused) {
+  for (const Status& status : ParseAllForms(Nested(50000))) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(
+                  "nesting deeper than " + std::to_string(kMaxNestingDepth) +
+                  " at offset " + std::to_string(kMaxNestingDepth)),
+              std::string::npos)
+        << status;
+  }
+}
+
+TEST(SexprParseErrorTest, NestingAtTheLimitReachesTheShapeCheck) {
+  for (const Status& status : ParseAllForms(Nested(kMaxNestingDepth))) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_EQ(status.message().find("nesting deeper"), std::string::npos)
+        << status;
+  }
+  for (const Status& status : ParseAllForms(Nested(kMaxNestingDepth + 1))) {
+    EXPECT_NE(status.message().find("nesting deeper"), std::string::npos)
+        << status;
+  }
 }
 
 TEST(SexprParseErrorTest, SchemaValidationStillApplies) {

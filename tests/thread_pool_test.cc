@@ -1,5 +1,5 @@
-// Unit tests for the work-stealing pool behind the parallel chase
-// executor: inline single-thread fallback, value/exception propagation
+// Unit tests for the work-stealing pool behind the parallel hash join:
+// inline single-thread fallback, value/exception propagation
 // through Submit futures, ParallelFor chunking invariants (contiguous,
 // ordered, complete), concurrent correctness under many tasks, and
 // MM2_THREADS resolution.

@@ -4,6 +4,8 @@
 // runtime::Exchange.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,17 +181,73 @@ TEST(WatchdogTest, PreTrippedExternalTokenStopsAfterFirstRound) {
             std::string::npos);
 }
 
-TEST(WatchdogTest, BudgetsWorkAtEveryThreadCount) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+TEST(WatchdogTest, TupleBudgetStopIgnoresMm2Threads) {
+  // MM2_THREADS sizes only the algebra hash join's pool; the chase is
+  // serial, so a budget stop lands at the same round with the same partial
+  // target whatever the variable says.
+  auto run = [] {
     ChaseOptions options;
     options.tuple_budget = 25;
-    options.threads = threads;
     options.max_rounds = 100000;
-    auto result =
-        ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->breach.has_value()) << "threads=" << threads;
-    EXPECT_EQ(result->breach->kind, "tuples");
+    return ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
+  };
+  const char* saved = std::getenv("MM2_THREADS");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::unsetenv("MM2_THREADS");
+  auto unset = run();
+  ::setenv("MM2_THREADS", "4", 1);
+  auto four = run();
+  if (saved == nullptr) {
+    ::unsetenv("MM2_THREADS");
+  } else {
+    ::setenv("MM2_THREADS", restore.c_str(), 1);
+  }
+  ASSERT_TRUE(unset.ok()) << unset.status();
+  ASSERT_TRUE(four.ok()) << four.status();
+  ASSERT_TRUE(unset->breach.has_value());
+  ASSERT_TRUE(four->breach.has_value());
+  EXPECT_EQ(four->breach->kind, "tuples");
+  EXPECT_EQ(four->breach->round, unset->breach->round);
+  EXPECT_EQ(four->breach->observed, unset->breach->observed);
+  EXPECT_TRUE(four->target.Equals(unset->target));
+}
+
+TEST(WatchdogTest, BudgetStoppedPartialTargetMapsIntoFixpoint) {
+  // A terminating closure that also invents nulls: E(x,y) -> T(x,y),
+  // T(x,y), E(y,z) -> T(x,z), T(x,y) -> exists w. P(y,w). Whatever round
+  // a tuple budget stops it at, the partial target is a sound prefix of
+  // the chase: smaller than the fixpoint and homomorphic into it.
+  Tgd copy;
+  copy.body = {Atom{"E", {V("x"), V("y")}}};
+  copy.head = {Atom{"T", {V("x"), V("y")}}};
+  Tgd step;
+  step.body = {Atom{"T", {V("x"), V("y")}}, Atom{"E", {V("y"), V("z")}}};
+  step.head = {Atom{"T", {V("x"), V("z")}}};
+  Tgd invent;
+  invent.body = {Atom{"T", {V("x"), V("y")}}};
+  invent.head = {Atom{"P", {V("y"), V("w")}}};
+  const std::vector<Tgd> tgds = {copy, step, invent};
+  Instance chain;
+  chain.DeclareRelation("E", 2);
+  chain.DeclareRelation("T", 2);
+  chain.DeclareRelation("P", 2);
+  for (std::int64_t i = 0; i < 24; ++i) {
+    chain.InsertUnchecked("E", {Value::Int64(i), Value::Int64(i + 1)});
+  }
+  auto fixpoint = ChaseInstance(tgds, {}, chain);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.status();
+  ASSERT_FALSE(fixpoint->breach.has_value());
+  for (std::size_t budget : {30u, 100u, 200u}) {
+    ChaseOptions options;
+    options.tuple_budget = budget;
+    auto partial = ChaseInstance(tgds, {}, chain, options);
+    ASSERT_TRUE(partial.ok()) << partial.status();
+    ASSERT_TRUE(partial->breach.has_value()) << "budget " << budget;
+    EXPECT_EQ(partial->breach->kind, "tuples");
+    EXPECT_LT(partial->target.TotalTuples(), fixpoint->target.TotalTuples())
+        << "budget " << budget;
+    EXPECT_TRUE(ExistsHomomorphism(partial->target, fixpoint->target))
+        << "budget " << budget;
   }
 }
 
@@ -202,7 +260,7 @@ TEST(WatchdogTest, ComputeCoreHonorsCancelToken) {
   ASSERT_TRUE(db.Insert("P", {Value::Int64(1), Value::LabeledNull(7)}).ok());
   obs::CancelToken token;
   token.RequestStop("stop");
-  Instance partial = ComputeCore(db, nullptr, 0, &token);
+  Instance partial = ComputeCore(db, nullptr, &token);
   EXPECT_EQ(partial.TotalTuples(), 2u);
   // Without the token the redundant null-tuple folds away.
   Instance core = ComputeCore(db);
