@@ -50,6 +50,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
   TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep"
 fi
 
+# Every gate appends its temp files here; one EXIT trap removes them all
+# (a per-gate trap would replace the previous gate's).
+CLEANUP=()
+cleanup() {
+  if ((${#CLEANUP[@]} > 0)); then rm -rf "${CLEANUP[@]}"; fi
+}
+trap cleanup EXIT
+
 cmake -B "$BUILD_DIR" -S . \
   -DMM2_SANITIZE="$SANITIZERS" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -68,7 +76,7 @@ echo "sanitizer check ($SANITIZERS) passed"
 # depend on. Runs on the sanitizer build, so it also shakes the log path.
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
   LOG_TMP="$(mktemp)"
-  trap 'rm -f "$LOG_TMP"' EXIT
+  CLEANUP+=("$LOG_TMP")
   MM2_LOG=json "$BUILD_DIR/examples/mm2_shell" \
     < examples/data/demo_session.mm2 > /dev/null 2> "$LOG_TMP"
   python3 - "$LOG_TMP" <<'EOF'
@@ -99,7 +107,7 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
   SEG_IDX_OUT="$(mktemp)"
   SEG_SEG_OUT="$(mktemp)"
   SEG_DEF_OUT="$(mktemp)"
-  trap 'rm -f "${LOG_TMP:-}" "$SEG_SESSION" "$SEG_IDX_OUT" "$SEG_SEG_OUT" "$SEG_DEF_OUT"' EXIT
+  CLEANUP+=("$SEG_SESSION" "$SEG_IDX_OUT" "$SEG_SEG_OUT" "$SEG_DEF_OUT")
   {
     echo "load-schema examples/data/school.schema"
     echo "load-schema examples/data/school_v2.schema"
@@ -141,7 +149,7 @@ if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
   INC_IDX_OUT="$(mktemp)"
   INC_SEG_OUT="$(mktemp)"
   INC_DEF_OUT="$(mktemp)"
-  trap 'rm -f "${LOG_TMP:-}" "$INC_SESSION" "$INC_IDX_OUT" "$INC_SEG_OUT" "$INC_DEF_OUT"' EXIT
+  CLEANUP+=("$INC_SESSION" "$INC_IDX_OUT" "$INC_SEG_OUT" "$INC_DEF_OUT")
   {
     echo "load-schema examples/data/school.schema"
     echo "load-schema examples/data/school_v2.schema"
@@ -195,7 +203,7 @@ fi
 # be installed, `dot -Tcanon` parses it for real.
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
   DOT_TMP="$(mktemp)"
-  trap 'rm -f "${LOG_TMP:-}" "$DOT_TMP"' EXIT
+  CLEANUP+=("$DOT_TMP")
   {
     echo "load-schema examples/data/school.schema"
     echo "load-schema examples/data/school_v2.schema"
@@ -236,7 +244,7 @@ fi
 # proving the regression gate actually gates.
 if [[ "${MM2_BENCH_SMOKE:-0}" == "1" ]]; then
   SMOKE_DIR="$(mktemp -d)"
-  trap 'rm -rf "$SMOKE_DIR"' EXIT
+  CLEANUP+=("$SMOKE_DIR")
   MM2_BENCH_SMOKE=1 MM2_BENCH_OUT_DIR="$SMOKE_DIR" \
     scripts/bench_all.sh smoke "$BUILD_DIR"
   python3 scripts/bench_compare.py \

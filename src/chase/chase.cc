@@ -1,6 +1,7 @@
 #include "chase/chase.h"
 
 #include "analysis/analysis.h"
+#include "chase/plan.h"
 #include "common/strings.h"
 #include "logic/acyclicity.h"
 #include "obs/obs.h"
@@ -106,235 +107,28 @@ void MatchAtomsNaiveRec(const std::vector<Atom>& atoms, std::size_t index,
   }
 }
 
-constexpr std::size_t kNoAnchor = static_cast<std::size_t>(-1);
-
-// Greedy join order: repeatedly pick the atom with the most bound terms
-// (constants + variables bound by `seed` or earlier atoms), breaking ties
-// toward the smaller relation. When `anchor` is set, that atom goes first
-// unconditionally — the semi-naive delta pass forces the delta-carrying
-// atom to drive the join.
-std::vector<std::size_t> PlanAtomOrder(const std::vector<Atom>& atoms,
-                                       const Instance& db,
-                                       const Assignment& seed,
-                                       std::size_t anchor = kNoAnchor) {
-  std::vector<std::size_t> order;
-  order.reserve(atoms.size());
-  std::vector<char> used(atoms.size(), 0);
-  std::set<std::string, std::less<>> bound;
-  for (const auto& [var, value] : seed) bound.insert(var);
-  auto take = [&](std::size_t i) {
-    used[i] = 1;
-    order.push_back(i);
-    for (const Term& t : atoms[i].terms) {
-      if (t.kind() == Term::Kind::kVariable) bound.insert(t.name());
-    }
-  };
-  if (anchor != kNoAnchor) take(anchor);
-  while (order.size() < atoms.size()) {
-    std::size_t best = atoms.size();
-    std::size_t best_bound = 0;
-    std::size_t best_size = 0;
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      if (used[i]) continue;
-      std::size_t bound_terms = 0;
-      for (const Term& t : atoms[i].terms) {
-        if (t.kind() == Term::Kind::kConstant ||
-            (t.kind() == Term::Kind::kVariable && bound.count(t.name()))) {
-          ++bound_terms;
-        }
-      }
-      const instance::RelationInstance* rel = db.Find(atoms[i].relation);
-      std::size_t size = rel == nullptr ? 0 : rel->size();
-      if (best == atoms.size() || bound_terms > best_bound ||
-          (bound_terms == best_bound && size < best_size)) {
-        best = i;
-        best_bound = bound_terms;
-        best_size = size;
-      }
-    }
-    take(best);
-  }
-  return order;
+// Every variable of `atoms` (function arguments included), one slot each in
+// name order.
+SlotMap SlotsOf(const std::vector<Atom>& atoms) {
+  std::set<std::string> vars;
+  for (const Atom& atom : atoms) atom.CollectVariables(&vars);
+  SlotMap slots;
+  slots.Add(vars);
+  return slots;
 }
 
-// Index-backed join step: at each depth, columns covered by constants or
-// already-bound variables form a probe key into the relation's hash index;
-// only the resulting bucket is enumerated (in set order, so results come
-// out exactly as a full scan would produce them). MatchTuple stays the
-// final filter, which also enforces repeated unbound variables. When
-// `anchor` is non-null, depth 0 enumerates those tuples instead (the
-// semi-naive delta). `cancel` is polled once per descend so a stop request
-// lands mid-join instead of after it; callers pass nullptr when no budget
-// or token is armed, which keeps the default path free of atomic loads.
-void MatchIndexedRec(const std::vector<Atom>& atoms,
-                     const std::vector<std::size_t>& order, std::size_t depth,
-                     const Instance& db,
-                     const instance::RelationInstance::TupleRefs* anchor,
-                     const obs::CancelToken* cancel, Assignment* assignment,
-                     std::vector<Assignment>* out, std::size_t limit) {
-  if (limit != 0 && out->size() >= limit) return;
-  if (cancel != nullptr && cancel->stop_requested()) return;
-  if (depth == order.size()) {
-    out->push_back(*assignment);
-    return;
-  }
-  const Atom& atom = atoms[order[depth]];
-  const instance::RelationInstance* rel = db.Find(atom.relation);
-  if (rel == nullptr) return;
-  if (atom.terms.size() != rel->arity()) return;  // nothing can match
-  auto descend = [&](const Tuple& tuple) {
-    std::vector<const std::string*> newly_bound;
-    if (MatchTuple(atom, tuple, assignment, &newly_bound)) {
-      MatchIndexedRec(atoms, order, depth + 1, db, nullptr, cancel,
-                      assignment, out, limit);
-    }
-    for (const std::string* v : newly_bound) assignment->erase(*v);
-  };
-  if (depth == 0 && anchor != nullptr) {
-    for (const Tuple* tuple : *anchor) {
-      descend(*tuple);
-      if (limit != 0 && out->size() >= limit) return;
-    }
-    return;
-  }
-  instance::RelationInstance::ColumnSet cols;
-  Tuple key;
-  cols.reserve(atom.terms.size());
-  key.reserve(atom.terms.size());
-  for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& term = atom.terms[i];
-    if (term.kind() == Term::Kind::kConstant) {
-      cols.push_back(i);
-      key.push_back(term.value());
-    } else if (term.kind() == Term::Kind::kVariable) {
-      auto it = assignment->find(term.name());
-      if (it != assignment->end()) {
-        cols.push_back(i);
-        key.push_back(it->second);
-      }
-    } else {
-      return;  // function terms never occur in matchable bodies
-    }
-  }
-  if (cols.empty()) {
-    for (const Tuple& tuple : rel->tuples()) {
-      descend(tuple);
-      if (limit != 0 && out->size() >= limit) return;
-    }
-    return;
-  }
-  // Bound columns come out in ascending term order, so a key covering
-  // columns [0, k) is a prefix of the segment sort order and binary
-  // searches over the sealed runs answer the probe without materializing a
-  // hash index. A single-run answer walks the range directly; multi-run
-  // answers stream through the k-way cursor. Either way rows come back in
-  // set order, so the enumeration is bit-identical to the hash-bucket walk.
-  if (cols.back() == cols.size() - 1) {
-    if (auto ranges = rel->SegmentProbePrefix(key)) {
-      if (ranges->count == 1) {
-        Tuple scratch;
-        const instance::SegmentRanges::Entry& entry = ranges->entries[0];
-        for (std::size_t r = entry.begin; r < entry.end; ++r) {
-          entry.segment->CopyRow(r, &scratch);
-          descend(scratch);
-          if (limit != 0 && out->size() >= limit) return;
-        }
-        return;
-      }
-      for (instance::SegmentRangeCursor cursor(*ranges); !cursor.Done();
-           cursor.Advance()) {
-        descend(cursor.Row());
-        if (limit != 0 && out->size() >= limit) return;
-      }
-      return;
-    }
-  }
-  const instance::RelationInstance::TupleRefs* refs = rel->Probe(cols, key);
-  if (refs == nullptr) return;
-  for (const Tuple* tuple : *refs) {
-    descend(*tuple);
-    if (limit != 0 && out->size() >= limit) return;
-  }
-}
-
-// Full indexed match extending `seed` (empty for top-level matching; the
-// restricted-chase head check seeds with the body assignment).
-std::vector<Assignment> MatchAtomsIndexed(
-    const std::vector<Atom>& atoms, const Instance& db, Assignment seed,
-    std::size_t limit, const obs::CancelToken* cancel = nullptr) {
-  std::vector<Assignment> out;
-  if (atoms.empty()) {
-    out.push_back(std::move(seed));
-    return out;
-  }
-  std::vector<std::size_t> order = PlanAtomOrder(atoms, db, seed);
-  MatchIndexedRec(atoms, order, 0, db, nullptr, cancel, &seed, &out, limit);
-  return out;
-}
-
-// Depth-0 anchored match over every row of a hybrid DeltaView — the
-// log/slice analogue of handing MatchIndexedRec an anchor slice.
-// Slice-backed rows are materialized one at a time into a scratch tuple
-// inside ForEachRow, so the delta never has to exist as a ref vector.
-void MatchViewAnchored(const std::vector<Atom>& atoms,
-                       const std::vector<std::size_t>& order,
-                       const Instance& db, const instance::DeltaView& view,
-                       const obs::CancelToken* cancel,
-                       std::vector<Assignment>* out) {
-  const Atom& atom = atoms[order[0]];
-  const instance::RelationInstance* rel = db.Find(atom.relation);
-  if (rel == nullptr || atom.terms.size() != rel->arity()) return;
-  Assignment assignment;
-  view.ForEachRow(0, view.size(), [&](const Tuple& tuple) {
-    if (cancel != nullptr && cancel->stop_requested()) return false;
-    std::vector<const std::string*> newly_bound;
-    if (MatchTuple(atom, tuple, &assignment, &newly_bound)) {
-      MatchIndexedRec(atoms, order, 1, db, nullptr, cancel, &assignment, out,
-                      /*limit=*/0);
-    }
-    for (const std::string* v : newly_bound) assignment.erase(*v);
-    return true;
-  });
-}
-
-// Semi-naive delta match: only assignments where at least one body atom
-// binds a tuple inserted since that relation's watermark. One pass per
-// body-atom position — that atom enumerates its relation's delta while the
-// rest probe as usual — deduplicated across passes (an assignment can touch
-// two delta tuples). `delta_tuples` accumulates the delta sizes consumed
-// (per distinct body relation); zero means the caller could have skipped.
-std::vector<Assignment> MatchAtomsDelta(
-    const std::vector<Atom>& atoms, const Instance& db,
-    const std::map<std::string, std::size_t, std::less<>>& watermarks,
-    std::size_t* delta_tuples, const obs::CancelToken* cancel) {
-  // Deltas arrive as hybrid views: whole segment runs sealed past the
-  // watermark come back as zero-copy slices, the rest as log refs. The
-  // per-pass dedupe set below already canonicalizes assignment order, so
-  // the parts' differing enumeration order never leaks out.
-  std::map<std::string, instance::DeltaView, std::less<>> deltas;
-  for (const Atom& atom : atoms) {
-    if (deltas.count(atom.relation) > 0) continue;
-    const instance::RelationInstance* rel = db.Find(atom.relation);
-    auto it = watermarks.find(atom.relation);
-    std::size_t mark = it == watermarks.end() ? 0 : it->second;
-    deltas[atom.relation] =
-        rel == nullptr ? instance::DeltaView{} : rel->DeltaViewSince(mark);
-  }
-  std::set<Assignment> dedupe;
-  std::set<std::string, std::less<>> counted;
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
-    const instance::DeltaView& delta = deltas[atoms[i].relation];
-    if (delta.empty()) continue;
-    if (counted.insert(atoms[i].relation).second) {
-      *delta_tuples += delta.size();
-    }
-    std::vector<std::size_t> order =
-        PlanAtomOrder(atoms, db, Assignment(), i);
-    std::vector<Assignment> found;
-    MatchViewAnchored(atoms, order, db, delta, cancel, &found);
-    for (Assignment& a : found) dedupe.insert(std::move(a));
-  }
-  return std::vector<Assignment>(dedupe.begin(), dedupe.end());
+// Runs an unseeded plan over `atoms`: the shared body of MatchAtoms,
+// certain-answer queries and homomorphism tests. Returns the match count;
+// `*rows` holds that many frames of `slots.size()` values.
+std::size_t RunQueryPlan(const std::vector<Atom>& atoms, const SlotMap& slots,
+                         const Instance& database, bool any_order,
+                         std::size_t limit, std::vector<Value>* rows) {
+  MatchPlan plan(atoms, slots, /*inputs=*/0);
+  std::vector<Value> frame(slots.size());
+  MatchPlan::Request request;
+  request.db = &database;
+  request.any_order = any_order;
+  return plan.Run(request, frame.data(), rows, limit);
 }
 
 }  // namespace
@@ -342,7 +136,19 @@ std::vector<Assignment> MatchAtomsDelta(
 std::vector<Assignment> MatchAtoms(const std::vector<Atom>& atoms,
                                    const Instance& database,
                                    std::size_t limit) {
-  return MatchAtomsIndexed(atoms, database, Assignment(), limit);
+  const SlotMap slots = SlotsOf(atoms);
+  std::vector<Value> rows;
+  const std::size_t count = RunQueryPlan(atoms, slots, database,
+                                         /*any_order=*/false, limit, &rows);
+  // Frames become Assignments only here, at the public boundary.
+  std::vector<Assignment> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Value* row = rows.data() + i * slots.size();
+    for (Slot s = 0; s < slots.size(); ++s) {
+      out[i].emplace_hint(out[i].end(), slots.name(s), row[s]);
+    }
+  }
+  return out;
 }
 
 std::vector<Assignment> MatchAtomsNaive(const std::vector<Atom>& atoms,
@@ -522,6 +328,29 @@ class ChaseRun {
       for (std::size_t i = 0; i < egds.size(); ++i) {
         stats_.rules[slot++].label = RuleLabel(egds[i], i);
       }
+    }
+    // Compile every constraint once for the whole run, in slot order.
+    plans_.clear();
+    plans_.reserve(stats_.rules.size());
+    for (const logic::SoTgdClause& clause : clauses) {
+      plans_.push_back(CompileRule(clause.body, clause.head, {}));
+      for (const auto& [l, r] : clause.equalities) {
+        plans_.back().equalities.emplace_back(
+            CompileTerm(l, plans_.back().slots),
+            CompileTerm(r, plans_.back().slots));
+      }
+    }
+    for (const logic::Tgd& tgd : fo_tgds) {
+      plans_.push_back(
+          CompileRule(tgd.body, tgd.head, tgd.ExistentialVariables()));
+      plans_.back().head_probe = MatchPlan(tgd.head, plans_.back().slots,
+                                           plans_.back().body_slots);
+    }
+    static const std::vector<Atom> kNoHead;
+    for (const logic::Egd& egd : egds) {
+      plans_.push_back(CompileRule(egd.body, kNoHead, {}));
+      plans_.back().left = plans_.back().slots.Find(egd.left);
+      plans_.back().right = plans_.back().slots.Find(egd.right);
     }
     // Stratified scheduler (null analysis_ => disabled; the flat path pays
     // one pointer compare per rule per round). The analysis' rule list is
@@ -856,17 +685,82 @@ class ChaseRun {
     RefreshActivation();
   }
 
+  // One constraint compiled for the run (see plan.h). Body variables take
+  // slots [0, body_slots) in name order; a tgd's existentials take the
+  // slots after them, also in name order, so fresh nulls are invented in
+  // the order Tgd::ExistentialVariables lists them.
+  struct RulePlan {
+    const std::vector<Atom>* body_atoms = nullptr;
+    const std::vector<Atom>* head_atoms = nullptr;
+    SlotMap slots;
+    Slot body_slots = 0;
+    MatchPlan body;        // over the body slots only
+    MatchPlan head_probe;  // FO tgds: extends a body frame into the target
+    std::vector<PlanAtom> head;
+    std::vector<PlanAtom> witness;  // the body, read back as facts
+    std::vector<std::pair<PlanTerm, PlanTerm>> equalities;  // SO premises
+    Slot left = kNoSlot;  // egd equality
+    Slot right = kNoSlot;
+    // Body atom -> first body atom over the same relation: delta views and
+    // delta accounting are per relation.
+    std::vector<std::size_t> first_of_relation;
+    // Head atom -> batched-retain group, one per distinct head relation.
+    std::vector<std::size_t> head_group;
+    std::size_t groups = 0;
+    // No function terms in a non-empty head: evaluation is a pure lookup,
+    // so the restricted-chase probe degenerates to ground-tuple membership
+    // and only such heads may take the batched anti-join path.
+    bool batchable = false;
+  };
+
+  static RulePlan CompileRule(const std::vector<Atom>& body,
+                              const std::vector<Atom>& head,
+                              const std::set<std::string>& existentials) {
+    RulePlan plan;
+    plan.body_atoms = &body;
+    plan.head_atoms = &head;
+    plan.slots = SlotsOf(body);
+    plan.body_slots = static_cast<Slot>(plan.slots.size());
+    plan.body = MatchPlan(body, plan.slots, /*inputs=*/0);
+    plan.slots.Add(existentials);
+    plan.head = CompileAtoms(head, plan.slots);
+    plan.witness = CompileAtoms(body, plan.slots);
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      std::size_t first = 0;
+      while (body[first].relation != body[i].relation) ++first;
+      plan.first_of_relation.push_back(first);
+    }
+    plan.batchable = !head.empty();
+    for (std::size_t j = 0; j < head.size(); ++j) {
+      std::size_t group = plan.groups;
+      for (std::size_t k = 0; k < j; ++k) {
+        if (head[k].relation == head[j].relation) group = plan.head_group[k];
+      }
+      if (group == plan.groups) ++plan.groups;
+      plan.head_group.push_back(group);
+      for (const Term& t : head[j].terms) {
+        if (t.kind() == Term::Kind::kFunction) plan.batchable = false;
+      }
+    }
+    return plan;
+  }
+
   // One body-matching pass for rule `rule_index` plus the watermark
   // snapshot that makes it repeatable. The snapshot is taken BEFORE
   // matching, so tuples a rule inserts while firing land above it and get
   // reprocessed next round. Callers commit via CommitWatermarks once every
-  // returned assignment has actually been processed — tgds commit right
-  // after matching, egds only after a violation-free pass (a unification
-  // invalidates the remaining assignments, which must be re-derived).
+  // returned match has actually been processed — tgds commit right after
+  // matching, egds only after a violation-free pass (a unification
+  // invalidates the remaining matches, which must be re-derived). Matches
+  // stream into one flat buffer of body frames.
   struct BodyMatch {
-    std::vector<Assignment> assignments;
+    std::vector<Value> rows;  // `count` frames of `stride` values
+    std::size_t count = 0;
+    std::size_t stride = 0;
     std::map<std::string, std::size_t, std::less<>> watermarks;
     bool delta_pass = false;
+
+    const Value* row(std::size_t i) const { return rows.data() + i * stride; }
   };
 
   std::map<std::string, std::size_t, std::less<>> SnapshotWatermarks(
@@ -880,22 +774,32 @@ class ChaseRun {
     return snap;
   }
 
-  BodyMatch MatchBody(std::size_t rule_index, const std::vector<Atom>& atoms,
-                      const Instance& db) {
+  BodyMatch MatchBody(std::size_t rule_index, const Instance& db) {
+    RulePlan& plan = plans_[rule_index];
+    const std::vector<Atom>& atoms = *plan.body_atoms;
     BodyMatch out;
+    out.stride = plan.body_slots;
     out.watermarks = SnapshotWatermarks(atoms, db);
     if (options_.naive) {
-      out.assignments = MatchAtomsNaive(atoms, db);
+      // The oracle matches into Assignments; they become frames here, so
+      // firing has one code path.
+      for (const Assignment& a : MatchAtomsNaive(atoms, db)) {
+        for (Slot s = 0; s < plan.body_slots; ++s) {
+          out.rows.push_back(a.at(plan.slots.name(s)));
+        }
+        ++out.count;
+      }
     } else if (options_.semi_naive && matched_once_[rule_index]) {
       out.delta_pass = true;
-      std::size_t consumed = 0;
-      out.assignments = MatchAtomsDelta(atoms, db, watermarks_[rule_index],
-                                        &consumed, watch_token_);
+      std::size_t consumed = MatchDelta(plan, db, watermarks_[rule_index], &out);
       stats_.delta_tuples += consumed;
       if (consumed == 0) ++stats_.delta_skips;
     } else {
-      out.assignments =
-          MatchAtomsIndexed(atoms, db, Assignment(), /*limit=*/0, watch_token_);
+      frame_.resize(plan.body_slots);
+      MatchPlan::Request request;
+      request.db = &db;
+      request.cancel = watch_token_;
+      out.count = plan.body.Run(request, frame_.data(), &out.rows);
       if (options_.semi_naive) {
         // The first full pass consumes the whole extension as its delta.
         for (const auto& [name, mark] : out.watermarks) {
@@ -905,8 +809,74 @@ class ChaseRun {
         }
       }
     }
-    stats_.assignments_matched += out.assignments.size();
+    stats_.assignments_matched += out.count;
     return out;
+  }
+
+  // Semi-naive delta match: only matches where at least one body atom binds
+  // a tuple inserted since that relation's watermark. One pass per body-atom
+  // position — that atom enumerates its relation's delta while the rest
+  // probe as usual. Deltas arrive as hybrid views (zero-copy slices of whole
+  // runs sealed past the watermark, log refs for the rest), so the passes
+  // enumerate in no canonical order; sorting the frames and dropping
+  // duplicates (a match can touch two delta tuples) yields exactly the
+  // std::set<Assignment> order, because slots follow variable-name order.
+  // Returns the delta sizes consumed (per distinct body relation); zero
+  // means the caller could have skipped.
+  std::size_t MatchDelta(RulePlan& plan, const Instance& db,
+                         const std::map<std::string, std::size_t,
+                                        std::less<>>& watermarks,
+                         BodyMatch* out) {
+    const std::vector<Atom>& atoms = *plan.body_atoms;
+    std::vector<instance::DeltaView> deltas(atoms.size());
+    std::size_t consumed = 0;
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      if (plan.first_of_relation[i] != i) continue;
+      const instance::RelationInstance* rel = db.Find(atoms[i].relation);
+      if (rel == nullptr) continue;
+      auto it = watermarks.find(atoms[i].relation);
+      deltas[i] = rel->DeltaViewSince(it == watermarks.end() ? 0 : it->second);
+      consumed += deltas[i].size();
+    }
+    frame_.resize(plan.body_slots);
+    MatchPlan::Request request;
+    request.db = &db;
+    request.cancel = watch_token_;
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      const instance::DeltaView& delta = deltas[plan.first_of_relation[i]];
+      if (delta.empty()) continue;
+      request.anchor = i;
+      request.delta = &delta;
+      out->count += plan.body.Run(request, frame_.data(), &out->rows);
+    }
+    SortUnique(out);
+    return consumed;
+  }
+
+  static void SortUnique(BodyMatch* match) {
+    const std::size_t stride = match->stride;
+    if (stride == 0) {
+      match->count = std::min<std::size_t>(match->count, 1);
+      return;
+    }
+    std::vector<std::size_t> order(match->count);
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    auto row = [&](std::size_t i) { return match->rows.data() + i * stride; };
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(row(a), row(a) + stride, row(b),
+                                          row(b) + stride);
+    });
+    std::vector<Value> sorted;
+    sorted.reserve(match->rows.size());
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const Value* r = row(order[k]);
+      if (k > 0 && std::equal(r, r + stride, row(order[k - 1]))) continue;
+      sorted.insert(sorted.end(), r, r + stride);
+      ++count;
+    }
+    match->rows = std::move(sorted);
+    match->count = count;
   }
 
   void CommitWatermarks(std::size_t rule_index, BodyMatch& match) {
@@ -914,29 +884,27 @@ class ChaseRun {
     matched_once_[rule_index] = true;
   }
 
-  // Evaluates a head term under `assignment`, interpreting function terms
+  // Evaluates a compiled head term over `frame`, interpreting Skolem terms
   // through the Skolem table. When `invent` is false, a missing Skolem
   // entry returns nullopt instead of creating a null.
-  std::optional<Value> EvalTerm(const Term& term, const Assignment& assignment,
+  std::optional<Value> EvalTerm(const PlanTerm& term, const Value* frame,
                                 bool invent) {
-    switch (term.kind()) {
-      case Term::Kind::kConstant:
-        return term.value();
-      case Term::Kind::kVariable: {
-        auto it = assignment.find(term.name());
-        if (it != assignment.end()) return it->second;
-        // A head-only variable in a non-skolemized tgd: caller handles it.
+    switch (term.kind) {
+      case PlanTerm::Kind::kConstant:
+        return term.value;
+      case PlanTerm::Kind::kSlot:
+        return frame[term.slot];
+      case PlanTerm::Kind::kUnbound:
         return std::nullopt;
-      }
-      case Term::Kind::kFunction: {
+      case PlanTerm::Kind::kSkolem: {
         std::vector<Value> args;
-        args.reserve(term.args().size());
-        for (const Term& arg : term.args()) {
-          std::optional<Value> v = EvalTerm(arg, assignment, invent);
+        args.reserve(term.args.size());
+        for (const PlanTerm& arg : term.args) {
+          std::optional<Value> v = EvalTerm(arg, frame, invent);
           if (!v.has_value()) return std::nullopt;
-          args.push_back(std::move(*v));
+          args.push_back(*v);
         }
-        auto key = std::make_pair(term.name(), std::move(args));
+        auto key = std::make_pair(term.function, std::move(args));
         auto it = skolem_.find(key);
         if (it != skolem_.end()) return it->second;
         if (!invent) return std::nullopt;
@@ -948,45 +916,55 @@ class ChaseRun {
     return std::nullopt;
   }
 
-  // Evaluates all head atoms of a clause; returns nullopt when some Skolem
-  // value does not exist yet and `invent` is false.
-  std::optional<std::vector<Fact>> EvalHead(const std::vector<Atom>& head,
-                                            const Assignment& assignment,
-                                            bool invent) {
-    std::vector<Fact> facts;
-    facts.reserve(head.size());
-    for (const Atom& atom : head) {
-      Fact fact;
-      fact.relation = atom.relation;
-      fact.tuple.reserve(atom.terms.size());
-      for (const Term& t : atom.terms) {
-        std::optional<Value> v = EvalTerm(t, assignment, invent);
-        if (!v.has_value()) return std::nullopt;
-        fact.tuple.push_back(std::move(*v));
+  // Evaluates every head atom of `plan` into out[0..head.size()); false when
+  // some term has no value (an unbound variable, or a Skolem value that
+  // does not exist yet and `invent` is false).
+  bool EvalHead(const RulePlan& plan, const Value* frame, bool invent,
+                Tuple* out) {
+    for (std::size_t j = 0; j < plan.head.size(); ++j) {
+      out[j].clear();
+      out[j].reserve(plan.head[j].terms.size());
+      for (const PlanTerm& t : plan.head[j].terms) {
+        std::optional<Value> v = EvalTerm(t, frame, invent);
+        if (!v.has_value()) return false;
+        out[j].push_back(*v);
       }
-      facts.push_back(std::move(fact));
-    }
-    return facts;
-  }
-
-  bool AllPresent(const std::vector<Fact>& facts) const {
-    for (const Fact& f : facts) {
-      const instance::RelationInstance* rel = target_.Find(f.relation);
-      if (rel == nullptr || !rel->Contains(f.tuple)) return false;
     }
     return true;
   }
 
-  Witness WitnessOf(const std::vector<Atom>& body,
-                    const Assignment& assignment) {
+  // The target relation a head atom writes to; nullptr while undeclared.
+  instance::RelationInstance* TargetRelation(PlanAtom& atom) {
+    if (atom.rel == nullptr) atom.rel = target_.FindMutable(atom.relation);
+    return atom.rel;
+  }
+
+  bool AllPresent(RulePlan& plan, const Tuple* tuples) {
+    for (std::size_t j = 0; j < plan.head.size(); ++j) {
+      const instance::RelationInstance* rel = TargetRelation(plan.head[j]);
+      if (rel == nullptr || !rel->Contains(tuples[j])) return false;
+    }
+    return true;
+  }
+
+  Witness WitnessOf(const RulePlan& plan, const Value* frame) const {
     Witness witness;
-    for (const Atom& atom : body) {
+    witness.reserve(plan.witness.size());
+    for (const PlanAtom& atom : plan.witness) {
       Fact fact;
       fact.relation = atom.relation;
       fact.tuple.reserve(atom.terms.size());
-      for (const Term& t : atom.terms) {
-        std::optional<Value> v = EvalTerm(t, assignment, /*invent=*/false);
-        fact.tuple.push_back(v.value_or(Value::Null()));
+      for (const PlanTerm& t : atom.terms) {
+        switch (t.kind) {
+          case PlanTerm::Kind::kConstant:
+            fact.tuple.push_back(t.value);
+            break;
+          case PlanTerm::Kind::kSlot:
+            fact.tuple.push_back(frame[t.slot]);
+            break;
+          default:  // function terms never occur in matched bodies
+            fact.tuple.push_back(Value::Null());
+        }
       }
       witness.push_back(std::move(fact));
     }
@@ -1007,133 +985,129 @@ class ChaseRun {
     provenance_.Record(fact, std::move(witness));
   }
 
-  // Consumes `facts`: tuples are moved into the target unless provenance
-  // tracking still needs the fact afterwards.
-  Result<bool> InsertFacts(std::vector<Fact>& facts,
-                           const std::vector<Atom>& body,
-                           const Assignment& assignment) {
+  // Session chases book a satisfied trigger too: its head facts (under the
+  // satisfying frame) each gain the body as a witness.
+  void RecordSatisfied(RulePlan& plan, const Value* head_frame,
+                       const Value* body_frame) {
+    if (session_ == nullptr || !options_.track_provenance) return;
+    head_scratch_.resize(plan.head.size());
+    if (!EvalHead(plan, head_frame, /*invent=*/false, head_scratch_.data())) {
+      return;
+    }
+    for (std::size_t j = 0; j < plan.head.size(); ++j) {
+      RecordWitness(Fact{plan.head[j].relation, head_scratch_[j]},
+                    WitnessOf(plan, body_frame));
+    }
+  }
+
+  // Inserts the evaluated head `tuples` (consumed: moved into the target
+  // unless provenance tracking still needs them afterwards).
+  Result<bool> InsertHead(RulePlan& plan, const Value* frame, Tuple* tuples) {
     bool inserted_any = false;
-    for (Fact& f : facts) {
-      if (!target_.HasRelation(f.relation)) {
-        target_.DeclareRelation(f.relation, f.tuple.size());
+    for (std::size_t j = 0; j < plan.head.size(); ++j) {
+      PlanAtom& atom = plan.head[j];
+      Tuple& tuple = tuples[j];
+      if (TargetRelation(atom) == nullptr) {
+        target_.DeclareRelation(atom.relation, tuple.size());
       }
-      instance::RelationInstance* rel = target_.FindMutable(f.relation);
-      if (rel->arity() != f.tuple.size()) {
-        return Status::InvalidArgument("arity mismatch on '" + f.relation +
+      instance::RelationInstance* rel = TargetRelation(atom);
+      if (rel->arity() != tuple.size()) {
+        return Status::InvalidArgument("arity mismatch on '" + atom.relation +
                                        "' during chase");
       }
-      bool inserted = options_.track_provenance
-                          ? rel->Insert(f.tuple)
-                          : rel->Insert(std::move(f.tuple));
+      bool inserted = options_.track_provenance ? rel->Insert(tuple)
+                                                : rel->Insert(std::move(tuple));
       inserted_any |= inserted;
       // Sessions also record the witness for an already-present fact (a
       // multi-atom head can be partially satisfied), keeping the support
       // index complete.
       if (options_.track_provenance && (inserted || session_ != nullptr)) {
-        RecordWitness(f, WitnessOf(body, assignment));
-        if (inserted && net_change_ != nullptr) ++(*net_change_)[f];
+        Fact fact{atom.relation, tuple};
+        RecordWitness(fact, WitnessOf(plan, frame));
+        if (inserted && net_change_ != nullptr) ++(*net_change_)[fact];
       }
     }
     if (inserted_any) ++stats_.tgd_firings;
     return inserted_any;
   }
 
-  // True when head evaluation is a pure lookup: no Skolem/function terms,
-  // so EvalHead cannot invent nulls and the restricted-chase satisfaction
-  // probe degenerates to ground-tuple membership. Only such heads may take
-  // the batched anti-join path.
-  static bool HeadBatchable(const std::vector<Atom>& head) {
-    if (head.empty()) return false;
-    for (const Atom& atom : head) {
-      for (const Term& t : atom.terms) {
-        if (t.kind() == Term::Kind::kFunction) return false;
-      }
-    }
-    return true;
-  }
-
-  // Restricted-chase firing with the per-assignment head-satisfaction probe
+  // Restricted-chase firing with the per-match head-satisfaction probe
   // replaced by one sorted anti-join per target relation against the sealed
   // segments. Sound because the probe is cost-only for existential-free
   // heads: a head already present when the serial walk reaches it either
   // (a) predates this pass — then the pre-pass marks it present and both
   // paths skip — or (b) was inserted earlier in this very pass — then the
-  // pre-pass misses it but InsertFacts degenerates to a duplicate Insert,
+  // pre-pass misses it but InsertHead degenerates to a duplicate Insert,
   // which counts no firing and records no provenance, exactly like the
   // serial skip. Firing order, counters, null naming, and the final
   // instance are bit-identical to the serial walk.
   Result<bool> FireBatchedRetain(
-      const std::vector<Atom>& head, const std::vector<Atom>& body,
-      const std::vector<Assignment>& assignments,
+      RulePlan& plan, const BodyMatch& match,
       const std::function<std::string()>& unbound_error) {
-    const std::size_t n = assignments.size();
-    std::vector<std::vector<Fact>> facts(n);
+    const std::size_t n = match.count;
+    const std::size_t width = plan.head.size();
     // Head evaluation is read-only here (no invention, no Skolem table
     // writes). An unbound head variable stops the batch at the first
-    // offending index so the serial error behavior (earlier assignments
-    // fire, then the error surfaces) is preserved exactly.
+    // offending match so the serial error behavior (earlier matches fire,
+    // then the error surfaces) is preserved exactly.
+    std::vector<Tuple> facts(n * width);
     std::size_t usable = 0;
     for (; usable < n; ++usable) {
-      std::optional<std::vector<Fact>> f =
-          EvalHead(head, assignments[usable], /*invent=*/false);
-      if (!f.has_value()) break;
-      facts[usable] = std::move(*f);
-    }
-    // Group candidate tuples per target relation, sort each group (compares
-    // booked chase-locally — they never touch a relation's counters), and
-    // resolve the whole group with one merge walk over the segments.
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < usable; ++i) total += facts[i].size();
-    std::vector<char> fact_present(total, 0);
-    std::map<std::string,
-             std::vector<std::pair<const Tuple*, std::size_t>>, std::less<>>
-        groups;
-    {
-      std::size_t flat = 0;
-      for (std::size_t i = 0; i < usable; ++i) {
-        for (const Fact& f : facts[i]) {
-          groups[f.relation].emplace_back(&f.tuple, flat++);
-        }
+      if (!EvalHead(plan, match.row(usable), /*invent=*/false,
+                    &facts[usable * width])) {
+        break;
       }
     }
-    for (auto& [relation, items] : groups) {
-      const instance::RelationInstance* rel = target_.Find(relation);
+    // Group candidate tuples per head relation, sort each group (compares
+    // booked chase-locally — they never touch a relation's counters), and
+    // resolve the whole group with one merge walk over the segments.
+    std::vector<char> fact_present(usable * width, 0);
+    std::vector<std::pair<const Tuple*, std::size_t>> items;
+    std::vector<const Tuple*> cands;
+    std::vector<char> present;
+    for (std::size_t group = 0; group < plan.groups; ++group) {
+      items.clear();
+      const instance::RelationInstance* rel = nullptr;
+      for (std::size_t j = 0; j < width; ++j) {
+        if (plan.head_group[j] == group) rel = TargetRelation(plan.head[j]);
+      }
       if (rel == nullptr) continue;  // absent relation: nothing is present
+      for (std::size_t flat = 0; flat < usable * width; ++flat) {
+        if (plan.head_group[flat % width] == group) {
+          items.emplace_back(&facts[flat], flat);
+        }
+      }
       std::uint64_t* compares = &retain_seg_.compares;
       std::sort(items.begin(), items.end(),
                 [compares](const auto& a, const auto& b) {
                   ++*compares;
                   return *a.first < *b.first;
                 });
-      std::vector<const Tuple*> cands;
-      cands.reserve(items.size());
+      cands.clear();
       for (const auto& item : items) cands.push_back(item.first);
-      std::vector<char> present;
       rel->RetainExisting(cands, &present);
       for (std::size_t k = 0; k < items.size(); ++k) {
         if (present[k] != 0) fact_present[items[k].second] = 1;
       }
     }
-    // Serial in-order walk: fire exactly the assignments whose head is not
+    // Serial in-order walk: fire exactly the matches whose head is not
     // fully present yet. This is the only mutating stage.
     bool changed = false;
-    std::size_t flat = 0;
     for (std::size_t i = 0; i < usable; ++i) {
-      const std::size_t base = flat;
-      flat += facts[i].size();
+      const std::size_t base = i * width;
       bool all = true;
-      for (std::size_t j = 0; j < facts[i].size(); ++j) {
+      for (std::size_t j = 0; j < width; ++j) {
         if (fact_present[base + j] == 0) {
           all = false;
           break;
         }
       }
       // Sessions fall through even when every head fact is present:
-      // InsertFacts degenerates to duplicate Inserts but still books the
+      // InsertHead degenerates to duplicate Inserts but still books the
       // witnesses, keeping the support index complete.
       if (all && session_ == nullptr) continue;
       MM2_ASSIGN_OR_RETURN(bool inserted,
-                           InsertFacts(facts[i], body, assignments[i]));
+                           InsertHead(plan, match.row(i), &facts[base]));
       changed |= inserted;
     }
     if (usable < n) return Status::Internal(unbound_error());
@@ -1142,29 +1116,29 @@ class ChaseRun {
 
   Result<bool> FireSoClause(const logic::SoTgdClause& clause,
                             std::size_t rule_index) {
+    RulePlan& plan = plans_[rule_index];
     bool changed = false;
-    BodyMatch match = MatchBody(rule_index, clause.body, read_db());
+    BodyMatch match = MatchBody(rule_index, read_db());
     CommitWatermarks(rule_index, match);
     // Premise equalities can unify mid-pass (state-dependent), so only
     // equality-free clauses with lookup-only heads take the batched path.
     if (segmented_ && options_.restricted && clause.equalities.empty() &&
-        HeadBatchable(clause.head) && !match.assignments.empty()) {
-      return FireBatchedRetain(clause.head, clause.body, match.assignments,
-                               [&clause] {
-                                 return "unbound head variable in SO-tgd "
-                                        "clause: " +
-                                        clause.ToString();
-                               });
+        plan.batchable && match.count > 0) {
+      return FireBatchedRetain(plan, match, [&clause] {
+        return "unbound head variable in SO-tgd clause: " + clause.ToString();
+      });
     }
-    for (const Assignment& assignment : match.assignments) {
+    head_tuples_.resize(plan.head.size());
+    for (std::size_t i = 0; i < match.count; ++i) {
+      const Value* frame = match.row(i);
       // Premise equalities under Skolem semantics: two distinct constants
       // act as a filter (the match simply does not fire); when a labeled
       // null is involved we unify — the canonical interpretation where the
       // constrained Skolem functions agree.
       bool filtered_out = false;
-      for (const auto& [l, r] : clause.equalities) {
-        std::optional<Value> lv = EvalTerm(l, assignment, /*invent=*/true);
-        std::optional<Value> rv = EvalTerm(r, assignment, /*invent=*/true);
+      for (const auto& [l, r] : plan.equalities) {
+        std::optional<Value> lv = EvalTerm(l, frame, /*invent=*/true);
+        std::optional<Value> rv = EvalTerm(r, frame, /*invent=*/true);
         if (!lv.has_value() || !rv.has_value()) {
           return Status::Internal("unbound term in SO-tgd equality");
         }
@@ -1174,123 +1148,120 @@ class ChaseRun {
           break;
         }
         if (session_ != nullptr) {
-          session_->unification_witnesses.push_back(
-              WitnessOf(clause.body, assignment));
+          session_->unification_witnesses.push_back(WitnessOf(plan, frame));
         }
         MM2_RETURN_IF_ERROR(UnifyValues(*lv, *rv));
         changed = true;
       }
       if (filtered_out) continue;
-      if (options_.restricted) {
-        std::optional<std::vector<Fact>> existing =
-            EvalHead(clause.head, assignment, /*invent=*/false);
-        if (existing.has_value() && AllPresent(*existing)) {
-          // Book the satisfied trigger for session chases (see FireTgd).
-          if (session_ != nullptr && options_.track_provenance) {
-            for (const Fact& f : *existing) {
-              RecordWitness(f, WitnessOf(clause.body, assignment));
-            }
-          }
-          continue;
-        }
+      if (options_.restricted &&
+          EvalHead(plan, frame, /*invent=*/false, head_tuples_.data()) &&
+          AllPresent(plan, head_tuples_.data())) {
+        RecordSatisfied(plan, frame, frame);
+        continue;
       }
-      std::optional<std::vector<Fact>> facts =
-          EvalHead(clause.head, assignment, /*invent=*/true);
-      if (!facts.has_value()) {
+      if (!EvalHead(plan, frame, /*invent=*/true, head_tuples_.data())) {
         return Status::Internal("unbound head variable in SO-tgd clause: " +
                                 clause.ToString());
       }
       MM2_ASSIGN_OR_RETURN(bool inserted,
-                           InsertFacts(*facts, clause.body, assignment));
+                           InsertHead(plan, frame, head_tuples_.data()));
       changed |= inserted;
     }
     return changed;
   }
 
-  Result<bool> FireTgd(const logic::Tgd& tgd, std::size_t rule_index) {
-    bool changed = false;
-    std::set<std::string> existentials = tgd.ExistentialVariables();
-    BodyMatch match = MatchBody(rule_index, tgd.body, read_db());
-    CommitWatermarks(rule_index, match);
-    // Existential-free heads are fully ground under each assignment, so
-    // the MatchAtomsIndexed satisfaction probe is exactly a membership
-    // test — batchable as one anti-join per relation.
-    if (segmented_ && options_.restricted && existentials.empty() &&
-        HeadBatchable(tgd.head) && !match.assignments.empty()) {
-      return FireBatchedRetain(tgd.head, tgd.body, match.assignments,
-                               [&tgd] {
-                                 return "unbound head variable in tgd: " +
-                                        tgd.ToString();
-                               });
+  // Restricted-chase satisfaction probe: looks for an extension of the
+  // body frame in frame_ that covers the head atoms in the target, and
+  // leaves it in probe_rows_.
+  bool HeadSatisfied(RulePlan& plan) {
+    probe_rows_.clear();
+    if (options_.naive) {
+      Assignment probe;
+      for (Slot s = 0; s < plan.body_slots; ++s) {
+        probe.emplace(plan.slots.name(s), frame_[s]);
+      }
+      std::vector<Assignment> extension;
+      MatchAtomsNaiveRec(*plan.head_atoms, 0, target_, &probe, &extension, 1);
+      if (extension.empty()) return false;
+      for (Slot s = 0; s < plan.slots.size(); ++s) {
+        auto it = extension.front().find(plan.slots.name(s));
+        probe_rows_.push_back(it == extension.front().end() ? Value()
+                                                            : it->second);
+      }
+      return true;
     }
-    for (Assignment assignment : match.assignments) {
-      if (options_.restricted) {
-        // Satisfied already? Look for an extension of the assignment that
-        // covers the head atoms in the target.
-        std::vector<Assignment> extension;
-        if (options_.naive) {
-          Assignment probe = assignment;
-          MatchAtomsNaiveRec(tgd.head, 0, target_, &probe, &extension, 1);
-        } else {
-          extension = MatchAtomsIndexed(tgd.head, target_, assignment, 1);
-        }
-        if (!extension.empty()) {
-          // Session chases book the satisfied trigger too: the probe's
-          // extension binds the head existentials to the satisfying
-          // values, naming the exact facts this trigger supports.
-          if (session_ != nullptr && options_.track_provenance) {
-            std::optional<std::vector<Fact>> satisfied =
-                EvalHead(tgd.head, extension.front(), /*invent=*/false);
-            if (satisfied.has_value()) {
-              for (const Fact& f : *satisfied) {
-                RecordWitness(f, WitnessOf(tgd.body, assignment));
-              }
-            }
-          }
-          continue;
-        }
+    MatchPlan::Request request;
+    request.db = &target_;
+    return plan.head_probe.Run(request, frame_.data(), &probe_rows_, 1) > 0;
+  }
+
+  Result<bool> FireTgd(const logic::Tgd& tgd, std::size_t rule_index) {
+    RulePlan& plan = plans_[rule_index];
+    bool changed = false;
+    BodyMatch match = MatchBody(rule_index, read_db());
+    CommitWatermarks(rule_index, match);
+    // Existential-free heads are fully ground under each match, so the
+    // satisfaction probe is exactly a membership test — batchable as one
+    // anti-join per relation.
+    if (segmented_ && options_.restricted &&
+        plan.slots.size() == plan.body_slots && plan.batchable &&
+        match.count > 0) {
+      return FireBatchedRetain(plan, match, [&tgd] {
+        return "unbound head variable in tgd: " + tgd.ToString();
+      });
+    }
+    head_tuples_.resize(plan.head.size());
+    for (std::size_t i = 0; i < match.count; ++i) {
+      frame_.resize(plan.slots.size());
+      std::copy_n(match.row(i), match.stride, frame_.begin());
+      if (options_.restricted && HeadSatisfied(plan)) {
+        // The probe's extension binds the head existentials to the
+        // satisfying values, naming the exact facts this trigger supports.
+        RecordSatisfied(plan, probe_rows_.data(), frame_.data());
+        continue;
       }
-      for (const std::string& e : existentials) {
-        assignment[e] = FreshNull();
+      for (Slot e = plan.body_slots; e < plan.slots.size(); ++e) {
+        frame_[e] = FreshNull();
       }
-      std::optional<std::vector<Fact>> facts =
-          EvalHead(tgd.head, assignment, /*invent=*/false);
-      if (!facts.has_value()) {
+      if (!EvalHead(plan, frame_.data(), /*invent=*/false,
+                    head_tuples_.data())) {
         return Status::Internal("unbound head variable in tgd: " +
                                 tgd.ToString());
       }
-      MM2_ASSIGN_OR_RETURN(bool inserted,
-                           InsertFacts(*facts, tgd.body, assignment));
+      MM2_ASSIGN_OR_RETURN(
+          bool inserted, InsertHead(plan, frame_.data(), head_tuples_.data()));
       changed |= inserted;
     }
     return changed;
   }
 
   Result<bool> FireEgd(const logic::Egd& egd, std::size_t rule_index) {
+    const RulePlan& plan = plans_[rule_index];
     bool changed = false;
     while (true) {
       bool fired = false;
-      BodyMatch match = MatchBody(rule_index, egd.body, target_);
-      for (const Assignment& assignment : match.assignments) {
-        auto li = assignment.find(egd.left);
-        auto ri = assignment.find(egd.right);
-        if (li == assignment.end() || ri == assignment.end()) {
+      BodyMatch match = MatchBody(rule_index, target_);
+      for (std::size_t i = 0; i < match.count; ++i) {
+        if (plan.left == kNoSlot || plan.right == kNoSlot) {
           return Status::InvalidArgument("egd equality over unbound var: " +
                                          egd.ToString());
         }
-        if (li->second == ri->second) continue;
+        const Value* frame = match.row(i);
+        const Value left = frame[plan.left];
+        const Value right = frame[plan.right];
+        if (left == right) continue;
         if (session_ != nullptr) {
-          session_->unification_witnesses.push_back(
-              WitnessOf(egd.body, assignment));
+          session_->unification_witnesses.push_back(WitnessOf(plan, frame));
         }
-        MM2_RETURN_IF_ERROR(UnifyValues(li->second, ri->second));
+        MM2_RETURN_IF_ERROR(UnifyValues(left, right));
         fired = true;
         changed = true;
         break;  // instance changed; recompute matches
       }
       if (!fired) {
-        // Every assignment at or below the snapshot is violation-free, so
-        // only now may the delta watermark advance. Unification rewrites
+        // Every match at or below the snapshot is violation-free, so only
+        // now may the delta watermark advance. Unification rewrites
         // (erase + reinsert) land above it and re-match next pass.
         CommitWatermarks(rule_index, match);
         break;
@@ -1458,6 +1429,14 @@ class ChaseRun {
   Provenance provenance_;
   std::int64_t next_label_ = 0;
   std::map<std::pair<std::string, std::vector<Value>>, Value> skolem_;
+  // Compiled constraints, indexed like stats_.rules, and the firing
+  // scratch they share: the current frame, a head probe's extension, and
+  // evaluated head tuples.
+  std::vector<RulePlan> plans_;
+  std::vector<Value> frame_;
+  std::vector<Value> probe_rows_;
+  std::vector<Tuple> head_tuples_;
+  std::vector<Tuple> head_scratch_;
   // Semi-naive state, indexed like stats_.rules: the per-relation insert-log
   // watermark as of each rule's last committed matching pass, and whether
   // the rule has completed its first (full) pass.
@@ -1790,43 +1769,54 @@ Result<ChaseResult> ChaseInstance(const std::vector<logic::Tgd>& tgds,
   return setup.Finish(run);
 }
 
-Result<std::vector<Tuple>> CertainAnswers(const logic::ConjunctiveQuery& query,
-                                          const Instance& database) {
+namespace {
+
+// Evaluates a conjunctive query's body through one compiled plan and
+// projects every match onto the head. Answers land in a set, so the plan
+// may read sealed runs in run order. `certain` drops rows carrying a
+// labeled null.
+Result<std::vector<Tuple>> Answers(const logic::ConjunctiveQuery& query,
+                                   const Instance& database, bool certain) {
   MM2_RETURN_IF_ERROR(query.Validate());
+  const SlotMap slots = SlotsOf(query.body);
+  std::vector<Value> rows;
+  const std::size_t count = RunQueryPlan(query.body, slots, database,
+                                         /*any_order=*/true, 0, &rows);
+  std::vector<PlanTerm> head;
+  for (const Term& t : query.head.terms) head.push_back(CompileTerm(t, slots));
   std::set<Tuple> answers;
-  for (const Assignment& assignment : MatchAtoms(query.body, database)) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const Value* frame = rows.data() + i * slots.size();
     Tuple row;
-    row.reserve(query.head.terms.size());
+    row.reserve(head.size());
     bool has_null = false;
-    for (const Term& t : query.head.terms) {
-      Value v = t.is_constant() ? t.value() : assignment.at(t.name());
-      if (v.is_labeled_null()) has_null = true;
-      row.push_back(std::move(v));
+    for (const PlanTerm& t : head) {
+      const Value& v =
+          t.kind == PlanTerm::Kind::kConstant ? t.value : frame[t.slot];
+      has_null |= v.is_labeled_null();
+      row.push_back(v);
     }
-    if (!has_null) answers.insert(std::move(row));
+    if (!certain || !has_null) answers.insert(std::move(row));
   }
   return std::vector<Tuple>(answers.begin(), answers.end());
 }
 
+}  // namespace
+
+Result<std::vector<Tuple>> CertainAnswers(const logic::ConjunctiveQuery& query,
+                                          const Instance& database) {
+  return Answers(query, database, /*certain=*/true);
+}
+
 Result<std::vector<Tuple>> AllAnswers(const logic::ConjunctiveQuery& query,
                                       const Instance& database) {
-  MM2_RETURN_IF_ERROR(query.Validate());
-  std::set<Tuple> answers;
-  for (const Assignment& assignment : MatchAtoms(query.body, database)) {
-    Tuple row;
-    row.reserve(query.head.terms.size());
-    for (const Term& t : query.head.terms) {
-      row.push_back(t.is_constant() ? t.value() : assignment.at(t.name()));
-    }
-    answers.insert(std::move(row));
-  }
-  return std::vector<Tuple>(answers.begin(), answers.end());
+  return Answers(query, database, /*certain=*/false);
 }
 
 namespace {
 
 // Renders an instance as a list of atoms whose labeled nulls become
-// variables, so homomorphism search reduces to MatchAtoms.
+// variables, so homomorphism search reduces to one match plan.
 std::vector<Atom> InstanceAsAtoms(const Instance& database) {
   std::vector<Atom> atoms;
   for (const auto& [name, rel] : database.relations()) {
@@ -1850,8 +1840,13 @@ std::vector<Atom> InstanceAsAtoms(const Instance& database) {
 }  // namespace
 
 bool ExistsHomomorphism(const Instance& from, const Instance& to) {
-  std::vector<Atom> atoms = InstanceAsAtoms(from);
-  return !MatchAtoms(atoms, to, /*limit=*/1).empty();
+  // One atom per tuple of `from`: the executor is iterative, so the join
+  // depth is bounded by memory, not by the stack.
+  const std::vector<Atom> atoms = InstanceAsAtoms(from);
+  const SlotMap slots = SlotsOf(atoms);
+  std::vector<Value> rows;
+  return RunQueryPlan(atoms, slots, to, /*any_order=*/true, /*limit=*/1,
+                      &rows) > 0;
 }
 
 instance::Instance ComputeCore(const Instance& database, obs::Context* obs,

@@ -35,9 +35,11 @@ using Assignment = std::map<std::string, instance::Value>;
 // application and conjunctive-query evaluation. `limit` bounds the number
 // of results (0 = unlimited).
 //
-// Index-backed: atoms are joined most-bound-first, each step probing the
-// relation's on-demand hash index (RelationInstance::Probe) on the columns
-// already bound instead of scanning the extension.
+// Runs one compiled match plan (chase/plan.h): atoms are joined
+// most-bound-first, each depth reading the relation through the access path
+// its bound columns allow (sorted-prefix ranges, an ordered range over a
+// bound leading column, a constant-checking scan, or the hash index) in set
+// order. Matches become Assignments only on return.
 std::vector<Assignment> MatchAtoms(const std::vector<logic::Atom>& atoms,
                                    const instance::Instance& database,
                                    std::size_t limit = 0);

@@ -45,7 +45,7 @@ struct IndexStats {
 // ranges. size() equals the plain DeltaSince() size exactly, so delta
 // accounting is bit-identical whichever path served. Enumeration order
 // differs between the parts; consumers that need determinism (the chase's
-// delta re-match) already canonicalize through an ordered assignment set.
+// delta re-match) sort what they match.
 struct DeltaSlice {
   const Segment* segment = nullptr;
   std::size_t begin = 0;
@@ -60,34 +60,6 @@ struct DeltaView {
 
   std::size_t size() const { return refs.size() + slice_rows; }
   bool empty() const { return size() == 0; }
-
-  // Visits rows [begin, end) of the concatenated refs-then-slices sequence;
-  // fn(const Tuple&) returns false to stop early. Rows materialized from
-  // slices are only valid for the duration of the call.
-  template <typename Fn>
-  void ForEachRow(std::size_t begin, std::size_t end, Fn&& fn) const {
-    std::size_t i = begin;
-    for (; i < end && i < refs.size(); ++i) {
-      if (!fn(*refs[i])) return;
-    }
-    std::size_t offset = refs.size();
-    if (i >= end) return;
-    Tuple scratch;
-    for (const DeltaSlice& slice : slices) {
-      const std::size_t n = slice.end - slice.begin;
-      if (i < offset + n) {
-        const std::size_t stop =
-            slice.begin + (end - offset < n ? end - offset : n);
-        for (std::size_t r = slice.begin + (i - offset); r < stop; ++r) {
-          slice.segment->CopyRow(r, &scratch);
-          if (!fn(scratch)) return;
-        }
-        i = offset + (stop - slice.begin);
-        if (i >= end) return;
-      }
-      offset += n;
-    }
-  }
 };
 
 // The extension of one relation: a set of same-arity tuples. Set semantics

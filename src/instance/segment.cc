@@ -342,10 +342,10 @@ SegmentRangeCursor::SegmentRangeCursor(const SegmentRanges& ranges)
   for (std::size_t i = 0; i < ranges.count; ++i) {
     pos_[i] = ranges.entries[i].begin;
   }
-  Materialize();
+  Pick();
 }
 
-void SegmentRangeCursor::Materialize() {
+void SegmentRangeCursor::Pick() {
   // Linear min-pick across the live per-run cursors. Runs are disjoint, so
   // no dedup step is needed: exactly one cursor holds the global minimum.
   current_ = -1;
@@ -369,17 +369,17 @@ void SegmentRangeCursor::Materialize() {
     }
     if (cmp < 0) current_ = static_cast<int>(i);
   }
-  if (current_ >= 0) {
-    const SegmentRanges::Entry& best =
-        ranges_->entries[static_cast<std::size_t>(current_)];
-    best.segment->CopyRow(pos_[static_cast<std::size_t>(current_)], &row_);
-  }
+}
+
+const Tuple& SegmentRangeCursor::Row() const {
+  segment()->CopyRow(row(), &row_);
+  return row_;
 }
 
 void SegmentRangeCursor::Advance() {
   if (current_ < 0) return;
   ++pos_[static_cast<std::size_t>(current_)];
-  Materialize();
+  Pick();
 }
 
 // ---------------------------------------------------------------------------

@@ -293,17 +293,22 @@ class SegmentRangeCursor {
   explicit SegmentRangeCursor(const SegmentRanges& ranges);
 
   bool Done() const { return current_ < 0; }
-  // Valid until the next Advance.
-  const Tuple& Row() const { return row_; }
+  // The current row in place: its run and row index.
+  const Segment* segment() const {
+    return ranges_->entries[static_cast<std::size_t>(current_)].segment;
+  }
+  std::size_t row() const { return pos_[static_cast<std::size_t>(current_)]; }
+  // The current row materialized; valid until the next Advance.
+  const Tuple& Row() const;
   void Advance();
 
  private:
-  void Materialize();
+  void Pick();
 
   const SegmentRanges* ranges_;
   std::size_t pos_[SegmentRanges::kMaxRanges];
   int current_ = -1;  // entry index holding the smallest unemitted row
-  Tuple row_;
+  mutable Tuple row_;
 };
 
 // ---------------------------------------------------------------------------

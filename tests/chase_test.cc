@@ -172,6 +172,25 @@ TEST(ChaseTest, UniversalSolutionHasHomomorphismIntoOtherSolutions) {
   EXPECT_FALSE(ExistsHomomorphism(result->target, incompatible));
 }
 
+// One join depth per tuple of the left instance: the search must not
+// recurse per atom, and planning must stay near-linear in the atom count.
+TEST(ChaseTest, HomomorphismOverTwentyThousandTuples) {
+  constexpr std::int64_t kTuples = 20000;
+  Instance from;
+  Instance to;
+  from.DeclareRelation("R", 2);
+  to.DeclareRelation("R", 2);
+  for (std::int64_t i = 0; i < kTuples; ++i) {
+    ASSERT_TRUE(from.Insert("R", {Value::Int64(i), Value::LabeledNull(i)}).ok());
+    ASSERT_TRUE(to.Insert("R", {Value::Int64(i), Value::Int64(i + 1)}).ok());
+  }
+  EXPECT_TRUE(ExistsHomomorphism(from, to));
+  // A ground tuple absent on the right maps nowhere.
+  ASSERT_TRUE(
+      from.Insert("R", {Value::Int64(kTuples), Value::Int64(0)}).ok());
+  EXPECT_FALSE(ExistsHomomorphism(from, to));
+}
+
 TEST(ChaseTest, TargetEgdUnifiesNulls) {
   // Two tgds give each Emp a worker row with an invented manager; the egd
   // says Worker.eid is a key, forcing the two invented managers together.
@@ -242,6 +261,27 @@ TEST(ChaseTest, SoTgdFunctionsInventOneNullPerArgumentTuple) {
   }
   EXPECT_EQ(mgr_of.at(Value::Int64(1)), mgr_of.at(Value::Int64(2)));
   EXPECT_NE(mgr_of.at(Value::Int64(1)), mgr_of.at(Value::Int64(3)));
+}
+
+TEST(ChaseTest, SoClauseWithUnboundHeadVariableIsInternalError) {
+  // Emp(e, d) -> Worker(e, m): no body atom binds m. Mapping validation
+  // does not look inside SO clauses, so the chase itself must refuse it.
+  SoTgd so;
+  SoTgdClause clause;
+  clause.body = {Atom{"Emp", {V("e"), V("d")}}};
+  clause.head = {Atom{"Worker", {V("e"), V("m")}}};
+  so.clauses = {clause};
+  Mapping m = Mapping::FromSoTgd("m", SourceSchema(), TargetSchema(), so);
+  for (bool restricted : {true, false}) {
+    ChaseOptions options;
+    options.restricted = restricted;
+    auto result = RunChase(m, SourceDb(), options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find(
+                  "unbound head variable in SO-tgd clause"),
+              std::string::npos);
+  }
 }
 
 TEST(ChaseTest, ProvenanceRecordsWitnesses) {

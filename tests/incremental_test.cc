@@ -128,10 +128,14 @@ Tuple Row2(std::int64_t a, std::int64_t b) {
 // Materializes every row of a view (refs then slices).
 std::multiset<Tuple> ViewRows(const instance::DeltaView& view) {
   std::multiset<Tuple> rows;
-  view.ForEachRow(0, view.size(), [&](const Tuple& t) {
-    rows.insert(t);
-    return true;
-  });
+  for (const Tuple* t : view.refs) rows.insert(*t);
+  Tuple row;
+  for (const instance::DeltaSlice& slice : view.slices) {
+    for (std::size_t r = slice.begin; r < slice.end; ++r) {
+      slice.segment->CopyRow(r, &row);
+      rows.insert(row);
+    }
+  }
   return rows;
 }
 
