@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "common/thread_pool.h"
-#include "instance/segment.h"
 #include "obs/obs.h"
 
 namespace mm2::bench {
@@ -42,24 +41,12 @@ inline std::size_t BenchThreads() {
   return resolved;
 }
 
-// The MM2_STORAGE-resolved ambient storage mode, resolved once. Benches
-// that sweep storage explicitly encode the mode in the metric name; this
-// stamp lets comparison tooling refuse to diff runs taken under different
-// default storage backends.
-inline const char* BenchStorage() {
-  static const char* resolved = instance::StorageModeName(
-      instance::ResolveStorageMode(instance::StorageMode::kDefault));
-  return resolved;
-}
-
 inline void PrintJsonLine(const std::string& bench, const std::string& metric,
                           double value, const std::string& unit) {
   std::printf("{\"bench\": \"%s\", \"metric\": \"%s\", \"value\": %.6g, "
-              "\"unit\": \"%s\", \"threads\": %zu, \"hw_concurrency\": %u, "
-              "\"storage\": \"%s\"}\n",
+              "\"unit\": \"%s\", \"threads\": %zu, \"hw_concurrency\": %u}\n",
               bench.c_str(), metric.c_str(), value, unit.c_str(),
-              BenchThreads(), std::thread::hardware_concurrency(),
-              BenchStorage());
+              BenchThreads(), std::thread::hardware_concurrency());
 }
 
 // Peak resident set size of this process in KiB (VmHWM from

@@ -1,37 +1,26 @@
-// Columnar-segment storage vs the indexed baseline (EXPERIMENTS.md section
-// C17). Three experiments:
+// The sealed run (EXPERIMENTS.md section C22). The chase works on the set
+// and the insert log only and seals its finished target once on publish;
+// readers of the result then get the run's sorted columns. Three cases:
 //
 //   1. BM_SegmentChase — the transitive-closure chase grid from
-//      chase_scaling_bench, run indexed vs segmented. Under kSegmented the
-//      bound-prefix probes are served by sealed-segment binary searches and
-//      the restricted head-check runs through the batched RetainExisting
-//      merge, so the per-point `probes` counter (hash-index probes for
-//      indexed, segment probes for segmented) and the retain compare
-//      tally are the acceptance metrics: on n >= 32 points the segmented
-//      probe + compare traffic must be down >= 2x. Wall-clock is recorded
-//      but not gated — the container pins one CPU and the win is
-//      pointer-chasing avoided, which micro-timing there understates.
+//      chase_scaling_bench through ChaseInstance. Records wall time, the
+//      seals (one per non-empty relation, on publish) and the rounds.
 //
-//   2. BM_RetainMicro — the head-dedup primitive in isolation: membership
-//      of a sorted candidate batch against n stored rows, answered by
-//      per-tuple std::set::count (the pre-segment hot path, compares
-//      counted via a counting comparator) vs one RetainExisting forward
-//      merge. The merge costs O(rows + candidates) compares total versus
-//      ~log2(n) per candidate for the tree walk.
+//   2. BM_SealMicro — the publish seal in isolation: PrepareSegments over
+//      an n-row relation, a column-major copy of the set (no compares).
 //
-//   3. BM_MergeMicro — sealing + two-way merging segments, the
-//      round-boundary maintenance cost the segmented mode pays for its
-//      probe wins.
+//   3. BM_ProbeMicro — n leading-column prefix probes over an n-row
+//      relation, served by the sealed run's binary searches (mode 1) or by
+//      ordered ranges over the set (mode 0), the two read paths a chase
+//      result offers before and after its first mutation.
 //
-// Each point records `segment.<exp>.<mode>.n<n>.wall_us` histograms plus
-// `.probes` / `.compares` gauges into the shared bench registry for
-// BENCH_<label>.json trajectories.
+// Each point records `segment.<case>[.<mode>].n<n>.wall_us` histograms
+// (plus `.seals` / `.rounds` gauges for the chase) into the shared bench
+// registry for BENCH_<label>.json trajectories.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -47,10 +36,6 @@ namespace {
 
 using mm2::instance::Instance;
 using mm2::instance::RelationInstance;
-using mm2::instance::SegmentInserter;
-using mm2::instance::SegmentOpStats;
-using mm2::instance::SegmentPtr;
-using mm2::instance::StorageMode;
 using mm2::instance::Tuple;
 using mm2::instance::Value;
 using mm2::logic::Atom;
@@ -58,8 +43,6 @@ using mm2::logic::Term;
 using mm2::logic::Tgd;
 
 Term V(const std::string& name) { return Term::Var(name); }
-
-constexpr const char* kModeNames[] = {"indexed", "segmented"};
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<
@@ -69,8 +52,7 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 }
 
 // The closure workload from chase_scaling_bench: chain R of n edges,
-// copy + step rules closing T. Existential-free, so the restricted check
-// on every derived head exercises the retain path.
+// copy + step rules closing T.
 std::vector<Tgd> ClosureRules() {
   Tgd copy;
   copy.body = {Atom{"R", {V("x"), V("y")}}};
@@ -92,23 +74,18 @@ Instance ChainInstance(std::int64_t n) {
 }
 
 void BM_SegmentChase(benchmark::State& state) {
-  std::int64_t mode = state.range(0);
-  std::int64_t n = state.range(1);
+  std::int64_t n = state.range(0);
   std::vector<Tgd> tgds = ClosureRules();
   Instance db = ChainInstance(n);
-  mm2::chase::ChaseOptions options;  // semi-naive, restricted
-  options.storage =
-      mode == 1 ? StorageMode::kSegmented : StorageMode::kIndexed;
 
-  std::string point = std::string("segment.chase.") + kModeNames[mode] +
-                      ".n" + std::to_string(n);
+  std::string point = "segment.chase.n" + std::to_string(n);
   auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
 
   mm2::chase::ChaseStats stats;
   std::size_t closure = 0;
   for (auto _ : state) {
     auto start = std::chrono::steady_clock::now();
-    auto result = mm2::chase::ChaseInstance(tgds, {}, db, options);
+    auto result = mm2::chase::ChaseInstance(tgds, {}, db);
     double us = MicrosSince(start);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
@@ -119,157 +96,81 @@ void BM_SegmentChase(benchmark::State& state) {
     closure = result->target.Find("T")->size();
     benchmark::DoNotOptimize(result);
   }
-
-  // The probe traffic this mode paid: hash-index probes for indexed,
-  // segment-served probes (plus declined fallbacks) for segmented.
-  std::uint64_t probes = mode == 1
-                             ? stats.segment.probes + stats.segment.fallbacks
-                             : stats.index_probes;
-  mm2::bench::Obs().metrics.GetGauge(point + ".probes").Set(
-      static_cast<std::int64_t>(probes));
-  mm2::bench::Obs().metrics.GetGauge(point + ".compares").Set(
-      static_cast<std::int64_t>(stats.segment.compares));
+  mm2::bench::Obs().metrics.GetGauge(point + ".seals").Set(
+      static_cast<std::int64_t>(stats.segment.seals));
+  mm2::bench::Obs().metrics.GetGauge(point + ".rounds").Set(
+      static_cast<std::int64_t>(stats.rounds));
   state.counters["closure_edges"] = static_cast<double>(closure);
   state.counters["rounds"] = static_cast<double>(stats.rounds);
-  state.counters["probes"] = static_cast<double>(probes);
+  state.counters["seals"] = static_cast<double>(stats.segment.seals);
   state.counters["index_probes"] = static_cast<double>(stats.index_probes);
-  state.counters["segment_probes"] =
-      static_cast<double>(stats.segment.probes);
-  state.counters["segment_compares"] =
-      static_cast<double>(stats.segment.compares);
-  state.counters["retain_batches"] =
-      static_cast<double>(stats.segment.retain_batches);
-  // Tiered-list maintenance: how much merge work the LSM ladder did, what
-  // the run list looked like at the end, and the zero-copy delta volume.
-  mm2::bench::Obs().metrics.GetGauge(point + ".compactions").Set(
-      static_cast<std::int64_t>(stats.segment.compactions));
-  mm2::bench::Obs().metrics.GetGauge(point + ".live_segments").Set(
-      static_cast<std::int64_t>(stats.segment_shape.live_segments));
-  mm2::bench::Obs().metrics.GetGauge(point + ".delta_slice_rows").Set(
-      static_cast<std::int64_t>(stats.segment.delta_slice_rows));
-  state.counters["compactions"] =
-      static_cast<double>(stats.segment.compactions);
-  state.counters["live_segments"] =
-      static_cast<double>(stats.segment_shape.live_segments);
-  state.counters["delta_slice_rows"] =
-      static_cast<double>(stats.segment.delta_slice_rows);
-  state.counters["merged_rows"] =
-      static_cast<double>(stats.segment.merged_rows);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-// mode: 0 = indexed baseline, 1 = segmented.
 BENCHMARK(BM_SegmentChase)
-    ->ArgNames({"mode", "n"})
-    ->ArgsProduct({{0, 1}, {8, 16, 32, 64}})
+    ->ArgNames({"n"})
+    ->ArgsProduct({{8, 16, 32, 64}})
     ->Unit(benchmark::kMillisecond);
 
-// Counting comparator for the std::set baseline: every tree-walk
-// comparison during count() ticks the shared counter, mirroring the
-// counted-compare discipline of the segment paths.
-struct CountingLess {
-  std::uint64_t* compares;
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    ++*compares;
-    return a < b;
-  }
-};
-
-void BM_RetainMicro(benchmark::State& state) {
-  std::int64_t mode = state.range(0);
-  std::int64_t n = state.range(1);
-
-  // n stored rows (even keys); candidates sweep evens and odds, so half
-  // the batch hits — the mix a restricted head-check sees mid-closure.
+// n rows over n/8 leading values, eight rows per prefix.
+RelationInstance PrefixRelation(std::int64_t n) {
   RelationInstance rel(2);
-  if (mode == 1) rel.set_storage_mode(StorageMode::kSegmented);
-  std::uint64_t baseline_compares = 0;
-  std::set<Tuple, CountingLess> baseline(CountingLess{&baseline_compares});
   for (std::int64_t i = 0; i < n; ++i) {
-    Tuple row = {Value::Int64(2 * i), Value::Int64(2 * i + 1)};
-    rel.Insert(row);
-    baseline.insert(row);
+    rel.Insert({Value::Int64(i / 8), Value::Int64(i)});
   }
-  if (mode == 1) rel.PrepareSegments();
-  std::vector<Tuple> candidates;
-  for (std::int64_t i = 0; i < n; ++i) {
-    candidates.push_back({Value::Int64(i), Value::Int64(i + 1)});
-  }
-  mm2::instance::CountedSort(&candidates, nullptr);
-  std::vector<const Tuple*> ptrs;
-  for (const Tuple& t : candidates) ptrs.push_back(&t);
+  return rel;
+}
 
-  std::string point = std::string("segment.retain.") + kModeNames[mode] +
-                      ".n" + std::to_string(n);
+void BM_SealMicro(benchmark::State& state) {
+  std::int64_t n = state.range(0);
+  const RelationInstance rel = PrefixRelation(n);
+  std::string point = "segment.seal.n" + std::to_string(n);
   auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
-
-  std::uint64_t hits = 0;
-  SegmentOpStats before = rel.segment_stats();
-  baseline_compares = 0;
-  std::size_t iters = 0;
   for (auto _ : state) {
-    ++iters;
+    RelationInstance copy = rel;  // copies share a run; rel holds none
     auto start = std::chrono::steady_clock::now();
-    hits = 0;
-    if (mode == 1) {
-      std::vector<char> present;
-      rel.RetainExisting(ptrs, &present);
-      for (char p : present) hits += static_cast<std::uint64_t>(p);
-    } else {
-      for (const Tuple* t : ptrs) hits += baseline.count(*t);
-    }
-    benchmark::DoNotOptimize(hits);
+    copy.PrepareSegments();
     wall.Record(MicrosSince(start));
+    benchmark::DoNotOptimize(copy.sealed_rows());
   }
-
-  // Per-batch compare cost, averaged over the iterations.
-  std::uint64_t compares =
-      mode == 1 ? (rel.segment_stats() - before).compares : baseline_compares;
-  double per_batch =
-      iters == 0 ? 0 : static_cast<double>(compares) / static_cast<double>(iters);
-  mm2::bench::Obs().metrics.GetGauge(point + ".compares").Set(
-      static_cast<std::int64_t>(std::llround(per_batch)));
-  state.counters["compares_per_batch"] = per_batch;
-  state.counters["hits"] = static_cast<double>(hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-// mode: 0 = per-tuple std::set::count, 1 = batched RetainExisting merge.
-BENCHMARK(BM_RetainMicro)
-    ->ArgNames({"mode", "n"})
-    ->ArgsProduct({{0, 1}, {256, 1024, 4096}})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MergeMicro(benchmark::State& state) {
-  std::int64_t n = state.range(0);
-  // Two interleaved sorted runs of n rows each — the sealed-run + tail
-  // shape PrepareSegments merges at every round boundary.
-  SegmentOpStats setup;
-  SegmentInserter a(2);
-  SegmentInserter b(2);
-  for (std::int64_t i = 0; i < n; ++i) {
-    a.Add({Value::Int64(2 * i), Value::Int64(i)});
-    b.Add({Value::Int64(2 * i + 1), Value::Int64(i)});
-  }
-  SegmentPtr sa = a.Seal(&setup);
-  SegmentPtr sb = b.Seal(&setup);
-
-  std::string point = "segment.merge.n" + std::to_string(n);
-  auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
-  std::size_t rows = 0;
-  for (auto _ : state) {
-    SegmentOpStats stats;
-    auto start = std::chrono::steady_clock::now();
-    SegmentPtr merged = mm2::instance::MergeSegments({sa, sb}, &stats);
-    wall.Record(MicrosSince(start));
-    rows = merged->rows();
-    benchmark::DoNotOptimize(merged);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          n);
-}
-BENCHMARK(BM_MergeMicro)
+BENCHMARK(BM_SealMicro)
     ->ArgNames({"n"})
     ->ArgsProduct({{1024, 8192, 65536}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ProbeMicro(benchmark::State& state) {
+  const std::int64_t mode = state.range(0);
+  const std::int64_t n = state.range(1);
+  const RelationInstance rel = PrefixRelation(n);
+  if (mode == 1) rel.PrepareSegments();
+  std::string point = std::string("segment.probe.") +
+                      (mode == 1 ? "run" : "set") + ".n" + std::to_string(n);
+  auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
+  Tuple key(1);
+  for (auto _ : state) {
+    std::uint64_t rows = 0;
+    auto start = std::chrono::steady_clock::now();
+    for (std::int64_t i = 0; i < n; ++i) {
+      key[0] = Value::Int64((i * 7919) % (n / 8));
+      if (mode == 1) {
+        rows += rel.SegmentProbePrefix(key)->size();
+      } else {
+        for (auto it = rel.tuples().lower_bound(key);
+             it != rel.tuples().end() && (*it)[0] == key[0]; ++it) {
+          ++rows;
+        }
+      }
+    }
+    wall.Record(MicrosSince(start));
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+// mode: 0 = ordered range over the set, 1 = the sealed run's prefix range.
+BENCHMARK(BM_ProbeMicro)
+    ->ArgNames({"mode", "n"})
+    ->ArgsProduct({{0, 1}, {1024, 8192}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

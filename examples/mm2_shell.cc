@@ -61,10 +61,6 @@ void PrintHelp() {
       "                                answer m D Q(x) :- T(x, y)\n"
       "  compose <out> <m12> <m23>     (and the other engine commands:\n"
       "  invert/inverse/extract/diff/merge/modelgen/exchange/match)\n"
-      "  storage indexed|segmented     chase storage representation (or\n"
-      "                                start with MM2_STORAGE=segmented);\n"
-      "                                results bit-identical; segment\n"
-      "                                metrics land in stats/explain\n"
       "  stats [--json]                dump the metrics registry\n"
       "  explain [--json]              ranked cost report (operators,\n"
       "                                chase rules, strata, span phases)\n"
@@ -107,10 +103,6 @@ int main() {
   bool stats_on_quit =
       env_stats != nullptr && std::string(env_stats) != "0" &&
       env_stats[0] != '\0';
-  // MM2_STORAGE picks the chase storage representation for the session;
-  // the `storage` command overrides it per-session.
-  engine.SetStorageMode(
-      mm2::instance::ResolveStorageMode(mm2::instance::StorageMode::kDefault));
   std::cout << "mm2 shell — 'help' for commands\n";
   while (std::cout << "mm2> " << std::flush, std::getline(std::cin, line)) {
     std::istringstream words(line);

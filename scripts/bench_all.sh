@@ -5,10 +5,10 @@
 #
 #   BENCH_<label>.json = {"label": "<label>", "mm2_threads": N,
 #                         "hw_concurrency": M, "records": [ {bench,metric,
-#                         value,unit,threads,hw_concurrency,storage}, ... ]}
+#                         value,unit,threads,hw_concurrency}, ... ]}
 #
 # Compare two trajectories with scripts/bench_compare.py (which refuses to
-# diff records taken at different thread counts or storage modes).
+# diff records taken at different thread counts).
 #
 # Usage: scripts/bench_all.sh <label> [build-dir]    (build-dir: ./build)
 # Env:

@@ -39,15 +39,15 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the scheduler state is per-run but its metric mirroring and foresight
   # events ride the shared registry/event-log mutexes.
   # Segment/RelationSegment/ChaseSegmentedDiffProperty/
-  # ClosureSegmentedDiffProperty cover the columnar segment layer: the
-  # const PrepareSegments reseal under index_mu_, which shares its lock
-  # with the lazy hash-index build, and the batched retain pass.
-  # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep cover
-  # the incremental-exchange layer: tombstone-aware delta views slicing
-  # runs the (const, mutex-guarded) reseal path also mutates, and session
-  # maintenance driving Erase/Insert churn against the lazily built
-  # log-position map under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep"
+  # ClosureSegmentedDiffProperty cover the sealed run: the const
+  # PrepareSegments seal under index_mu_, which shares its lock with the
+  # lazy hash-index build, and reads of the run a chase sealed on publish.
+  # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep/
+  # SealPoint cover the incremental-exchange layer: tombstone-aware deltas
+  # over the insert log, and session maintenance driving Erase/Insert
+  # churn (which drops the run) against the lazily built log-position map
+  # under the same index_mu_.
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
 fi
 
 # Every gate appends its temp files here; one EXIT trap removes them all
@@ -96,105 +96,52 @@ print(f"structured-log smoke gate passed ({len(lines)} JSON event lines)")
 EOF
 fi
 
-# Segmented-storage smoke gate (default path only): the demo exchange run
-# under MM2_STORAGE=segmented must exit cleanly and print a bit-identical
-# materialized instance + query answer to the indexed run, and the
-# env-unset default (which now resolves to segmented) must match both.
-# stats/explain are excluded — their storage sections legitimately differ
-# by mode.
+# Exchange smoke gate (default path only): the demo exchange, printed
+# instance and certain-answer query (scripts/gates/exchange.mm2) must exit
+# cleanly and print exactly the recorded output in
+# scripts/gates/exchange.expected.
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
-  SEG_SESSION="$(mktemp)"
-  SEG_IDX_OUT="$(mktemp)"
-  SEG_SEG_OUT="$(mktemp)"
-  SEG_DEF_OUT="$(mktemp)"
-  CLEANUP+=("$SEG_SESSION" "$SEG_IDX_OUT" "$SEG_SEG_OUT" "$SEG_DEF_OUT")
-  {
-    echo "load-schema examples/data/school.schema"
-    echo "load-schema examples/data/school_v2.schema"
-    echo "load-instance D examples/data/school.instance"
-    echo "load-mapping examples/data/split.mapping"
-    echo "exchange Dprime mapSSp D"
-    echo "show instance Dprime"
-    echo "answer mapSSp D Q(n, a) :- NamesP(s, n), Foreign(s, a, c)"
-    echo "quit"
-  } > "$SEG_SESSION"
-  MM2_STORAGE=indexed "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_IDX_OUT" 2> /dev/null
-  MM2_STORAGE=segmented "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_SEG_OUT" 2> /dev/null
-  env -u MM2_STORAGE "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_DEF_OUT" 2> /dev/null
-  if ! diff -u "$SEG_IDX_OUT" "$SEG_SEG_OUT"; then
-    echo "error: MM2_STORAGE=segmented demo output diverged from indexed" >&2
+  EXC_OUT="$(mktemp)"
+  CLEANUP+=("$EXC_OUT")
+  "$BUILD_DIR/examples/mm2_shell" \
+    < scripts/gates/exchange.mm2 > "$EXC_OUT" 2> /dev/null
+  if ! diff -u scripts/gates/exchange.expected "$EXC_OUT"; then
+    echo "error: demo exchange output diverged from scripts/gates/exchange.expected" >&2
     exit 1
   fi
-  if ! diff -u "$SEG_SEG_OUT" "$SEG_DEF_OUT"; then
-    echo "error: env-unset default demo output diverged from segmented" >&2
-    exit 1
-  fi
-  echo "segmented-storage smoke gate passed (demo output bit-identical under indexed, segmented, and the env-unset default)"
+  echo "exchange smoke gate passed (demo output matches the recorded output)"
 fi
 
 # Incremental-exchange smoke gate (default path only): drive an exchange,
 # queue a delta (`apply`), `maintain` it, ask `why` about one fact the delta
 # derived and one it deleted (read in place from the maintained session's
-# provenance), and re-chase the post-delta source from scratch; the
-# maintained target must be equal up to null renaming (`eqcheck ...
-# equal`), the two `why` answers must name the inserted source fact and
-# report no derivation, and the whole session must be byte-identical under
-# MM2_STORAGE=indexed, =segmented, and the env-unset default — the
-# incremental path must not leak storage-mode differences into results.
+# provenance), and re-chase the post-delta source from scratch
+# (scripts/gates/incremental.mm2); the maintained target must be equal up
+# to null renaming (`eqcheck ... equal`), the two `why` answers must name
+# the inserted source fact and report no derivation, and the whole session
+# must print exactly the recorded output in scripts/gates/incremental.expected.
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
-  INC_SESSION="$(mktemp)"
-  INC_IDX_OUT="$(mktemp)"
-  INC_SEG_OUT="$(mktemp)"
-  INC_DEF_OUT="$(mktemp)"
-  CLEANUP+=("$INC_SESSION" "$INC_IDX_OUT" "$INC_SEG_OUT" "$INC_DEF_OUT")
-  {
-    echo "load-schema examples/data/school.schema"
-    echo "load-schema examples/data/school_v2.schema"
-    echo "load-instance D examples/data/school.instance"
-    echo "load-instance Dafter examples/data/school_delta.instance"
-    echo "load-mapping examples/data/split.mapping"
-    echo "exchange Dprime mapSSp D"
-    echo 'apply +Names(7, "Zed")'
-    echo 'apply +Addresses(7, "9 Elm", "US")'
-    echo 'apply -Names(2, "Bob")'
-    echo "maintain mapSSp"
-    echo 'why Local(7, "9 Elm")'
-    echo 'why NamesP(2, "Bob")'
-    echo "exchange Rechase mapSSp Dafter"
-    echo "eqcheck Dprime Rechase"
-    echo "show instance Dprime"
-    echo "quit"
-  } > "$INC_SESSION"
-  MM2_STORAGE=indexed "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_IDX_OUT" 2> /dev/null
-  MM2_STORAGE=segmented "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_SEG_OUT" 2> /dev/null
-  env -u MM2_STORAGE "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_DEF_OUT" 2> /dev/null
-  if ! grep -q "eqcheck Dprime Rechase: equal" "$INC_IDX_OUT"; then
+  INC_OUT="$(mktemp)"
+  CLEANUP+=("$INC_OUT")
+  "$BUILD_DIR/examples/mm2_shell" \
+    < scripts/gates/incremental.mm2 > "$INC_OUT" 2> /dev/null
+  if ! grep -q "eqcheck Dprime Rechase: equal" "$INC_OUT"; then
     echo "error: maintained target diverged from the from-scratch re-chase" >&2
     exit 1
   fi
-  if ! grep -qF '<- Addresses(7, "9 Elm", "US")' "$INC_IDX_OUT"; then
+  if ! grep -qF '<- Addresses(7, "9 Elm", "US")' "$INC_OUT"; then
     echo "error: why after maintain did not name the inserted source fact" >&2
     exit 1
   fi
-  if ! grep -qF 'NamesP(2, "Bob") has no recorded derivation' "$INC_IDX_OUT"; then
+  if ! grep -qF 'NamesP(2, "Bob") has no recorded derivation' "$INC_OUT"; then
     echo "error: why after maintain still derives the deleted fact" >&2
     exit 1
   fi
-  if ! diff -u "$INC_IDX_OUT" "$INC_SEG_OUT"; then
-    echo "error: incremental session output diverged under MM2_STORAGE=segmented" >&2
+  if ! diff -u scripts/gates/incremental.expected "$INC_OUT"; then
+    echo "error: incremental session output diverged from scripts/gates/incremental.expected" >&2
     exit 1
   fi
-  if ! diff -u "$INC_SEG_OUT" "$INC_DEF_OUT"; then
-    echo "error: incremental session output diverged under the env-unset default" >&2
-    exit 1
-  fi
-  echo "incremental smoke gate passed (maintain ≡ re-chase, why reads the maintained provenance, byte-identical across storage modes)"
+  echo "incremental smoke gate passed (maintain ≡ re-chase, why reads the maintained provenance, output matches the recorded output)"
 fi
 
 # DOT-validity gate (default path only): `explain mapping --dot` over the

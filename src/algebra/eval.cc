@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "common/strings.h"
@@ -21,16 +20,6 @@ std::size_t Table::ColumnIndex(std::string_view name) const {
     if (columns[i] == name) return i;
   }
   return kNpos;
-}
-
-Table Table::Distinct() const {
-  Table out;
-  out.columns = columns;
-  std::set<Tuple> seen;
-  for (const Tuple& row : rows) {
-    if (seen.insert(row).second) out.rows.push_back(row);
-  }
-  return out;
 }
 
 bool Table::SetEquals(const Table& other) const {
@@ -244,14 +233,10 @@ Status AppendJoinColumns(const std::vector<std::string>& right_columns,
 struct EvalContext {
   EvalOptions options;
   std::size_t workers;
-  bool segmented;
   std::unique_ptr<common::ThreadPool> pool;
 
   explicit EvalContext(const EvalOptions& opts)
-      : options(opts),
-        workers(common::ResolveThreadCount(opts.threads)),
-        segmented(instance::ResolveStorageMode(opts.storage) ==
-                  instance::StorageMode::kSegmented) {}
+      : options(opts), workers(common::ResolveThreadCount(opts.threads)) {}
 
   // Returns the pool when this join is big enough to amortize a fan-out,
   // creating it on first use; nullptr means "run serial".
@@ -392,18 +377,15 @@ Result<Table> JoinScanProbe(const Expr& expr, const Table& left,
     return Status::InvalidArgument("equijoin requires at least one key");
   }
 
-  // Under segmented storage, a key set covering columns [0, k) in order is
-  // a prefix of the segment sort order: seal once and binary-search the
-  // columns per probe instead of building a hash index. Rows come back in
-  // set order — exactly the hash bucket's order — so output is identical.
-  bool segment_probe = false;
-  if (g_eval_ctx != nullptr && g_eval_ctx->segmented && rel != nullptr) {
-    segment_probe = true;
-    for (std::size_t i = 0; i < right_keys.size(); ++i) {
-      if (right_keys[i] != i) segment_probe = false;
-    }
-    if (segment_probe) rel->PrepareSegments();
+  // A key set covering columns [0, k) in order is a prefix of the sealed
+  // run's sort order: seal the relation once and binary-search its columns
+  // per probe instead of building a hash index. Rows come back in set
+  // order — exactly the hash bucket's order — so output is identical.
+  bool segment_probe = rel != nullptr;
+  for (std::size_t i = 0; segment_probe && i < right_keys.size(); ++i) {
+    if (right_keys[i] != i) segment_probe = false;
   }
+  if (segment_probe) rel->PrepareSegments();
 
   const std::size_t width = out.columns.size();
   Tuple scratch;
@@ -416,30 +398,17 @@ Result<Table> JoinScanProbe(const Expr& expr, const Table& left,
       key.push_back(l[k]);
     }
     if (segment_probe && !has_null) {
-      if (auto ranges = rel->SegmentProbePrefix(key)) {
-        if (!ranges->empty()) {
-          auto emit = [&](const Tuple& match) {
-            Tuple row;
-            row.reserve(width);
-            row.insert(row.end(), l.begin(), l.end());
-            row.insert(row.end(), match.begin(), match.end());
-            out.rows.push_back(std::move(row));
-          };
-          if (ranges->count == 1) {
-            const instance::SegmentRanges::Entry& entry = ranges->entries[0];
-            for (std::size_t r = entry.begin; r < entry.end; ++r) {
-              entry.segment->CopyRow(r, &scratch);
-              emit(scratch);
-            }
-          } else {
-            // Multi-run answers must interleave in global sort order to stay
-            // byte-identical with the hash-bucket (set-order) path.
-            for (instance::SegmentRangeCursor cursor(*ranges); !cursor.Done();
-                 cursor.Advance()) {
-              emit(cursor.Row());
-            }
-          }
-        } else if (expr.join_kind() == Expr::JoinKind::kLeftOuter) {
+      if (auto range = rel->SegmentProbePrefix(key)) {
+        for (std::size_t r = range->begin; r < range->end; ++r) {
+          range->segment->CopyRow(r, &scratch);
+          Tuple row;
+          row.reserve(width);
+          row.insert(row.end(), l.begin(), l.end());
+          row.insert(row.end(), scratch.begin(), scratch.end());
+          out.rows.push_back(std::move(row));
+        }
+        if (range->empty() &&
+            expr.join_kind() == Expr::JoinKind::kLeftOuter) {
           Tuple row = l;
           row.resize(width, Value::Null());
           out.rows.push_back(std::move(row));
@@ -917,33 +886,29 @@ Result<Table> Evaluate(const Expr& expr, const Catalog& catalog,
     case Expr::Kind::kDistinct: {
       MM2_ASSIGN_OR_RETURN(Table in,
                            Evaluate(*expr.children()[0], catalog, database));
-      if (g_eval_ctx->segmented) {
-        // Sort-based dedup with the same first-occurrence output order the
-        // set-based path produces: order row indices by (row, position),
-        // keep each run's first index, then emit in original position
-        // order.
-        std::vector<std::size_t> order(in.rows.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&in](std::size_t a, std::size_t b) {
-                    if (in.rows[a] < in.rows[b]) return true;
-                    if (in.rows[b] < in.rows[a]) return false;
-                    return a < b;
-                  });
-        std::vector<char> keep(in.rows.size(), 0);
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          if (i == 0 || in.rows[order[i]] != in.rows[order[i - 1]]) {
-            keep[order[i]] = 1;
-          }
+      // Sort-based dedup keeping each row's first occurrence, in input
+      // order: order row indices by (row, position), keep each run's first
+      // index, then emit in original position order.
+      std::vector<std::size_t> order(in.rows.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(),
+                [&in](std::size_t a, std::size_t b) {
+                  if (in.rows[a] < in.rows[b]) return true;
+                  if (in.rows[b] < in.rows[a]) return false;
+                  return a < b;
+                });
+      std::vector<char> keep(in.rows.size(), 0);
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i == 0 || in.rows[order[i]] != in.rows[order[i - 1]]) {
+          keep[order[i]] = 1;
         }
-        Table out;
-        out.columns = in.columns;
-        for (std::size_t i = 0; i < in.rows.size(); ++i) {
-          if (keep[i] != 0) out.rows.push_back(std::move(in.rows[i]));
-        }
-        return out;
       }
-      return in.Distinct();
+      Table out;
+      out.columns = in.columns;
+      for (std::size_t i = 0; i < in.rows.size(); ++i) {
+        if (keep[i] != 0) out.rows.push_back(std::move(in.rows[i]));
+      }
+      return out;
     }
     case Expr::Kind::kAggregate: {
       MM2_ASSIGN_OR_RETURN(Table in,

@@ -275,28 +275,13 @@ class ChaseRun {
     }
     instance::IndexStats storage0 = target_.IndexStatsTotal();
     if (source_ != nullptr) storage0 += source_->IndexStatsTotal();
-    // Columnar storage: resolve the knob once (naive oracle always runs
-    // indexed), snapshot segment counters BEFORE the initial seal so the
-    // startup seals are attributed to this run, then seal every relation.
-    segmented_ = !options_.naive &&
-                 instance::ResolveStorageMode(options_.storage) ==
-                     instance::StorageMode::kSegmented;
-    stats_.segmented = segmented_;
-    instance::SegmentOpStats seg0;
-    // A resumed session pass is delta-sized: relations whose segments were
-    // dirtied by maintenance erases defer their O(n) reseal (probes decline
-    // to the index path) instead of paying a full rebuild per maintain.
-    const bool lazy_seal = session_ != nullptr && session_->initialized;
-    if (segmented_) {
-      seg0 = target_.SegmentStatsTotal();
-      if (source_ != nullptr) seg0 += source_->SegmentStatsTotal();
-      target_.SetSegmentPolicy(instance::ResolveSegmentPolicy(
-          options_.segment_tier_ratio, options_.segment_max_runs));
-      target_.SetStorageMode(instance::StorageMode::kSegmented);
-      target_.PrepareAllSegments(lazy_seal);
-      if (source_ != nullptr) source_->PrepareAllSegments(lazy_seal);
-    }
-    span.SetAttribute("storage_mode", segmented_ ? "segmented" : "indexed");
+    instance::SegmentOpStats seg0 = target_.SegmentStatsTotal();
+    if (source_ != nullptr) seg0 += source_->SegmentStatsTotal();
+    // Only a chase from an empty frontier seals its result on publish. A
+    // resumed maintenance pass stays delta-sized: sealing would cost
+    // O(|target|), so its readers take the set paths.
+    const bool seal_on_publish =
+        !options_.naive && (session_ == nullptr || !session_->initialized);
     // One RuleStats slot per constraint, in iteration order: SO-clauses,
     // then tgds, then egds. Labels are assigned up front so rules that
     // never fire still show up (with zero cost) in the attribution.
@@ -451,11 +436,6 @@ class ChaseRun {
       }
       ++stats_.rounds;
       if (analysis_ != nullptr) RetireStrata();
-      // Re-seal at the round boundary: the tuples this round inserted merge
-      // into each relation's sealed segment, so next round's prefix probes
-      // and retain batches run against current columns again. Resumed
-      // passes keep deferring erase-dirtied rebuilds here too.
-      if (segmented_) target_.PrepareAllSegments(lazy_seal);
       round_span.SetAttribute("tgd_firings",
                               stats_.tgd_firings - round_firings0);
       round_span.SetAttribute("nulls_created",
@@ -542,7 +522,14 @@ class ChaseRun {
         }
       }
     }
-    if (breach_.has_value()) FinishBreach(events, &span);
+    if (breach_.has_value()) {
+      FinishBreach(events, &span);
+    } else if (seal_on_publish) {
+      // The finished result is read, not chased: one seal gives its
+      // readers the sorted run (prefix ranges, columnar scans).
+      obs::ObsSpan seal_span(options_.obs, "chase.seal");
+      target_.PrepareAllSegments();
+    }
     // Re-export the resume state. A breached run stopped mid-fixpoint, so
     // its frontier is not a safe resume point — invalidate instead.
     if (session_ != nullptr) {
@@ -557,18 +544,13 @@ class ChaseRun {
     stats_.index_probes = storage1.probes - storage0.probes;
     stats_.index_probe_hits = storage1.probe_hits - storage0.probe_hits;
     stats_.index_builds = storage1.builds - storage0.builds;
-    if (segmented_) {
-      instance::SegmentOpStats seg1 = target_.SegmentStatsTotal();
-      if (source_ != nullptr) seg1 += source_->SegmentStatsTotal();
-      stats_.segment = seg1 - seg0;
-      // Candidate-sort compares from the batched retain pre-pass are booked
-      // chase-locally (they never touch a relation's counters).
-      stats_.segment += retain_seg_;
-      stats_.segment_shape = target_.SegmentShapeTotal();
-      if (source_ != nullptr) stats_.segment_shape += source_->SegmentShapeTotal();
-      span.SetAttribute("segment_probes", stats_.segment.probes);
-      span.SetAttribute("segment_compares", stats_.segment.compares);
-    }
+    instance::SegmentOpStats seg1 = target_.SegmentStatsTotal();
+    if (source_ != nullptr) seg1 += source_->SegmentStatsTotal();
+    stats_.segment = seg1 - seg0;
+    stats_.segment_shape = target_.SegmentShapeTotal();
+    if (source_ != nullptr) stats_.segment_shape += source_->SegmentShapeTotal();
+    span.SetAttribute("segment_seals", stats_.segment.seals);
+    span.SetAttribute("segment_probes", stats_.segment.probes);
     span.SetAttribute("rounds", stats_.rounds);
     span.SetAttribute("target_tuples", target_.TotalTuples());
     span.SetAttribute("index_probes", stats_.index_probes);
@@ -701,16 +683,9 @@ class ChaseRun {
     std::vector<std::pair<PlanTerm, PlanTerm>> equalities;  // SO premises
     Slot left = kNoSlot;  // egd equality
     Slot right = kNoSlot;
-    // Body atom -> first body atom over the same relation: delta views and
+    // Body atom -> first body atom over the same relation: deltas and
     // delta accounting are per relation.
     std::vector<std::size_t> first_of_relation;
-    // Head atom -> batched-retain group, one per distinct head relation.
-    std::vector<std::size_t> head_group;
-    std::size_t groups = 0;
-    // No function terms in a non-empty head: evaluation is a pure lookup,
-    // so the restricted-chase probe degenerates to ground-tuple membership
-    // and only such heads may take the batched anti-join path.
-    bool batchable = false;
   };
 
   static RulePlan CompileRule(const std::vector<Atom>& body,
@@ -729,18 +704,6 @@ class ChaseRun {
       std::size_t first = 0;
       while (body[first].relation != body[i].relation) ++first;
       plan.first_of_relation.push_back(first);
-    }
-    plan.batchable = !head.empty();
-    for (std::size_t j = 0; j < head.size(); ++j) {
-      std::size_t group = plan.groups;
-      for (std::size_t k = 0; k < j; ++k) {
-        if (head[k].relation == head[j].relation) group = plan.head_group[k];
-      }
-      if (group == plan.groups) ++plan.groups;
-      plan.head_group.push_back(group);
-      for (const Term& t : head[j].terms) {
-        if (t.kind() == Term::Kind::kFunction) plan.batchable = false;
-      }
     }
     return plan;
   }
@@ -815,27 +778,25 @@ class ChaseRun {
 
   // Semi-naive delta match: only matches where at least one body atom binds
   // a tuple inserted since that relation's watermark. One pass per body-atom
-  // position — that atom enumerates its relation's delta while the rest
-  // probe as usual. Deltas arrive as hybrid views (zero-copy slices of whole
-  // runs sealed past the watermark, log refs for the rest), so the passes
-  // enumerate in no canonical order; sorting the frames and dropping
-  // duplicates (a match can touch two delta tuples) yields exactly the
-  // std::set<Assignment> order, because slots follow variable-name order.
-  // Returns the delta sizes consumed (per distinct body relation); zero
-  // means the caller could have skipped.
+  // position — that atom enumerates its relation's delta (log refs, in
+  // insertion order) while the rest probe as usual. Sorting the frames and
+  // dropping duplicates (a match can touch two delta tuples) yields exactly
+  // the std::set<Assignment> order, because slots follow variable-name
+  // order. Returns the delta sizes consumed (per distinct body relation);
+  // zero means the caller could have skipped.
   std::size_t MatchDelta(RulePlan& plan, const Instance& db,
                          const std::map<std::string, std::size_t,
                                         std::less<>>& watermarks,
                          BodyMatch* out) {
     const std::vector<Atom>& atoms = *plan.body_atoms;
-    std::vector<instance::DeltaView> deltas(atoms.size());
+    std::vector<instance::RelationInstance::TupleRefs> deltas(atoms.size());
     std::size_t consumed = 0;
     for (std::size_t i = 0; i < atoms.size(); ++i) {
       if (plan.first_of_relation[i] != i) continue;
       const instance::RelationInstance* rel = db.Find(atoms[i].relation);
       if (rel == nullptr) continue;
       auto it = watermarks.find(atoms[i].relation);
-      deltas[i] = rel->DeltaViewSince(it == watermarks.end() ? 0 : it->second);
+      deltas[i] = rel->DeltaSince(it == watermarks.end() ? 0 : it->second);
       consumed += deltas[i].size();
     }
     frame_.resize(plan.body_slots);
@@ -843,7 +804,8 @@ class ChaseRun {
     request.db = &db;
     request.cancel = watch_token_;
     for (std::size_t i = 0; i < atoms.size(); ++i) {
-      const instance::DeltaView& delta = deltas[plan.first_of_relation[i]];
+      const instance::RelationInstance::TupleRefs& delta =
+          deltas[plan.first_of_relation[i]];
       if (delta.empty()) continue;
       request.anchor = i;
       request.delta = &delta;
@@ -1031,103 +993,12 @@ class ChaseRun {
     return inserted_any;
   }
 
-  // Restricted-chase firing with the per-match head-satisfaction probe
-  // replaced by one sorted anti-join per target relation against the sealed
-  // segments. Sound because the probe is cost-only for existential-free
-  // heads: a head already present when the serial walk reaches it either
-  // (a) predates this pass — then the pre-pass marks it present and both
-  // paths skip — or (b) was inserted earlier in this very pass — then the
-  // pre-pass misses it but InsertHead degenerates to a duplicate Insert,
-  // which counts no firing and records no provenance, exactly like the
-  // serial skip. Firing order, counters, null naming, and the final
-  // instance are bit-identical to the serial walk.
-  Result<bool> FireBatchedRetain(
-      RulePlan& plan, const BodyMatch& match,
-      const std::function<std::string()>& unbound_error) {
-    const std::size_t n = match.count;
-    const std::size_t width = plan.head.size();
-    // Head evaluation is read-only here (no invention, no Skolem table
-    // writes). An unbound head variable stops the batch at the first
-    // offending match so the serial error behavior (earlier matches fire,
-    // then the error surfaces) is preserved exactly.
-    std::vector<Tuple> facts(n * width);
-    std::size_t usable = 0;
-    for (; usable < n; ++usable) {
-      if (!EvalHead(plan, match.row(usable), /*invent=*/false,
-                    &facts[usable * width])) {
-        break;
-      }
-    }
-    // Group candidate tuples per head relation, sort each group (compares
-    // booked chase-locally — they never touch a relation's counters), and
-    // resolve the whole group with one merge walk over the segments.
-    std::vector<char> fact_present(usable * width, 0);
-    std::vector<std::pair<const Tuple*, std::size_t>> items;
-    std::vector<const Tuple*> cands;
-    std::vector<char> present;
-    for (std::size_t group = 0; group < plan.groups; ++group) {
-      items.clear();
-      const instance::RelationInstance* rel = nullptr;
-      for (std::size_t j = 0; j < width; ++j) {
-        if (plan.head_group[j] == group) rel = TargetRelation(plan.head[j]);
-      }
-      if (rel == nullptr) continue;  // absent relation: nothing is present
-      for (std::size_t flat = 0; flat < usable * width; ++flat) {
-        if (plan.head_group[flat % width] == group) {
-          items.emplace_back(&facts[flat], flat);
-        }
-      }
-      std::uint64_t* compares = &retain_seg_.compares;
-      std::sort(items.begin(), items.end(),
-                [compares](const auto& a, const auto& b) {
-                  ++*compares;
-                  return *a.first < *b.first;
-                });
-      cands.clear();
-      for (const auto& item : items) cands.push_back(item.first);
-      rel->RetainExisting(cands, &present);
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        if (present[k] != 0) fact_present[items[k].second] = 1;
-      }
-    }
-    // Serial in-order walk: fire exactly the matches whose head is not
-    // fully present yet. This is the only mutating stage.
-    bool changed = false;
-    for (std::size_t i = 0; i < usable; ++i) {
-      const std::size_t base = i * width;
-      bool all = true;
-      for (std::size_t j = 0; j < width; ++j) {
-        if (fact_present[base + j] == 0) {
-          all = false;
-          break;
-        }
-      }
-      // Sessions fall through even when every head fact is present:
-      // InsertHead degenerates to duplicate Inserts but still books the
-      // witnesses, keeping the support index complete.
-      if (all && session_ == nullptr) continue;
-      MM2_ASSIGN_OR_RETURN(bool inserted,
-                           InsertHead(plan, match.row(i), &facts[base]));
-      changed |= inserted;
-    }
-    if (usable < n) return Status::Internal(unbound_error());
-    return changed;
-  }
-
   Result<bool> FireSoClause(const logic::SoTgdClause& clause,
                             std::size_t rule_index) {
     RulePlan& plan = plans_[rule_index];
     bool changed = false;
     BodyMatch match = MatchBody(rule_index, read_db());
     CommitWatermarks(rule_index, match);
-    // Premise equalities can unify mid-pass (state-dependent), so only
-    // equality-free clauses with lookup-only heads take the batched path.
-    if (segmented_ && options_.restricted && clause.equalities.empty() &&
-        plan.batchable && match.count > 0) {
-      return FireBatchedRetain(plan, match, [&clause] {
-        return "unbound head variable in SO-tgd clause: " + clause.ToString();
-      });
-    }
     head_tuples_.resize(plan.head.size());
     for (std::size_t i = 0; i < match.count; ++i) {
       const Value* frame = match.row(i);
@@ -1201,16 +1072,6 @@ class ChaseRun {
     bool changed = false;
     BodyMatch match = MatchBody(rule_index, read_db());
     CommitWatermarks(rule_index, match);
-    // Existential-free heads are fully ground under each match, so the
-    // satisfaction probe is exactly a membership test — batchable as one
-    // anti-join per relation.
-    if (segmented_ && options_.restricted &&
-        plan.slots.size() == plan.body_slots && plan.batchable &&
-        match.count > 0) {
-      return FireBatchedRetain(plan, match, [&tgd] {
-        return "unbound head variable in tgd: " + tgd.ToString();
-      });
-    }
     head_tuples_.resize(plan.head.size());
     for (std::size_t i = 0; i < match.count; ++i) {
       frame_.resize(plan.slots.size());
@@ -1442,11 +1303,6 @@ class ChaseRun {
   // the rule has completed its first (full) pass.
   std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks_;
   std::vector<bool> matched_once_;
-  // Columnar-storage state: the resolved ChaseOptions::storage knob, and
-  // the chase-local segment counters (batched-retain candidate sorting)
-  // that no single relation can book for itself.
-  bool segmented_ = false;
-  instance::SegmentOpStats retain_seg_;
   // Stratified-scheduler state, all empty when analysis_ is null. Indexed
   // by stratum id (= the analysis' topological order).
   const analysis::MappingAnalysis* analysis_ = nullptr;
@@ -1493,38 +1349,18 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
   m.GetHistogram("chase.rounds_per_run",
                  {1, 2, 3, 5, 8, 13, 21, 50, 100, 1000, 10000})
       .Record(static_cast<double>(stats.rounds));
-  // Columnar-storage family: materialized only for segmented runs, so
-  // indexed sessions keep their exact pre-existing metric surface.
-  if (stats.segmented) {
-    m.GetGauge("storage.mode.segmented").Set(1);
+  // Sealed-run family: materialized once a run sealed or served a probe,
+  // so chases that never touch a run keep a run-free metric surface.
+  if (stats.segment.any()) {
     const instance::SegmentOpStats& seg = stats.segment;
     m.GetCounter("storage.segment.seals").Increment(seg.seals);
     m.GetCounter("storage.segment.sealed_rows").Increment(seg.sealed_rows);
-    m.GetCounter("storage.segment.merges").Increment(seg.merges);
-    m.GetCounter("storage.segment.merged_rows").Increment(seg.merged_rows);
     m.GetCounter("storage.segment.compares").Increment(seg.compares);
     m.GetCounter("storage.segment.probes").Increment(seg.probes);
     m.GetCounter("storage.segment.probe_hits").Increment(seg.probe_hits);
     m.GetCounter("storage.segment.skips").Increment(seg.skips);
-    m.GetCounter("storage.segment.fallbacks").Increment(seg.fallbacks);
-    m.GetCounter("storage.segment.retain_batches")
-        .Increment(seg.retain_batches);
-    m.GetCounter("storage.segment.retain_candidates")
-        .Increment(seg.retain_candidates);
-    m.GetCounter("storage.segment.retain_hits").Increment(seg.retain_hits);
-    m.GetCounter("storage.segment.compactions").Increment(seg.compactions);
-    m.GetCounter("storage.segment.delta_slices").Increment(seg.delta_slices);
-    m.GetCounter("storage.segment.delta_slice_rows")
-        .Increment(seg.delta_slice_rows);
-    m.GetCounter("storage.segment.deferred_rebuilds")
-        .Increment(seg.deferred_rebuilds);
-    const instance::SegmentShape& shape = stats.segment_shape;
     m.GetGauge("storage.segment.live_segments")
-        .Set(static_cast<std::int64_t>(shape.live_segments));
-    m.GetGauge("storage.segment.tiers")
-        .Set(static_cast<std::int64_t>(shape.tiers));
-    m.GetGauge("storage.segment.tail_rows")
-        .Set(static_cast<std::int64_t>(shape.tail_rows));
+        .Set(static_cast<std::int64_t>(stats.segment_shape.live_segments));
   }
   // Strata + foresight families: materialized only for analysis-scheduled
   // runs, so plain chases keep their exact pre-existing metric surface.
@@ -1773,8 +1609,8 @@ namespace {
 
 // Evaluates a conjunctive query's body through one compiled plan and
 // projects every match onto the head. Answers land in a set, so the plan
-// may read sealed runs in run order. `certain` drops rows carrying a
-// labeled null.
+// may scan a sealed run's columns instead of walking the set. `certain`
+// drops rows carrying a labeled null.
 Result<std::vector<Tuple>> Answers(const logic::ConjunctiveQuery& query,
                                    const Instance& database, bool certain) {
   MM2_RETURN_IF_ERROR(query.Validate());

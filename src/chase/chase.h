@@ -109,30 +109,16 @@ struct ChaseOptions {
   bool require_weak_acyclicity = false;
   // Evaluation strategy. `naive` restores the original rescan-everything
   // nested-loop executor — the oracle path for differential testing; it
-  // never probes indexes or consults deltas. Otherwise matching is
-  // index-backed, and `semi_naive` (the default) additionally restricts a
-  // rule's re-match after its first full pass to assignments where at least
-  // one body atom binds a tuple from that relation's delta set (tuples
-  // inserted since the rule's per-relation watermark).
+  // never probes indexes, consults deltas or seals its result. Otherwise
+  // matching runs compiled plans, and `semi_naive` (the default)
+  // additionally restricts a rule's re-match after its first full pass to
+  // assignments where at least one body atom binds a tuple from that
+  // relation's delta set (tuples inserted since the rule's per-relation
+  // watermark). Either way the chase reads and writes the set and the
+  // insert log only; a chase from an empty frontier seals its finished
+  // target once on publish (RelationInstance::PrepareSegments).
   bool naive = false;
   bool semi_naive = true;
-  // Physical storage for the match/fire hot paths. kSegmented shadows each
-  // relation with immutable sorted column-major segments (sealed at round
-  // boundaries): bound-prefix probes binary-search the sorted view instead
-  // of the hash index, and restricted-chase head checks for existential-free
-  // rules run as one batched retain/anti-join pass per head relation. Both
-  // are enumeration-order-preserving, so instance text, firing counters,
-  // and null naming stay bit-identical to kIndexed (the differential
-  // oracle). kDefault defers to the MM2_STORAGE environment variable; the
-  // naive oracle ignores the knob entirely.
-  instance::StorageMode storage = instance::StorageMode::kDefault;
-  // LSM tier thresholds for the segmented run lists (see SegmentPolicy):
-  // a freshly sealed tail run is merged into its predecessor only while
-  // newest_rows * tier_ratio >= predecessor_rows, and at most max_runs
-  // runs stay live. 0 defers to MM2_SEGMENT_TIER_RATIO / MM2_SEGMENT_MAX_RUNS
-  // (defaults 4 / 6). Ignored under kIndexed.
-  std::size_t segment_tier_ratio = 0;
-  std::size_t segment_max_runs = 0;
   // --- Resource budgets (the watchdog; 0 = unlimited) --------------------
   // Soft limits checked at every round boundary. On breach the chase stops
   // *gracefully*: Run returns OK with ChaseResult::breach describing which
@@ -235,16 +221,13 @@ struct ChaseStats {
   // empty.
   std::size_t delta_tuples = 0;
   std::size_t delta_skips = 0;
-  // Segment-storage telemetry, mirrored as `storage.segment.*`. `segmented`
-  // records which backend ran; everything stays zero on indexed runs so
-  // their stats/metric surface is untouched. `segment` is diffed from the
-  // instances' cumulative SegmentOpStats around Run() (like index_probes)
-  // plus the chase-side retain bookkeeping (candidate sorts).
-  bool segmented = false;
+  // Sealed-run telemetry, mirrored as `storage.segment.*` and diffed from
+  // the instances' cumulative SegmentOpStats around Run() (like
+  // index_probes): the seal on publish, plus prefix probes served by runs
+  // the source already held.
   instance::SegmentOpStats segment;
-  // End-of-run shape of the tiered run lists (summed over the target and,
-  // in exchange mode, the sealed source), mirrored as `storage.segment.*`
-  // gauges. Zero on indexed runs.
+  // Relations holding a current run when the run ended (the target and, in
+  // exchange mode, the source).
   instance::SegmentShape segment_shape;
   // Stratified-scheduling + foresight telemetry, mirrored as
   // `chase.strata.*` / `chase.foresight.*`. All zero (and the metric

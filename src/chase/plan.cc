@@ -1,6 +1,7 @@
 #include "chase/plan.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/event.h"  // CancelToken
 
@@ -204,10 +205,14 @@ void MatchPlan::Order(const Request& request) {
     for (const Column& column : atom.columns) {
       if (!column.constant) bound_[column.slot] = 1;
     }
+    depth.opens = 0;
+    depth.walked = 0;
     if (d == 0 && request.anchor != kNoAnchor) {
       depth.path = Path::kDelta;
     } else if (depth.prefix > 0) {
-      depth.path = Path::kPrefix;
+      depth.path = atom.hashed && depth.prefix < depth.cols.size()
+                       ? Path::kHash
+                       : Path::kPrefix;
     } else if (depth.cols.empty() || (d == 0 && inputs_ == 0)) {
       depth.path = Path::kScan;
     } else {
@@ -218,6 +223,7 @@ void MatchPlan::Order(const Request& request) {
 
 void MatchPlan::Open(Depth& depth, const Request& request,
                      const Value* frame) {
+  ++depth.opens;
   Cursor& cursor = depth.cursor;
   cursor.kind = Cursor::Kind::kDone;
   const Atom& atom = atoms_[depth.atom];
@@ -238,37 +244,30 @@ void MatchPlan::Open(Depth& depth, const Request& request,
                             : rel->tuples().lower_bound(depth.key_values);
     cursor.end = rel->tuples().end();
   };
+  // The sealed run's rows under the leading `prefix` key, when it has one.
+  auto read_run = [&](std::uint32_t prefix) {
+    fill_key(prefix);
+    std::optional<instance::SegmentRange> range =
+        rel->SegmentProbePrefix(depth.key_values);
+    if (!range.has_value()) return false;
+    cursor.kind = Cursor::Kind::kRun;
+    cursor.segment = range->segment;
+    cursor.row = range->begin;
+    cursor.row_end = range->end;
+    depth.walked += range->size();
+    return true;
+  };
   switch (depth.path) {
     case Path::kDelta:
-      cursor.kind = Cursor::Kind::kDelta;
-      cursor.view = request.delta;
-      cursor.ref = request.delta->refs.data();
-      cursor.ref_end = cursor.ref + request.delta->refs.size();
-      cursor.part = 0;
-      cursor.row = 0;
+      cursor.kind = Cursor::Kind::kRefs;
+      cursor.ref = request.delta->data();
+      cursor.ref_end = cursor.ref + request.delta->size();
       return;
     case Path::kScan:
-      if (!request.any_order) {
-        walk(0);
-        return;
-      }
-      // An empty prefix: every row of the live runs.
-      [[fallthrough]];
+      if (!request.any_order || !read_run(0)) walk(0);
+      return;
     case Path::kPrefix:
-      fill_key(depth.prefix);
-      if (auto ranges = rel->SegmentProbePrefix(depth.key_values)) {
-        cursor.kind = Cursor::Kind::kRanges;
-        cursor.ranges = *ranges;
-        cursor.part = 0;
-        cursor.row = 0;
-        if (cursor.ranges.count > 1 && !request.any_order) {
-          cursor.merge.emplace(cursor.ranges);
-        } else {
-          cursor.merge.reset();
-        }
-      } else {
-        walk(depth.prefix);
-      }
+      if (!read_run(depth.prefix)) walk(depth.prefix);
       return;
     case Path::kHash: {
       fill_key(depth.cols.size());
@@ -300,48 +299,17 @@ bool MatchPlan::Next(Depth& depth, RowRef* row) {
       }
       *row = RowRef{&tuple, nullptr, 0};
       ++cursor.it;
+      ++depth.walked;
       return true;
     }
     case Cursor::Kind::kRefs:
       if (cursor.ref == cursor.ref_end) return false;
       *row = RowRef{*cursor.ref++, nullptr, 0};
       return true;
-    case Cursor::Kind::kRanges: {
-      if (cursor.merge.has_value()) {
-        if (cursor.merge->Done()) return false;
-        *row = RowRef{nullptr, cursor.merge->segment(), cursor.merge->row()};
-        cursor.merge->Advance();
-        return true;
-      }
-      const instance::SegmentRanges& ranges = cursor.ranges;
-      while (cursor.part < ranges.count) {
-        const instance::SegmentRanges::Entry& entry = ranges.entries[cursor.part];
-        if (entry.begin + cursor.row < entry.end) {
-          *row = RowRef{nullptr, entry.segment, entry.begin + cursor.row++};
-          return true;
-        }
-        ++cursor.part;
-        cursor.row = 0;
-      }
-      return false;
-    }
-    case Cursor::Kind::kDelta: {
-      if (cursor.ref != cursor.ref_end) {
-        *row = RowRef{*cursor.ref++, nullptr, 0};
-        return true;
-      }
-      const std::vector<instance::DeltaSlice>& slices = cursor.view->slices;
-      while (cursor.part < slices.size()) {
-        const instance::DeltaSlice& slice = slices[cursor.part];
-        if (slice.begin + cursor.row < slice.end) {
-          *row = RowRef{nullptr, slice.segment, slice.begin + cursor.row++};
-          return true;
-        }
-        ++cursor.part;
-        cursor.row = 0;
-      }
-      return false;
-    }
+    case Cursor::Kind::kRun:
+      if (cursor.row == cursor.row_end) return false;
+      *row = RowRef{nullptr, cursor.segment, cursor.row++};
+      return true;
   }
   return false;
 }
@@ -403,7 +371,26 @@ std::size_t MatchPlan::Run(const Request& request, Value* frame,
     ++d;
     Open(depths_[d], request, frame);
   }
+  NoteWalks();
   return found;
+}
+
+// Folds this Run's walks at path-2 depths that check bound columns past
+// the prefix into their atoms: a prefix that keeps matching many rows the
+// other bound columns reject (say, a leading column with one value) costs
+// a walk of the whole range per open, while the hash index over all bound
+// columns answers with exactly the matching bucket.
+void MatchPlan::NoteWalks() {
+  for (const Depth& depth : depths_) {
+    if (depth.path != Path::kPrefix || depth.prefix == depth.cols.size()) {
+      continue;
+    }
+    Atom& atom = atoms_[depth.atom];
+    atom.walk_opens += depth.opens;
+    atom.walk_rows += depth.walked;
+    atom.hashed = atom.walk_opens >= kMinWalkOpens &&
+                  atom.walk_rows > kMaxWalkPerOpen * atom.walk_opens;
+  }
 }
 
 }  // namespace mm2::chase

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -79,18 +78,20 @@ std::vector<PlanAtom> CompileAtoms(const std::vector<logic::Atom>& atoms,
 // Each call orders the atoms with the greedy most-bound-first rule (ties go
 // to the smaller relation, then to the earlier atom) and gives every depth
 // an access path:
-//   1. bound columns forming a sorted prefix: the sealed runs' prefix
-//      ranges while the view is current, else an ordered range over the
-//      relation's set;
+//   1. bound columns forming a sorted prefix: the sealed run's prefix range
+//      while the relation holds one, else an ordered range over its set;
 //   2. a bound leading column: the same ordered range over the longest
 //      leading bound prefix, the other bound columns checked in the frame;
 //   3. no bound leading column at the outermost atom of an unseeded plan, or
 //      no bound column at all: a scan that checks constants before binding
-//      (a walk of the set, or path 1 with an empty prefix when the caller
-//      does not depend on order);
+//      (a walk of the set, or the sealed run's columns when the caller does
+//      not depend on order);
 //   4. otherwise (inner depths, seeded probes): the relation's hash index.
-// Unless the caller asks for any order, every path enumerates in set
-// order, so results come out in the nested-loop order of a full scan.
+// A path-2 depth whose prefix range proves unselective moves to path 4: the
+// plan counts the rows such a depth walks per open, and once the average
+// passes kMaxWalkPerOpen the atom takes the hash index for the rest of the
+// plan's life. Every path enumerates in set order, so results come out in
+// the nested-loop order of a full scan and the switch reorders nothing.
 class MatchPlan {
  public:
   static constexpr std::size_t kNoAnchor = static_cast<std::size_t>(-1);
@@ -98,14 +99,19 @@ class MatchPlan {
   struct Request {
     const instance::Instance* db = nullptr;
     const obs::CancelToken* cancel = nullptr;
-    // The caller does not depend on match order (its answers land in a
-    // set), so sealed-run ranges are read run by run instead of merged,
-    // and path 3 reads the runs' columns instead of walking the set.
+    // The caller collects its answers in a set, so path 3 may scan a
+    // sealed run's columns instead of walking the set.
     bool any_order = false;
-    // Semi-naive delta pass: atom `anchor` goes first and enumerates `delta`.
+    // Semi-naive delta pass: atom `anchor` goes first and enumerates the
+    // `delta` log refs.
     std::size_t anchor = kNoAnchor;
-    const instance::DeltaView* delta = nullptr;
+    const instance::RelationInstance::TupleRefs* delta = nullptr;
   };
+
+  // Average rows a path-2 depth may walk per open before its atom moves to
+  // the hash index, and the opens that average needs before it counts.
+  static constexpr std::uint64_t kMaxWalkPerOpen = 64;
+  static constexpr std::uint64_t kMinWalkOpens = 16;
 
   MatchPlan() = default;
   MatchPlan(const std::vector<logic::Atom>& atoms, const SlotMap& slots,
@@ -129,6 +135,12 @@ class MatchPlan {
     std::string relation;
     std::vector<Column> columns;
     const instance::RelationInstance* rel = nullptr;
+    // Opens and rows walked at path-2 depths that check bound columns past
+    // the prefix, summed over Runs; `hashed` sends such accesses to the
+    // hash index from then on.
+    std::uint64_t walk_opens = 0;
+    std::uint64_t walk_rows = 0;
+    bool hashed = false;
   };
   enum class OpKind : std::uint8_t { kConstant, kCheck, kBind };
   struct Op {
@@ -148,18 +160,14 @@ class MatchPlan {
     }
   };
   struct Cursor {
-    enum class Kind : std::uint8_t { kDone, kSet, kRefs, kRanges, kDelta };
+    enum class Kind : std::uint8_t { kDone, kSet, kRefs, kRun };
     Kind kind = Kind::kDone;
     std::set<instance::Tuple>::const_iterator it, end;
     const instance::Tuple* const* ref = nullptr;
     const instance::Tuple* const* ref_end = nullptr;
-    instance::SegmentRanges ranges;
-    // kRanges: merges several runs' ranges in set order; when empty, the
-    // ranges are walked one after another.
-    std::optional<instance::SegmentRangeCursor> merge;
-    std::size_t part = 0;  // kRanges: current range; kDelta: slice
-    std::size_t row = 0;   // kRanges, kDelta: row within the current part
-    const instance::DeltaView* view = nullptr;
+    const instance::Segment* segment = nullptr;  // kRun: rows [row, row_end)
+    std::size_t row = 0;
+    std::size_t row_end = 0;
   };
   struct Depth {
     std::uint32_t atom = 0;
@@ -171,6 +179,9 @@ class MatchPlan {
     instance::RelationInstance::ColumnSet cols;  // the bound columns
     instance::Tuple key_values;
     Cursor cursor;
+    // This Run: opens, and rows of set walks plus sealed-run ranges.
+    std::uint64_t opens = 0;
+    std::uint64_t walked = 0;
   };
   struct Candidate {
     std::size_t bound = 0;
@@ -187,6 +198,7 @@ class MatchPlan {
   bool Next(Depth& depth, RowRef* row);
   static bool Apply(const Depth& depth, const RowRef& row,
                     instance::Value* frame);
+  void NoteWalks();
 
   std::vector<Atom> atoms_;
   std::size_t stride_ = 0;

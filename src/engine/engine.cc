@@ -283,7 +283,6 @@ Status Engine::Exchange(const std::string& out_instance,
     op.SetAttribute("clauses", MappingClauses(m));
     op.SetAttribute("source_tuples", source.TotalTuples());
     runtime::ExchangeOptions options;
-    options.storage = storage_;
     // Provenance is always on for engine-level exchanges: it is what the
     // `why` command reads back, and breach diagnostics lean on it too.
     options.track_provenance = true;
@@ -532,7 +531,6 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
   runtime::ExchangeSession& session = *open.session;
   // The session replays the engine's current knobs, not the ones in force
   // when the exchange opened it.
-  session.options.storage = storage_;
   session.options.wall_budget_us = budget_wall_us_;
   session.options.tuple_budget = budget_tuples_;
   session.options.rss_budget_kb = budget_rss_kb_;
@@ -693,16 +691,6 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
                            Match(tokens[1], tokens[2]));
       log.push_back("matched " + tokens[1] + " ~ " + tokens[2] + ": " +
                     std::to_string(result.best.size()) + " correspondences");
-    } else if (op == "storage") {
-      MM2_RETURN_IF_ERROR(need(1));
-      if (tokens[1] == "indexed") {
-        SetStorageMode(instance::StorageMode::kIndexed);
-      } else if (tokens[1] == "segmented") {
-        SetStorageMode(instance::StorageMode::kSegmented);
-      } else {
-        return fail("storage takes 'indexed' or 'segmented'");
-      }
-      log.push_back("storage " + tokens[1]);
     } else if (op == "stats") {
       if (tokens.size() > 1 && tokens[1] != "--json") {
         return fail("stats takes no argument or --json");

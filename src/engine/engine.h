@@ -93,15 +93,6 @@ class Engine {
     return *owned_obs_;
   }
 
-  // Storage representation for chase-backed operators. kDefault defers to
-  // the MM2_STORAGE environment variable (default: segmented); kSegmented
-  // backs the chase hot path with a tiered list of sorted columnar
-  // segments, kIndexed restores the plain set + lazy hash indexes.
-  // Results are bit-identical either way. Scripts set this via the
-  // `storage indexed|segmented` command.
-  void SetStorageMode(instance::StorageMode mode) { storage_ = mode; }
-  instance::StorageMode storage_mode() const { return storage_; }
-
   // Soft resource budgets applied to chase-backed commands (exchange);
   // 0 = unlimited. On a breach the chase stops gracefully: the partial
   // instance is still registered (suffixed diagnostics name the dominant
@@ -187,11 +178,6 @@ class Engine {
   //   oogen <outSchema> <outMap> <relationalSchema>
   //   nestedgen <outSchema> <outMap> <relationalSchema>
   //   match <left> <right>
-  //   storage indexed|segmented      (chase storage representation;
-  //                                   default defers to MM2_STORAGE.
-  //                                   segmented = sorted columnar segments
-  //                                   on the chase hot path, bit-identical
-  //                                   results)
   //   stats [--json]                 (dump the metrics registry snapshot;
   //                                   --json emits one machine-readable
   //                                   line with the same metric names)
@@ -242,7 +228,6 @@ class Engine {
   Repository repo_;
   obs::Context* obs_ = nullptr;              // attached collector, if any
   std::unique_ptr<obs::Context> owned_obs_;  // fallback, created lazily
-  instance::StorageMode storage_ = instance::StorageMode::kDefault;
   std::uint64_t budget_wall_us_ = 0;         // soft chase budgets; 0 = off
   std::size_t budget_tuples_ = 0;
   std::size_t budget_rss_kb_ = 0;

@@ -12,28 +12,12 @@ RelationInstance::RelationInstance(const RelationInstance& other)
     : arity_(other.arity_),
       tuples_(other.tuples_),
       generation_(other.generation_),
-      storage_mode_(other.storage_mode_),
-      policy_(other.policy_),
-      runs_(other.runs_),  // segments are immutable — shared, not deep-copied
-      // The rebuilt log below is in set order, not insertion order, so the
-      // copied runs' log spans no longer describe it: slice-served deltas
-      // must decline until the next full rebuild restores the tiling.
-      runs_tiled_(other.runs_.empty()),
-      segment_dirty_(other.segment_dirty_),
-      segment_generation_(other.segment_generation_) {
-  // Indexes, the insert log and the tail hold pointers into the *source*
-  // set; rebuild the log over our own nodes (set order — deterministic),
-  // re-point the tail, and let indexes re-materialize lazily. Watermark 0
-  // still means "everything".
+      run_(other.run_) {  // runs are immutable: shared, not deep-copied
+  // Indexes and the insert log hold pointers into the *source* set; rebuild
+  // the log over our own nodes (set order — deterministic) and let indexes
+  // re-materialize lazily. Watermark 0 still means "everything".
   log_.reserve(tuples_.size());
   for (const Tuple& t : tuples_) log_.push_back(&t);
-  CopyTail(other);
-}
-
-void RelationInstance::CopyTail(const RelationInstance& other) {
-  tail_.clear();
-  tail_.reserve(other.tail_.size());
-  for (const Tuple* t : other.tail_) tail_.push_back(&*tuples_.find(*t));
 }
 
 RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
@@ -48,14 +32,8 @@ RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
   log_pos_tracked_ = false;
   indexes_.clear();
   stats_.Store(IndexStats{});
+  run_ = other.run_;
   seg_stats_.Store(SegmentOpStats{});
-  storage_mode_ = other.storage_mode_;
-  policy_ = other.policy_;
-  runs_ = other.runs_;
-  runs_tiled_ = other.runs_.empty();  // see copy ctor: log is in set order
-  CopyTail(other);
-  segment_dirty_ = other.segment_dirty_;
-  segment_generation_ = other.segment_generation_;
   return *this;
 }
 
@@ -67,13 +45,7 @@ RelationInstance::RelationInstance(RelationInstance&& other) noexcept
       log_pos_(std::move(other.log_pos_)),
       log_pos_tracked_(other.log_pos_tracked_),
       indexes_(std::move(other.indexes_)),
-      storage_mode_(other.storage_mode_),
-      policy_(other.policy_),
-      runs_(std::move(other.runs_)),
-      runs_tiled_(other.runs_tiled_),
-      tail_(std::move(other.tail_)),
-      segment_dirty_(other.segment_dirty_),
-      segment_generation_(other.segment_generation_) {
+      run_(std::move(other.run_)) {
   // Moving a std::set transfers its nodes, so log/index pointers survive.
   stats_.Store(other.stats_.Load());
   seg_stats_.Store(other.seg_stats_.Load());
@@ -91,13 +63,7 @@ RelationInstance& RelationInstance::operator=(
   log_pos_tracked_ = other.log_pos_tracked_;
   indexes_ = std::move(other.indexes_);
   stats_.Store(other.stats_.Load());
-  storage_mode_ = other.storage_mode_;
-  policy_ = other.policy_;
-  runs_ = std::move(other.runs_);
-  runs_tiled_ = other.runs_tiled_;
-  tail_ = std::move(other.tail_);
-  segment_dirty_ = other.segment_dirty_;
-  segment_generation_ = other.segment_generation_;
+  run_ = std::move(other.run_);
   seg_stats_.Store(other.seg_stats_.Load());
   other.log_pos_tracked_ = false;  // its map moved away; must not trust it
   return *this;
@@ -142,11 +108,7 @@ bool RelationInstance::Insert(Tuple tuple) {
   const Tuple* node = &*it;
   log_.push_back(node);
   if (log_pos_tracked_) log_pos_.emplace(node, log_.size() - 1);
-  // Segment tail: remember the insert so the next seal can merge
-  // incrementally. Pointless once dirty (a full rebuild is coming anyway).
-  if (storage_mode_ == StorageMode::kSegmented && !segment_dirty_) {
-    tail_.push_back(node);
-  }
+  run_.reset();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   IndexInsert(node);
   return true;
@@ -168,29 +130,14 @@ bool RelationInstance::Erase(const Tuple& tuple) {
     }
     log_pos_tracked_ = true;
   }
-  std::size_t log_pos = log_.size();
   auto pos_it = log_pos_.find(node);
   if (pos_it != log_pos_.end()) {
-    log_pos = pos_it->second;
-    log_[log_pos] = nullptr;
+    log_[pos_it->second] = nullptr;
     log_pos_.erase(pos_it);
   }
   tuples_.erase(it);
   ++generation_;
-  // Sealed runs cannot un-say a row: flag for a full rebuild at the next
-  // seal and drop the now-untrustworthy tail. The run covering the
-  // tombstoned log position books the loss, so DeltaViewSince can keep
-  // serving the *other* runs as zero-copy slices through the erase epoch.
-  if (!runs_.empty() || !tail_.empty()) {
-    segment_dirty_ = true;
-    tail_.clear();
-    for (SealedRun& run : runs_) {
-      if (run.log_begin <= log_pos && log_pos < run.log_end) {
-        ++run.dead;
-        break;
-      }
-    }
-  }
+  run_.reset();
   return true;
 }
 
@@ -200,15 +147,7 @@ void RelationInstance::Clear() {
   log_pos_.clear();
   log_pos_tracked_ = false;
   ++generation_;
-  if (!runs_.empty() || !tail_.empty()) {
-    segment_dirty_ = true;
-    tail_.clear();
-    // The log just reset, so the old spans no longer tile it; drop the
-    // runs outright (an empty run list is trivially tiled) instead of
-    // letting DeltaViewSince trust slices over vanished rows.
-    runs_.clear();
-    runs_tiled_ = true;
-  }
+  run_.reset();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   indexes_.clear();
 }
@@ -266,292 +205,25 @@ RelationInstance::TupleRefs RelationInstance::DeltaSince(
 
 IndexStats RelationInstance::index_stats() const { return stats_.Load(); }
 
-void RelationInstance::set_storage_mode(StorageMode mode) {
-  mode = ResolveStorageMode(mode);
-  if (mode == storage_mode_) return;
-  storage_mode_ = mode;
-  // Either direction invalidates the incremental state: entering
-  // kSegmented means past inserts were not tail-tracked; leaving it drops
-  // the view entirely.
-  runs_.clear();
-  runs_tiled_ = true;
-  tail_.clear();
-  segment_dirty_ = false;
-  segment_generation_ = 0;
-}
-
-void RelationInstance::CompactLocked(SegmentOpStats* stats) const {
-  // Size-tiered compaction: merge the two newest runs while the newest is
-  // not "small enough" relative to its predecessor, or while the run list
-  // exceeds its cap. Each surviving run ends up >= tier_ratio times larger
-  // than the one after it, so a tuple is re-merged only O(log n) times
-  // over a chase. Merging adjacent runs keeps log spans contiguous, which
-  // preserves the tiling DeltaViewSince depends on.
-  while (runs_.size() > 1) {
-    SealedRun& newest = runs_.back();
-    SealedRun& prev = runs_[runs_.size() - 2];
-    const bool oversized =
-        newest.segment->rows() * policy_.tier_ratio >= prev.segment->rows();
-    if (!oversized && runs_.size() <= policy_.max_runs) break;
-    SealedRun merged;
-    merged.segment = MergeSegments({prev.segment, newest.segment}, stats);
-    merged.log_begin = prev.log_begin;
-    merged.log_end = newest.log_end;
-    // Compaction only runs in insert-only epochs (dead is always 0 here),
-    // but carry the counters anyway so the slice-safety invariant survives
-    // any future caller.
-    merged.dead = prev.dead + newest.dead;
-    runs_.pop_back();
-    runs_.back() = std::move(merged);
-    if (stats != nullptr) ++stats->compactions;
-  }
-}
-
-void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
+void RelationInstance::PrepareSegments() const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
-  if (SegmentCurrent()) return;
+  if (run_ != nullptr) return;
   SegmentOpStats local;
-  if (defer_dirty_rebuild && storage_mode_ == StorageMode::kSegmented &&
-      segment_dirty_ && runs_tiled_ && !runs_.empty()) {
-    // Erase-dirtied view inside a delta-sized pass: the pass issues few
-    // probes, so the O(n) rebuild below would dominate it. Leave the view
-    // stale while tombstone debt is low — probes decline to the index path
-    // and DeltaViewSince still answers exactly (tiling stays trusted, dead
-    // rows are booked per run). Rebuild once debt passes 1/4 of live rows.
-    std::size_t dead = 0;
-    for (const SealedRun& run : runs_) dead += run.dead;
-    if (dead * 4 < tuples_.size()) {
-      ++local.deferred_rebuilds;
-      seg_stats_.Add(local);
-      return;
-    }
-  }
-  if (storage_mode_ == StorageMode::kSegmented && !runs_.empty() &&
-      !segment_dirty_ && runs_tiled_ && !tail_.empty()) {
-    // Insert-only epoch: seal the tail into a NEW small run covering the
-    // log span since the last seal — the base runs are left untouched, and
-    // tiered compaction below decides how much merging is actually due.
-    const std::size_t span_begin = runs_.back().log_end;
-    SealedRun run;
-    run.segment = SegmentInserter::FromRefs(arity_, std::move(tail_), &local);
-    tail_.clear();
-    run.log_begin = span_begin;
-    run.log_end = log_.size();
-    runs_.push_back(std::move(run));
-    CompactLocked(&local);
-  } else {
-    // Full rebuild: set iteration is already sorted and unique. One run
-    // covering the whole log restores the tiling invariant (copied
-    // relations arrive here with untrusted spans).
-    runs_.clear();
-    SealedRun run;
-    run.segment = SegmentInserter::FromSorted(arity_, tuples_, &local);
-    run.log_begin = 0;
-    run.log_end = log_.size();
-    runs_.push_back(std::move(run));
-    runs_tiled_ = true;
-    tail_.clear();
-    segment_dirty_ = false;
-  }
-  segment_generation_ = generation_;
+  run_ = SegmentInserter::FromSorted(arity_, tuples_, &local);
   seg_stats_.Add(local);
 }
 
-std::optional<SegmentRanges> RelationInstance::SegmentProbePrefix(
+std::optional<SegmentRange> RelationInstance::SegmentProbePrefix(
     const Tuple& key) const {
-  // Declines are counted only under kSegmented: the chase probes here
-  // unconditionally before the hash path, and indexed sessions must keep
-  // their zero-atomic hot path (and their exact telemetry surface).
-  if (runs_.empty() || segment_dirty_ || segment_generation_ != generation_ ||
-      key.size() > arity_ || runs_.size() > SegmentRanges::kMaxRanges) {
-    if (storage_mode_ == StorageMode::kSegmented) {
-      seg_stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-    return std::nullopt;
-  }
+  if (run_ == nullptr || key.size() > arity_) return std::nullopt;
   SegmentOpStats local;
-  SegmentRanges out;
-  for (const SealedRun& run : runs_) {
-    Segment::RowRange rows =
-        run.segment->EqualRange(key.data(), key.size(), &local);
-    if (rows.empty()) continue;
-    out.entries[out.count++] =
-        SegmentRanges::Entry{run.segment.get(), rows.begin, rows.end};
-    out.rows += rows.end - rows.begin;
-  }
+  const Segment::RowRange rows =
+      run_->EqualRange(key.data(), key.size(), &local);
+  SegmentRange out{run_.get(), rows.begin, rows.end};
   local.probes = 1;
-  local.probe_hits = out.rows;
+  local.probe_hits = out.size();
   seg_stats_.Add(local);
   return out;
-}
-
-DeltaView RelationInstance::DeltaViewSince(std::size_t watermark) const {
-  DeltaView view;
-  // Slices require trustworthy run/log spans: segmented mode, spans tiling
-  // the log. Anything else is the log-backed path. An erase-containing
-  // epoch (segment_dirty_) does NOT force the fallback: the tiling is
-  // still exact, and tombstones are accounted per run below.
-  if (storage_mode_ != StorageMode::kSegmented || !runs_tiled_ ||
-      runs_.empty()) {
-    view.refs = DeltaSince(watermark);
-    return view;
-  }
-  const std::size_t sealed_end = runs_.back().log_end;
-  // Per-run walk over the tiled spans. A run is served as a zero-copy
-  // whole-run slice only when it lies entirely past the watermark AND none
-  // of its rows were tombstoned (run rows == live span entries, so
-  // view.size() stays equal to DeltaSince().size()). Runs that straddle
-  // the watermark or lost rows to erases are served through the log refs,
-  // which skip tombstones exactly.
-  for (const SealedRun& run : runs_) {
-    if (run.log_end <= watermark) continue;
-    if (run.log_begin >= watermark && run.dead == 0) {
-      const Segment* segment = run.segment.get();
-      if (segment->rows() == 0) continue;
-      view.slices.push_back(DeltaSlice{segment, 0, segment->rows()});
-      view.slice_rows += segment->rows();
-      continue;
-    }
-    const std::size_t begin =
-        run.log_begin > watermark ? run.log_begin : watermark;
-    for (std::size_t i = begin; i < run.log_end; ++i) {
-      if (log_[i] != nullptr) view.refs.push_back(log_[i]);
-    }
-  }
-  // Log-backed suffix: inserts since the last seal (the unsealed tail).
-  const std::size_t suffix_begin =
-      watermark > sealed_end ? watermark : sealed_end;
-  for (std::size_t i = suffix_begin; i < log_.size(); ++i) {
-    if (log_[i] != nullptr) view.refs.push_back(log_[i]);
-  }
-  if (!view.slices.empty()) {
-    view.sliced = true;
-    SegmentOpStats local;
-    local.delta_slices = 1;
-    local.delta_slice_rows = view.slice_rows;
-    seg_stats_.Add(local);
-  }
-  return view;
-}
-
-SegmentShape RelationInstance::segment_shape() const {
-  SegmentShape shape;
-  shape.live_segments = runs_.size();
-  shape.tail_rows = tail_.size();
-  // Count distinct tier_ratio-geometric size classes among non-empty runs.
-  bool seen[64] = {false};
-  for (const SealedRun& run : runs_) {
-    std::size_t rows = run.segment->rows();
-    if (rows == 0) continue;
-    std::size_t tier = 0;
-    while (rows >= policy_.tier_ratio && tier + 1 < 64) {
-      rows /= policy_.tier_ratio;
-      ++tier;
-    }
-    if (!seen[tier]) {
-      seen[tier] = true;
-      ++shape.tiers;
-    }
-  }
-  return shape;
-}
-
-void RelationInstance::RetainExisting(
-    const std::vector<const Tuple*>& sorted_candidates,
-    std::vector<char>* present) const {
-  present->assign(sorted_candidates.size(), 0);
-  SegmentOpStats local;
-  ++local.retain_batches;
-  local.retain_candidates += sorted_candidates.size();
-  const bool current = SegmentCurrent();
-  // An insert-only tail still answers exactly: runs ∪ tail == extension.
-  const bool incremental = !current && !runs_.empty() && !segment_dirty_ &&
-                           storage_mode_ == StorageMode::kSegmented;
-  if (current || incremental) {
-    std::vector<const Tuple*> tail_sorted;
-    if (incremental && !tail_.empty()) {
-      tail_sorted = tail_;
-      CountedSort(&tail_sorted, &local);
-    }
-    // Every side is sorted ⇒ one monotone forward cursor per live run plus
-    // one for the tail. Cursors advance by galloping (doubling steps, then
-    // a binary search over the overshoot), so a batch of c candidates
-    // against a run of m rows costs O(c·log(m/c)) compares whether the
-    // candidates are sparse or dense — never the O(m) full walk a plain
-    // merge pays when candidates skip far ahead. Runs are disjoint, so at
-    // most one cursor can hit.
-    std::vector<std::size_t> cursors(runs_.size(), 0);
-    std::size_t tail_cursor = 0;
-    for (std::size_t i = 0; i < sorted_candidates.size(); ++i) {
-      const Tuple& cand = *sorted_candidates[i];
-      if (cand.size() != arity_) continue;  // cannot be present
-      bool hit = false;
-      for (std::size_t r = 0; r < runs_.size() && !hit; ++r) {
-        const Segment& seg = *runs_[r].segment;
-        std::size_t& cursor = cursors[r];
-        const std::size_t rows = seg.rows();
-        int cmp = cursor < rows
-                      ? seg.CompareRowPrefix(cursor, cand.data(), cand.size(),
-                                             &local.compares)
-                      : 1;
-        if (cmp < 0) {
-          // Gallop: find the first row >= cand past the cursor.
-          std::size_t step = 1;
-          std::size_t lo = cursor;  // known < cand
-          std::size_t hi = cursor + step;
-          while (hi < rows &&
-                 seg.CompareRowPrefix(hi, cand.data(), cand.size(),
-                                      &local.compares) < 0) {
-            lo = hi;
-            step <<= 1;
-            hi = cursor + step;
-          }
-          if (hi > rows) hi = rows;
-          ++lo;
-          while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (seg.CompareRowPrefix(mid, cand.data(), cand.size(),
-                                     &local.compares) < 0) {
-              lo = mid + 1;
-            } else {
-              hi = mid;
-            }
-          }
-          cursor = lo;
-          cmp = cursor < rows
-                    ? seg.CompareRowPrefix(cursor, cand.data(), cand.size(),
-                                           &local.compares)
-                    : 1;
-        }
-        hit = cmp == 0;
-      }
-      if (!hit && !tail_sorted.empty()) {
-        while (tail_cursor < tail_sorted.size()) {
-          ++local.compares;
-          if (*tail_sorted[tail_cursor] < cand) {
-            ++tail_cursor;
-            continue;
-          }
-          hit = !(cand < *tail_sorted[tail_cursor]);
-          ++local.compares;
-          break;
-        }
-      }
-      if (hit) {
-        (*present)[i] = 1;
-        ++local.retain_hits;
-      }
-    }
-  } else {
-    ++local.fallbacks;
-    for (std::size_t i = 0; i < sorted_candidates.size(); ++i) {
-      if (tuples_.count(*sorted_candidates[i]) > 0) {
-        (*present)[i] = 1;
-        ++local.retain_hits;
-      }
-    }
-  }
-  seg_stats_.Add(local);
 }
 
 SegmentOpStats RelationInstance::segment_stats() const {
@@ -574,8 +246,6 @@ Instance Instance::EmptyFor(const model::Schema& schema) {
 
 void Instance::DeclareRelation(std::string_view name, std::size_t arity) {
   RelationInstance fresh(arity);
-  fresh.set_storage_mode(storage_mode_);
-  fresh.set_segment_policy(segment_policy_);
   // Heterogeneous find first: redeclaration (the UnionWith/runtime refresh
   // pattern) never allocates a key string.
   auto it = relations_.find(name);
@@ -659,19 +329,10 @@ IndexStats Instance::IndexStatsTotal() const {
   return total;
 }
 
-void Instance::SetStorageMode(StorageMode mode) {
-  storage_mode_ = ResolveStorageMode(mode);
-  for (auto& [name, rel] : relations_) rel.set_storage_mode(storage_mode_);
-}
-
-void Instance::SetSegmentPolicy(const SegmentPolicy& policy) {
-  segment_policy_ = policy;
-  for (auto& [name, rel] : relations_) rel.set_segment_policy(policy);
-}
-
-void Instance::PrepareAllSegments(bool defer_dirty_rebuild) const {
-  for (const auto& [name, rel] : relations_)
-    rel.PrepareSegments(defer_dirty_rebuild);
+void Instance::PrepareAllSegments() const {
+  for (const auto& [name, rel] : relations_) {
+    if (!rel.empty()) rel.PrepareSegments();
+  }
 }
 
 SegmentOpStats Instance::SegmentStatsTotal() const {

@@ -38,35 +38,11 @@ struct IndexStats {
   }
 };
 
-// A delta set served as a hybrid over the insert log and the tiered segment
-// list: `refs` carries log-backed tuples (the portion of the delta that
-// falls inside a partially-covered run span plus the unsealed suffix, in
-// insertion order), `slices` carries whole sealed runs as zero-copy row
-// ranges. size() equals the plain DeltaSince() size exactly, so delta
-// accounting is bit-identical whichever path served. Enumeration order
-// differs between the parts; consumers that need determinism (the chase's
-// delta re-match) sort what they match.
-struct DeltaSlice {
-  const Segment* segment = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-struct DeltaView {
-  std::vector<const Tuple*> refs;  // log-backed rows (insertion order)
-  std::vector<DeltaSlice> slices;  // zero-copy sealed-run row ranges
-  std::size_t slice_rows = 0;      // total rows across slices
-  bool sliced = false;             // true when any run was served as a slice
-
-  std::size_t size() const { return refs.size() + slice_rows; }
-  bool empty() const { return size() == 0; }
-};
-
 // The extension of one relation: a set of same-arity tuples. Set semantics
 // with deterministic (ordered) iteration, which the chase and the tests
 // rely on.
 //
-// Storage layer on top of the bare set:
+// One store: the node-stable set plus
 //  - On-demand hash indexes keyed by column subsets. Probe(cols, key)
 //    builds the index on first use and maintains it incrementally across
 //    Insert/Erase/Clear. Buckets keep tuples in set (sorted) order, so
@@ -77,11 +53,18 @@ struct DeltaView {
 //    holds a Watermark() and later asks DeltaSince(watermark) for exactly
 //    the tuples inserted since. Erased tuples are tombstoned in the log, so
 //    watermarks stay stable. This is what makes the chase semi-naive.
+//  - At most one sealed run (segment.h): an immutable column-major copy of
+//    the extension in set order. PrepareSegments() builds it; the first
+//    successful mutation drops it, so a run that exists is always current.
+//    A chase seals its result once on publish, and the algebra's prefix
+//    join seals a base relation on first use; nothing else does.
 //
 // Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe —
 // index lookups take a shared lock, and only the first Probe of a new
-// column set upgrades to an exclusive lock to build. Mutation still requires
-// external synchronization, like the containers this wraps.
+// column set upgrades to an exclusive lock to build. PrepareSegments takes
+// the exclusive lock too, but must not race SegmentProbePrefix readers.
+// Mutation still requires external synchronization, like the containers
+// this wraps.
 class RelationInstance {
  public:
   using ColumnSet = std::vector<std::size_t>;
@@ -106,20 +89,7 @@ class RelationInstance {
   // Inserts; returns true if the tuple was new. Dies on arity mismatch in
   // debug builds; callers go through Instance::Insert for checked inserts.
   bool Insert(Tuple tuple);
-  // Exact membership. When the tiered segment view is current (kSegmented,
-  // nothing changed since the last seal), the answer comes from binary
-  // searches over the dense sorted runs instead of chasing set nodes; the
-  // set path answers otherwise. Same result either way.
-  bool Contains(const Tuple& tuple) const {
-    if (storage_mode_ == StorageMode::kSegmented && SegmentCurrent() &&
-        tuple.size() == arity_) {
-      for (const SealedRun& run : runs_) {
-        if (run.segment->Contains(tuple, nullptr)) return true;
-      }
-      return false;
-    }
-    return tuples_.count(tuple) > 0;
-  }
+  bool Contains(const Tuple& tuple) const { return tuples_.count(tuple) > 0; }
   bool Erase(const Tuple& tuple);
   void Clear();
 
@@ -140,89 +110,28 @@ class RelationInstance {
 
   IndexStats index_stats() const;
 
-  // --- Tiered columnar segment view (sorted, immutable; see segment.h) ---
-  // Under kSegmented the relation maintains an LSM-style list of sealed
-  // runs plus a mutable tail: Insert appends set-new tuples to the tail,
-  // and PrepareSegments() seals the tail into a NEW small run (sort only —
-  // no re-merge of the base), then size-tiered compaction merges the
-  // newest runs only while they outgrow their tier (SegmentPolicy), so
-  // total merge work is O(n log n) across a chase instead of O(n) rows per
-  // round. Erase/Clear mark the view dirty, forcing a full rebuild from
-  // the set (already sorted+unique) at the next seal. Under kIndexed the
-  // segment state is dropped; probes and retains fall back to the hash/set
-  // paths, so the mode never changes observable results.
-  void set_storage_mode(StorageMode mode);
-  StorageMode storage_mode() const { return storage_mode_; }
+  // --- The sealed run (sorted, immutable; see segment.h) ------------------
+  // Seals the run over the current extension: a straight column-major copy
+  // of the set, which is already sorted and unique. Const with cache
+  // semantics like Probe's lazy index build, so const relations can be
+  // sealed by their readers. No-op while the run is current.
+  void PrepareSegments() const;
 
-  // Compaction thresholds for this relation's run list (kSegmented only).
-  void set_segment_policy(const SegmentPolicy& policy) { policy_ = policy; }
-  const SegmentPolicy& segment_policy() const { return policy_; }
+  // True while a run exists; every mutation drops it, so it is current.
+  bool SegmentCurrent() const { return run_ != nullptr; }
 
-  // (Re)seals the segment view to cover the current extension. Const with
-  // cache semantics like Probe's lazy index build, so const source
-  // instances can be sealed once before a run. Works in any mode (full
-  // rebuild from the set); incremental tail seal + tiered compaction only
-  // under kSegmented.
-  // No-op if current. With defer_dirty_rebuild, an erase-dirtied view with
-  // few tombstones (< 1/4 of the live rows) skips the O(n) full rebuild and
-  // stays stale: probes and retains decline to the index path (correct,
-  // counted as fallbacks) and DeltaViewSince keeps serving exactly. The
-  // rebuild still fires once tombstones pile past the threshold, so the
-  // deferral is amortized-O(1) per erase — this is what keeps delta-sized
-  // maintenance passes from paying a full reseal of every touched relation.
-  void PrepareSegments(bool defer_dirty_rebuild = false) const;
+  // Rows whose leading |key| columns equal `key`, as one row range of the
+  // run, in set order (an empty key selects every row). nullopt when the
+  // relation holds no run; callers then read the set. The segment pointer
+  // follows the same validity contract as Probe(): no mutation until the
+  // caller is done.
+  std::optional<SegmentRange> SegmentProbePrefix(const Tuple& key) const;
 
-  // True when the sealed runs reflect the full extension (nothing changed
-  // since the last PrepareSegments).
-  bool SegmentCurrent() const {
-    return !runs_.empty() && !segment_dirty_ &&
-           segment_generation_ == generation_;
-  }
-
-  // Rows whose leading |key| columns equal `key`, served from the live
-  // runs as up to one row range per run. SegmentRangeCursor streams the
-  // union in set (sorted) order — bit-identical enumeration to the hash
-  // probe. nullopt when the view is stale or absent (callers fall back to
-  // Probe, and the decline is counted under kSegmented); an engaged empty
-  // answer still counts as a served probe. The segment pointers follow the
-  // same validity contract as Probe(): no mutation or PrepareSegments
-  // until the caller is done.
-  std::optional<SegmentRanges> SegmentProbePrefix(const Tuple& key) const;
-
-  // Batched membership for head-dedup retain passes: sets present->at(i)
-  // iff *sorted_candidates[i] is in the relation right now. Served by one
-  // monotone merge cursor per live run plus a sorted copy of the unsealed
-  // tail; falls back to set lookups when the segment state cannot answer
-  // exactly (counted as a fallback).
-  void RetainExisting(const std::vector<const Tuple*>& sorted_candidates,
-                      std::vector<char>* present) const;
-
-  // The delta since `watermark` as a hybrid log/slice view: whole sealed
-  // runs that lie entirely past the watermark are returned as zero-copy
-  // slices, everything else (partial run coverage, the unsealed tail) as
-  // log refs. Erase-containing epochs stay sliceable per run: only runs
-  // that actually lost rows to a tombstone (SealedRun::dead > 0) drop to
-  // the tombstone-skipping log-ref path, untouched runs keep serving
-  // zero-copy slices. Falls back to a pure log-backed view (refs ==
-  // DeltaSince) whenever run/log spans cannot be trusted — copied
-  // relations, non-segmented modes. view.size() always equals
-  // DeltaSince(watermark).size().
-  DeltaView DeltaViewSince(std::size_t watermark) const;
-
-  // Sealed-view access for tests and benchmarks. sealed_segment() is the
-  // base (oldest, largest) run.
-  SegmentPtr sealed_segment() const {
-    return runs_.empty() ? nullptr : runs_.front().segment;
-  }
-  std::size_t sealed_rows() const {
-    std::size_t rows = 0;
-    for (const SealedRun& run : runs_) rows += run.segment->rows();
-    return rows;
-  }
-  std::size_t live_runs() const { return runs_.size(); }
-
-  // Current run-list shape (run count, tier count, tail backlog).
-  SegmentShape segment_shape() const;
+  // Sealed-run access for tests and benchmarks.
+  SegmentPtr sealed_segment() const { return run_; }
+  std::size_t sealed_rows() const { return run_ == nullptr ? 0 : run_->rows(); }
+  std::size_t live_runs() const { return run_ == nullptr ? 0 : 1; }
+  SegmentShape segment_shape() const { return SegmentShape{live_runs()}; }
 
   SegmentOpStats segment_stats() const;
 
@@ -255,25 +164,16 @@ class RelationInstance {
     }
   };
 
-  // Same discipline for segment telemetry: probes run under the shared
-  // reader contract, so the counters must be atomics. Accumulated from
-  // batch-local SegmentOpStats to keep the hot paths cheap.
+  // Same discipline for run telemetry: probes run under the shared reader
+  // contract, so the counters must be atomics. Accumulated from
+  // call-local SegmentOpStats to keep the hot paths cheap.
   struct AtomicSegmentStats {
     std::atomic<std::uint64_t> seals{0};
     std::atomic<std::uint64_t> sealed_rows{0};
-    std::atomic<std::uint64_t> merges{0};
-    std::atomic<std::uint64_t> merged_rows{0};
     std::atomic<std::uint64_t> compares{0};
     std::atomic<std::uint64_t> probes{0};
     std::atomic<std::uint64_t> probe_hits{0};
     std::atomic<std::uint64_t> skips{0};
-    std::atomic<std::uint64_t> fallbacks{0};
-    std::atomic<std::uint64_t> retain_batches{0};
-    std::atomic<std::uint64_t> retain_candidates{0};
-    std::atomic<std::uint64_t> retain_hits{0};
-    std::atomic<std::uint64_t> compactions{0};
-    std::atomic<std::uint64_t> delta_slices{0};
-    std::atomic<std::uint64_t> delta_slice_rows{0};
 
     void Add(const SegmentOpStats& s) {
       auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t v) {
@@ -281,54 +181,27 @@ class RelationInstance {
       };
       bump(seals, s.seals);
       bump(sealed_rows, s.sealed_rows);
-      bump(merges, s.merges);
-      bump(merged_rows, s.merged_rows);
       bump(compares, s.compares);
       bump(probes, s.probes);
       bump(probe_hits, s.probe_hits);
       bump(skips, s.skips);
-      bump(fallbacks, s.fallbacks);
-      bump(retain_batches, s.retain_batches);
-      bump(retain_candidates, s.retain_candidates);
-      bump(retain_hits, s.retain_hits);
-      bump(compactions, s.compactions);
-      bump(delta_slices, s.delta_slices);
-      bump(delta_slice_rows, s.delta_slice_rows);
     }
     void Store(const SegmentOpStats& s) {
       seals.store(s.seals, std::memory_order_relaxed);
       sealed_rows.store(s.sealed_rows, std::memory_order_relaxed);
-      merges.store(s.merges, std::memory_order_relaxed);
-      merged_rows.store(s.merged_rows, std::memory_order_relaxed);
       compares.store(s.compares, std::memory_order_relaxed);
       probes.store(s.probes, std::memory_order_relaxed);
       probe_hits.store(s.probe_hits, std::memory_order_relaxed);
       skips.store(s.skips, std::memory_order_relaxed);
-      fallbacks.store(s.fallbacks, std::memory_order_relaxed);
-      retain_batches.store(s.retain_batches, std::memory_order_relaxed);
-      retain_candidates.store(s.retain_candidates, std::memory_order_relaxed);
-      retain_hits.store(s.retain_hits, std::memory_order_relaxed);
-      compactions.store(s.compactions, std::memory_order_relaxed);
-      delta_slices.store(s.delta_slices, std::memory_order_relaxed);
-      delta_slice_rows.store(s.delta_slice_rows, std::memory_order_relaxed);
     }
     SegmentOpStats Load() const {
       SegmentOpStats s;
       s.seals = seals.load(std::memory_order_relaxed);
       s.sealed_rows = sealed_rows.load(std::memory_order_relaxed);
-      s.merges = merges.load(std::memory_order_relaxed);
-      s.merged_rows = merged_rows.load(std::memory_order_relaxed);
       s.compares = compares.load(std::memory_order_relaxed);
       s.probes = probes.load(std::memory_order_relaxed);
       s.probe_hits = probe_hits.load(std::memory_order_relaxed);
       s.skips = skips.load(std::memory_order_relaxed);
-      s.fallbacks = fallbacks.load(std::memory_order_relaxed);
-      s.retain_batches = retain_batches.load(std::memory_order_relaxed);
-      s.retain_candidates = retain_candidates.load(std::memory_order_relaxed);
-      s.retain_hits = retain_hits.load(std::memory_order_relaxed);
-      s.compactions = compactions.load(std::memory_order_relaxed);
-      s.delta_slices = delta_slices.load(std::memory_order_relaxed);
-      s.delta_slice_rows = delta_slice_rows.load(std::memory_order_relaxed);
       return s;
     }
   };
@@ -353,52 +226,14 @@ class RelationInstance {
   // Erase-free relations never pay for it.
   std::map<const Tuple*, std::size_t> log_pos_;
   bool log_pos_tracked_ = false;
-  // Readers (Probe lookups) share; index construction and mutation-path
-  // maintenance take it exclusively.
+  // Readers (Probe lookups) share; index construction, sealing and
+  // mutation-path maintenance take it exclusively.
   mutable std::shared_mutex index_mu_;
   mutable std::map<ColumnSet, Index> indexes_;
   mutable AtomicIndexStats stats_;
-
-  // One sealed run of the tiered segment list. `[log_begin, log_end)` is
-  // the insert-log span whose live tuples the run holds; while the list is
-  // tiled (runs_tiled_) the spans of consecutive runs are contiguous and
-  // together cover [0, runs_.back().log_end), which is what lets
-  // DeltaViewSince answer with zero-copy run slices.
-  struct SealedRun {
-    SegmentPtr segment;
-    std::size_t log_begin = 0;
-    std::size_t log_end = 0;
-    // Rows of this run tombstoned by later erases. A run with dead == 0
-    // still answers DeltaViewSince as a zero-copy slice even in an
-    // erase-containing epoch; a run with dead > 0 is served through the
-    // (tombstone-skipping) log refs instead. Reset by the full rebuild.
-    std::size_t dead = 0;
-  };
-
-  // Merges the newest runs while they violate the size-tier invariant
-  // (see SegmentPolicy). Requires the exclusive lock.
-  void CompactLocked(SegmentOpStats* stats) const;
-  // Copies `other`'s tail as pointers to the equal tuples of our own set
-  // (tuples_ must already hold the copy).
-  void CopyTail(const RelationInstance& other);
-
-  // Tiered view state. Runs are immutable and shared across copies, oldest
-  // (largest) first; `tail_` points at the tuples inserted since the last
-  // seal (kSegmented only; set nodes are stable, and every erase clears the
-  // tail, so no pointer outlives its node); `segment_dirty_` marks
-  // erases/clears, which invalidate the tail and force a full rebuild.
-  // `segment_generation_` is the generation the sealed view corresponds
-  // to. `runs_tiled_` records whether the run/log spans can be trusted:
-  // copies rebuild the log in set order, which breaks the tiling, so copied
-  // relations decline slice serving until the next full rebuild restores
-  // it.
-  StorageMode storage_mode_ = StorageMode::kIndexed;
-  SegmentPolicy policy_;
-  mutable std::vector<SealedRun> runs_;
-  mutable bool runs_tiled_ = true;
-  mutable std::vector<const Tuple*> tail_;
-  mutable bool segment_dirty_ = false;
-  mutable std::uint64_t segment_generation_ = 0;
+  // The sealed run, shared across copies (it never mutates); null until
+  // PrepareSegments and again after every successful mutation.
+  mutable SegmentPtr run_;
   mutable AtomicSegmentStats seg_stats_;
 };
 
@@ -442,24 +277,16 @@ class Instance {
   // Largest labeled-null label present, or -1.
   std::int64_t MaxNullLabel() const;
 
-  // Applies `mode` to every existing relation and to relations declared
-  // later (the chase declares target relations lazily via InsertFacts).
-  void SetStorageMode(StorageMode mode);
-  StorageMode storage_mode() const { return storage_mode_; }
-
-  // Applies compaction thresholds to every existing relation and to
-  // relations declared later.
-  void SetSegmentPolicy(const SegmentPolicy& policy);
-
-  // Seals every relation's segment view (const cache semantics; see
-  // RelationInstance::PrepareSegments).
-  void PrepareAllSegments(bool defer_dirty_rebuild = false) const;
+  // Seals every non-empty relation's run (const cache semantics; see
+  // RelationInstance::PrepareSegments). Empty relations have nothing to
+  // read and stay run-free.
+  void PrepareAllSegments() const;
 
   // Summed index telemetry across all relations.
   IndexStats IndexStatsTotal() const;
   // Summed segment telemetry across all relations.
   SegmentOpStats SegmentStatsTotal() const;
-  // Summed run-list shape across all relations (tiers: per-relation max).
+  // Relations holding a current sealed run.
   SegmentShape SegmentShapeTotal() const;
   // relation -> current insert-log watermark, for delta-tracking readers.
   std::map<std::string, std::size_t, std::less<>> InsertWatermarks() const;
@@ -479,8 +306,6 @@ class Instance {
 
  private:
   std::map<std::string, RelationInstance, std::less<>> relations_;
-  StorageMode storage_mode_ = StorageMode::kIndexed;
-  SegmentPolicy segment_policy_;
 };
 
 // Equivalence up to a bijective renaming of labeled nulls: true iff some

@@ -232,10 +232,6 @@ void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
       s.segment_seals = c.value;
     } else if (c.name == "storage.segment.sealed_rows") {
       s.segment_sealed_rows = c.value;
-    } else if (c.name == "storage.segment.merges") {
-      s.segment_merges = c.value;
-    } else if (c.name == "storage.segment.merged_rows") {
-      s.segment_merged_rows = c.value;
     } else if (c.name == "storage.segment.compares") {
       s.segment_compares = c.value;
     } else if (c.name == "storage.segment.probes") {
@@ -244,32 +240,11 @@ void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
       s.segment_probe_hits = c.value;
     } else if (c.name == "storage.segment.skips") {
       s.segment_skips = c.value;
-    } else if (c.name == "storage.segment.fallbacks") {
-      s.segment_fallbacks = c.value;
-    } else if (c.name == "storage.segment.retain_batches") {
-      s.segment_retain_batches = c.value;
-    } else if (c.name == "storage.segment.retain_candidates") {
-      s.segment_retain_candidates = c.value;
-    } else if (c.name == "storage.segment.retain_hits") {
-      s.segment_retain_hits = c.value;
-    } else if (c.name == "storage.segment.compactions") {
-      s.segment_compactions = c.value;
-    } else if (c.name == "storage.segment.delta_slices") {
-      s.segment_delta_slices = c.value;
-    } else if (c.name == "storage.segment.delta_slice_rows") {
-      s.segment_delta_slice_rows = c.value;
     }
   }
-  for (const GaugeSnapshot& g : metrics.gauges) {
-    if (g.name == "storage.mode.segmented") {
-      s.segmented = g.value != 0;
-    } else if (g.name == "storage.segment.live_segments") {
-      s.segment_live_segments = static_cast<std::uint64_t>(g.value);
-    } else if (g.name == "storage.segment.tiers") {
-      s.segment_tiers = static_cast<std::uint64_t>(g.value);
-    } else if (g.name == "storage.segment.tail_rows") {
-      s.segment_tail_rows = static_cast<std::uint64_t>(g.value);
-    }
+  if (const GaugeSnapshot* g =
+          metrics.FindGauge("storage.segment.live_segments")) {
+    s.segment_live_segments = static_cast<std::uint64_t>(g->value);
   }
 }
 
@@ -484,18 +459,12 @@ std::vector<std::string> ProfileReport::Lines() const {
     rows.push_back({"chase.delta.rule_skips",
                     std::to_string(storage.delta_rule_skips)});
     rows.push_back({"tuples/probe", Fixed1(hit_rate)});
-    // The segment block (and the mode line) appears only for segmented
-    // sessions — indexed sessions keep their exact pre-existing report.
-    if (storage.segmented) {
-      rows.push_back({"mode", "segmented"});
+    // The run block appears once a chase sealed or probed a run.
+    if (storage.segments()) {
       rows.push_back(
           {"segment.seals", std::to_string(storage.segment_seals)});
       rows.push_back({"segment.sealed_rows",
                       std::to_string(storage.segment_sealed_rows)});
-      rows.push_back(
-          {"segment.merges", std::to_string(storage.segment_merges)});
-      rows.push_back({"segment.merged_rows",
-                      std::to_string(storage.segment_merged_rows)});
       rows.push_back(
           {"segment.compares", std::to_string(storage.segment_compares)});
       rows.push_back(
@@ -504,28 +473,8 @@ std::vector<std::string> ProfileReport::Lines() const {
           {"segment.probe_hits", std::to_string(storage.segment_probe_hits)});
       rows.push_back(
           {"segment.skips", std::to_string(storage.segment_skips)});
-      rows.push_back(
-          {"segment.fallbacks", std::to_string(storage.segment_fallbacks)});
-      rows.push_back({"segment.retain_batches",
-                      std::to_string(storage.segment_retain_batches)});
-      rows.push_back({"segment.retain_candidates",
-                      std::to_string(storage.segment_retain_candidates)});
-      rows.push_back({"segment.retain_hits",
-                      std::to_string(storage.segment_retain_hits)});
-      rows.push_back({"segment.compactions",
-                      std::to_string(storage.segment_compactions)});
-      rows.push_back({"segment.delta_slices",
-                      std::to_string(storage.segment_delta_slices)});
-      rows.push_back({"segment.delta_slice_rows",
-                      std::to_string(storage.segment_delta_slice_rows)});
-      // Tier silhouette: how the LSM run list looked when the last run
-      // finished (runs x tiers, plus any rows still waiting in the tail).
-      rows.push_back({"segment.tier_shape",
-                      std::to_string(storage.segment_live_segments) +
-                          " runs / " +
-                          std::to_string(storage.segment_tiers) + " tiers / " +
-                          std::to_string(storage.segment_tail_rows) +
-                          " tail rows"});
+      rows.push_back({"segment.live_segments",
+                      std::to_string(storage.segment_live_segments)});
     }
     for (std::string& line : Tabulate(rows, "lr")) {
       lines.push_back(std::move(line));
@@ -664,28 +613,14 @@ std::string ProfileReport::ToJson() const {
      << ", \"index_builds\": " << storage.index_builds
      << ", \"delta_tuples\": " << storage.delta_tuples
      << ", \"delta_rule_skips\": " << storage.delta_rule_skips;
-  if (storage.segmented) {
-    os << ", \"mode\": \"segmented\""
-       << ", \"segment_seals\": " << storage.segment_seals
+  if (storage.segments()) {
+    os << ", \"segment_seals\": " << storage.segment_seals
        << ", \"segment_sealed_rows\": " << storage.segment_sealed_rows
-       << ", \"segment_merges\": " << storage.segment_merges
-       << ", \"segment_merged_rows\": " << storage.segment_merged_rows
        << ", \"segment_compares\": " << storage.segment_compares
        << ", \"segment_probes\": " << storage.segment_probes
        << ", \"segment_probe_hits\": " << storage.segment_probe_hits
        << ", \"segment_skips\": " << storage.segment_skips
-       << ", \"segment_fallbacks\": " << storage.segment_fallbacks
-       << ", \"segment_retain_batches\": " << storage.segment_retain_batches
-       << ", \"segment_retain_candidates\": "
-       << storage.segment_retain_candidates
-       << ", \"segment_retain_hits\": " << storage.segment_retain_hits
-       << ", \"segment_compactions\": " << storage.segment_compactions
-       << ", \"segment_delta_slices\": " << storage.segment_delta_slices
-       << ", \"segment_delta_slice_rows\": "
-       << storage.segment_delta_slice_rows
-       << ", \"segment_live_segments\": " << storage.segment_live_segments
-       << ", \"segment_tiers\": " << storage.segment_tiers
-       << ", \"segment_tail_rows\": " << storage.segment_tail_rows;
+       << ", \"segment_live_segments\": " << storage.segment_live_segments;
   }
   os << "}, \"values\": {\"value_bytes\": " << values.value_bytes
      << ", \"interned_strings\": " << values.interned_strings

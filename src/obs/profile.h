@@ -93,32 +93,21 @@ struct StorageCost {
   std::uint64_t index_builds = 0;      // lazy index constructions
   std::uint64_t delta_tuples = 0;      // tuples consumed by delta re-matches
   std::uint64_t delta_rule_skips = 0;  // rule-rounds skipped (empty deltas)
-  // Columnar-segment telemetry, read from the `storage.segment.*` family
-  // that segmented chase runs mirror. All zero for indexed sessions.
-  bool segmented = false;                   // any segmented run recorded
-  std::uint64_t segment_seals = 0;          // segments sealed (tail/rebuild)
-  std::uint64_t segment_sealed_rows = 0;    // rows across sealed segments
-  std::uint64_t segment_merges = 0;         // segment merge operations
-  std::uint64_t segment_merged_rows = 0;    // rows written by merges
-  std::uint64_t segment_compares = 0;       // tuple compares (all segment ops)
+  // Sealed-run telemetry, read from the `storage.segment.*` family the
+  // chase mirrors once a run sealed or served a probe.
+  std::uint64_t segment_seals = 0;          // runs sealed (on publish)
+  std::uint64_t segment_sealed_rows = 0;    // rows across sealed runs
+  std::uint64_t segment_compares = 0;       // tuple compares (probes)
   std::uint64_t segment_probes = 0;         // prefix probes served
-  std::uint64_t segment_probe_hits = 0;     // probes with a non-empty range
+  std::uint64_t segment_probe_hits = 0;     // rows yielded by probes
   std::uint64_t segment_skips = 0;          // probes skipped via min/max
-  std::uint64_t segment_fallbacks = 0;      // ops deferred to set/index path
-  std::uint64_t segment_retain_batches = 0; // batched head anti-joins
-  std::uint64_t segment_retain_candidates = 0;  // tuples across batches
-  std::uint64_t segment_retain_hits = 0;    // candidates already present
-  std::uint64_t segment_compactions = 0;    // tiered run merges (LSM ladder)
-  std::uint64_t segment_delta_slices = 0;   // zero-copy delta-view slices
-  std::uint64_t segment_delta_slice_rows = 0;  // rows served via slices
-  // Tier-shape gauges: the segment list's final silhouette (last run wins).
-  std::uint64_t segment_live_segments = 0;  // sealed runs across relations
-  std::uint64_t segment_tiers = 0;          // distinct geometric size classes
-  std::uint64_t segment_tail_rows = 0;      // unsealed sorted-tail rows
+  std::uint64_t segment_live_segments = 0;  // relations holding a run
+
+  bool segments() const { return segment_seals != 0 || segment_probes != 0; }
 
   bool any() const {
     return index_probes != 0 || index_probe_hits != 0 || index_builds != 0 ||
-           delta_tuples != 0 || delta_rule_skips != 0 || segmented;
+           delta_tuples != 0 || delta_rule_skips != 0 || segments();
   }
 };
 

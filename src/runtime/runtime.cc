@@ -419,7 +419,6 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   chase_options.naive = options.naive;
   chase_options.semi_naive = options.semi_naive;
   chase_options.stratified = options.stratified;
-  chase_options.storage = options.storage;
   chase_options.wall_budget_us = options.wall_budget_us;
   chase_options.tuple_budget = options.tuple_budget;
   chase_options.rss_budget_kb = options.rss_budget_kb;
@@ -461,7 +460,6 @@ chase::ChaseOptions SessionChaseOptions(const ExchangeOptions& options) {
   copts.naive = options.naive;
   copts.semi_naive = options.semi_naive;
   copts.stratified = options.stratified;
-  copts.storage = options.storage;
   copts.wall_budget_us = options.wall_budget_us;
   copts.tuple_budget = options.tuple_budget;
   copts.rss_budget_kb = options.rss_budget_kb;
@@ -488,17 +486,6 @@ void AdoptChaseResult(ExchangeSession* session, chase::ChaseResult chased) {
   session->breach = std::move(chased.breach);
 }
 
-// Every maintain mutates the session's source, so it follows the chase's
-// storage mode the way the chase keeps the target's: under segmented
-// storage, resumed passes then defer its erase-dirtied reseals too, instead
-// of rebuilding each source relation's segments from scratch per call. The
-// naive oracle never reads segments, so its source stays plain.
-void SyncSourceStorage(ExchangeSession* session) {
-  session->source.SetStorageMode(session->options.naive
-                                     ? instance::StorageMode::kIndexed
-                                     : session->options.storage);
-}
-
 }  // namespace
 
 Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
@@ -515,7 +502,6 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
   session.source = std::move(source);
   session.options = options;
   session.options.track_provenance = true;
-  SyncSourceStorage(&session);
   // Same span as Exchange: telemetry consumers see one "exchange.run" per
   // from-scratch chase, session-opening or not.
   obs::ObsSpan span(options.obs, "exchange.run");
@@ -545,7 +531,6 @@ Result<Delta> MaintainSession(ExchangeSession& session,
   obs::ObsSpan span(obs, "exchange.maintain");
   span.SetAttribute("mapping", session.mapping.name());
   span.SetAttribute("delta_size", source_delta.Size());
-  SyncSourceStorage(&session);  // the options may have changed since
 
   // A breached session holds a partial solution and a dead frontier;
   // resuming it would maintain the wrong baseline.

@@ -197,7 +197,7 @@ struct ExchangeOptions {
   bool track_provenance = false;
   // Chase evaluation strategy, passed straight through to ChaseOptions:
   // `naive` restores the rescan-everything oracle, `semi_naive` (default)
-  // keeps delta-restricted re-matching on top of the indexed executor.
+  // keeps delta-restricted re-matching on top of the compiled plans.
   bool naive = false;
   bool semi_naive = true;
   // Analyze the mapping (analysis::AnalyzeMapping) before chasing and run
@@ -208,11 +208,6 @@ struct ExchangeOptions {
   // budget is set). Off by default: the flat semi-naive chase is the
   // baseline and the analysis pass is not free.
   bool stratified = false;
-  // Storage representation for the chase hot path, forwarded to
-  // ChaseOptions::storage. kDefault defers to MM2_STORAGE (default:
-  // indexed); kSegmented backs probe/dedup work with sorted columnar
-  // segments. The produced solution is bit-identical either way.
-  instance::StorageMode storage = instance::StorageMode::kDefault;
   // Soft resource budgets, forwarded to ChaseOptions (0 = unlimited). On a
   // breach the chase stops gracefully and ExchangeResult::breach reports
   // why; core minimization is skipped for a partial solution.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -426,38 +427,60 @@ TEST_P(ClosureStratifiedDiffProperty, StratifiedClosureExactlyEqual) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureStratifiedDiffProperty,
                          ::testing::Range(0, 20));
 
-// Storage-mode axis: the columnar segment representation must be a pure
-// physical-layer swap. Prefix probes answered from sealed segments and the
-// batched retain anti-join replace per-tuple set probes, but the match
-// order, firing order, and null naming are untouched, so segmented runs
-// must be bit-identical to indexed runs — same instance text, same firing
-// counters. Only the storage telemetry may differ.
-ChaseOptions SegmentedMode(bool semi_naive) {
-  ChaseOptions o;
-  o.semi_naive = semi_naive;
-  o.storage = instance::StorageMode::kSegmented;
-  return o;
+// Seal-on-publish axis: the run a chase seals when it publishes its target
+// must be a pure read-side addition. Reads the run serves (prefix ranges,
+// columnar scans) must answer exactly what reads of the set answer, so a
+// sealed target and an unsealed copy of it give identical enumerations and
+// answers; the naive oracle, which never seals, agrees up to null renaming.
+
+// Same tuples in fresh relations that hold no run.
+Instance Unsealed(const Instance& db) {
+  Instance out;
+  out.UnionWith(db);
+  return out;
 }
 
-// Baseline with the storage mode pinned: the default kDefault would resolve
-// to the segmented backend under MM2_STORAGE=segmented — and this sweep
-// needs a genuinely indexed reference run either way.
-ChaseOptions IndexedStorageMode(bool semi_naive) {
-  ChaseOptions o;
-  o.semi_naive = semi_naive;
-  o.storage = instance::StorageMode::kIndexed;
-  return o;
+// Per non-empty relation of `sealed`: a full scan (all and certain answers;
+// a columnar scan of the run) and a lookup on every leading value (a
+// prefix range of the run) answer over `sealed` as over `plain`.
+void ExpectSameReads(const Instance& sealed, const Instance& plain,
+                     int seed) {
+  for (const auto& [name, rel] : sealed.relations()) {
+    if (rel.empty()) continue;
+    std::vector<Term> vars;
+    for (std::size_t c = 0; c < rel.arity(); ++c) {
+      vars.push_back(Term::Var("x" + std::to_string(c)));
+    }
+    logic::ConjunctiveQuery scan;
+    scan.head = Atom{"Q", vars};
+    scan.body = {Atom{name, vars}};
+    auto all = AllAnswers(scan, sealed);
+    auto all_plain = AllAnswers(scan, plain);
+    ASSERT_TRUE(all.ok() && all_plain.ok()) << "seed " << seed;
+    EXPECT_EQ(*all, *all_plain) << "seed " << seed << " " << name;
+    EXPECT_EQ(*CertainAnswers(scan, sealed), *CertainAnswers(scan, plain))
+        << "seed " << seed << " " << name;
+    std::set<Value> leading;
+    for (const instance::Tuple& t : rel.tuples()) leading.insert(t[0]);
+    for (const Value& v : leading) {
+      std::vector<Term> terms = vars;
+      terms[0] = Term::Const(v);
+      const std::vector<Atom> lookup = {Atom{name, terms}};
+      EXPECT_EQ(MatchAtoms(lookup, sealed), MatchAtoms(lookup, plain))
+          << "seed " << seed << " " << name << " " << v.ToString();
+    }
+  }
 }
 
-void ExpectSameFiringCounts(const ChaseStats& indexed,
-                            const ChaseStats& segmented, int seed) {
-  EXPECT_EQ(indexed.rounds, segmented.rounds) << "seed " << seed;
-  EXPECT_EQ(indexed.tgd_firings, segmented.tgd_firings) << "seed " << seed;
-  EXPECT_EQ(indexed.nulls_created, segmented.nulls_created) << "seed " << seed;
-  EXPECT_EQ(indexed.egd_unifications, segmented.egd_unifications)
-      << "seed " << seed;
-  EXPECT_EQ(indexed.assignments_matched, segmented.assignments_matched)
-      << "seed " << seed;
+// Every non-empty relation holds a run, sealed exactly once.
+void ExpectSealedOnce(const ChaseResult& result, int seed) {
+  std::size_t nonempty = 0;
+  for (const auto& [name, rel] : result.target.relations()) {
+    if (rel.empty()) continue;
+    ++nonempty;
+    EXPECT_TRUE(rel.SegmentCurrent()) << "seed " << seed << " " << name;
+  }
+  EXPECT_EQ(result.stats.segment.seals, nonempty) << "seed " << seed;
 }
 
 class ChaseSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
@@ -469,37 +492,38 @@ TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
 
   auto naive = RunChase(mapping, s.db, NaiveMode());
   for (bool semi_naive : {false, true}) {
-    auto indexed = RunChase(mapping, s.db, IndexedStorageMode(semi_naive));
-    auto seg = RunChase(mapping, s.db, SegmentedMode(semi_naive));
-    ASSERT_EQ(indexed.status().code(), seg.status().code())
+    ChaseOptions options;
+    options.semi_naive = semi_naive;
+    auto sealed = RunChase(mapping, s.db, options);
+    ASSERT_EQ(naive.status().code(), sealed.status().code())
         << "seed " << GetParam() << " semi_naive " << semi_naive
-        << ": indexed=" << indexed.status() << " segmented=" << seg.status();
-    if (!indexed.ok()) continue;
-    EXPECT_TRUE(seg->stats.segmented);
-    EXPECT_FALSE(indexed->stats.segmented);
-    // Bit-identical result: instance text pins down relation contents,
-    // tuple order, and the exact null names.
-    EXPECT_EQ(text::InstanceToText(seg->target),
-              text::InstanceToText(indexed->target))
-        << "seed " << GetParam() << " semi_naive " << semi_naive;
-    ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam());
-    // And the naive oracle must agree up to null renaming.
-    if (naive.ok()) {
-      EXPECT_TRUE(HomEquivalent(naive->target, seg->target))
-          << "seed " << GetParam();
+        << ": naive=" << naive.status() << " sealed=" << sealed.status();
+    if (!sealed.ok()) continue;
+    ExpectSealedOnce(*sealed, GetParam());
+    EXPECT_EQ(naive->stats.segment.seals, 0u);  // the oracle never seals
+    // The chase reads the source and never seals it.
+    for (const auto& [name, rel] : s.db.relations()) {
+      EXPECT_FALSE(rel.SegmentCurrent()) << "seed " << GetParam();
     }
+    const Instance plain = Unsealed(sealed->target);
+    EXPECT_EQ(text::InstanceToText(plain),
+              text::InstanceToText(sealed->target))
+        << "seed " << GetParam();
+    ExpectSameReads(sealed->target, plain, GetParam());
+    EXPECT_TRUE(HomEquivalent(naive->target, sealed->target))
+        << "seed " << GetParam() << " semi_naive " << semi_naive;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSegmentedDiffProperty,
                          ::testing::Range(0, 100));
 
-// Transitive closure under segmented storage: full tgds invent no nulls,
-// so the fixpoint must be exactly equal — and because the closure rules
-// are existential-free the restricted check runs through the batched
-// retain path, whose telemetry must show segment probes and retain
-// batches actually happened (i.e. the sweep exercises the new code, not a
-// silent fallback).
+// Transitive closure with the seal on publish: full tgds invent no nulls,
+// so the fixpoint must equal the oracle's exactly, the chase seals R and T
+// once each and nothing in between, and the sealed closure answers every
+// read like the oracle's unsealed one. Chasing an already-sealed input
+// reads R through its run all the way (R is never written) and must not
+// change the result.
 class ClosureSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
@@ -524,27 +548,31 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto indexed = ChaseInstance(tgds, {}, db, IndexedStorageMode(true));
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-  auto seg = ChaseInstance(tgds, {}, db, SegmentedMode(true));
-  ASSERT_TRUE(seg.ok()) << seg.status();
-  EXPECT_TRUE(seg->target.Equals(indexed->target)) << "seed " << GetParam();
-  EXPECT_EQ(text::InstanceToText(seg->target),
-            text::InstanceToText(indexed->target))
+  auto naive = ChaseInstance(tgds, {}, db, NaiveMode());
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  auto sealed = ChaseInstance(tgds, {}, db, SemiNaiveMode());
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_TRUE(sealed->target.Equals(naive->target)) << "seed " << GetParam();
+  EXPECT_EQ(text::InstanceToText(sealed->target),
+            text::InstanceToText(naive->target))
       << "seed " << GetParam();
-  ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam());
-  EXPECT_TRUE(seg->stats.segmented);
-  // The segment layer must actually carry the hot path: prefix probes
-  // served from sealed segments and head dedup through batched retain.
-  EXPECT_GT(seg->stats.segment.probes, 0u) << "seed " << GetParam();
-  EXPECT_GT(seg->stats.segment.retain_batches, 0u) << "seed " << GetParam();
-  EXPECT_GT(seg->stats.segment.seals, 0u);
-  // A segmented run that only ever declined (fallbacks with zero served
-  // probes) would mean the tiered view silently never engaged.
-  EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
-               seg->stats.segment.probes == 0)
-      << "silent fallback: " << seg->stats.segment.fallbacks
-      << " fallbacks with zero served probes (seed " << GetParam() << ")";
+  EXPECT_EQ(sealed->stats.segment.seals, 2u) << "seed " << GetParam();
+  ExpectSealedOnce(*sealed, GetParam());
+  EXPECT_FALSE(naive->target.Find("T")->SegmentCurrent());
+  ExpectSameReads(sealed->target, naive->target, GetParam());
+
+  Instance sealed_input = db;
+  sealed_input.PrepareAllSegments();
+  auto again = ChaseInstance(tgds, {}, sealed_input, SemiNaiveMode());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(text::InstanceToText(again->target),
+            text::InstanceToText(sealed->target))
+      << "seed " << GetParam();
+  EXPECT_EQ(again->stats.tgd_firings, sealed->stats.tgd_firings);
+  EXPECT_EQ(again->stats.assignments_matched,
+            sealed->stats.assignments_matched);
+  EXPECT_GT(again->stats.segment.probes, 0u) << "seed " << GetParam();
+  EXPECT_EQ(again->stats.segment.seals, 1u) << "seed " << GetParam();  // T
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,

@@ -152,23 +152,18 @@ explain
   ASSERT_TRUE(log.ok()) << log.status();
   std::string joined;
   for (const std::string& line : *log) joined += line + "\n";
-  // The storage section attributes the indexed executor's work.
+  // The storage section attributes the executor's work.
   EXPECT_NE(joined.find("storage:"), std::string::npos) << joined;
   EXPECT_NE(joined.find("index.probes"), std::string::npos);
   EXPECT_NE(joined.find("chase.delta.tuples"), std::string::npos);
 
-  // The chase mirrored nonzero probe and delta traffic into the registry:
-  // the join body probes the index (or, under MM2_STORAGE=segmented, the
-  // sealed segments), and round 1 counts the whole extension as delta.
+  // The chase mirrored its seal on publish and its delta traffic into the
+  // registry: the target is sealed once, and round 1 counts the whole
+  // extension as delta.
+  EXPECT_NE(joined.find("segment.seals"), std::string::npos);
   obs::MetricsSnapshot snap = engine_.observability().metrics.Snapshot();
-  if (instance::ResolveStorageMode(instance::StorageMode::kDefault) ==
-      instance::StorageMode::kSegmented) {
-    ASSERT_NE(snap.FindCounter("storage.segment.probes"), nullptr);
-    EXPECT_GT(snap.FindCounter("storage.segment.probes")->value, 0u);
-  } else {
-    ASSERT_NE(snap.FindCounter("index.probes"), nullptr);
-    EXPECT_GT(snap.FindCounter("index.probes")->value, 0u);
-  }
+  ASSERT_NE(snap.FindCounter("storage.segment.seals"), nullptr);
+  EXPECT_GT(snap.FindCounter("storage.segment.seals")->value, 0u);
   ASSERT_NE(snap.FindCounter("chase.delta.tuples"), nullptr);
   EXPECT_GT(snap.FindCounter("chase.delta.tuples")->value, 0u);
 }

@@ -1,6 +1,8 @@
 // Incremental exchange: delta-driven target maintenance (runtime layer)
-// and its two satellites — the canonical-null-renaming comparator
-// InstanceEqualsUpToNulls and tombstone-aware DeltaViewSince slices.
+// and what it rests on — the canonical-null-renaming comparator
+// InstanceEqualsUpToNulls, the tombstone-aware DeltaSince log, and the
+// seal points (a chase from an empty frontier seals its target once on
+// publish; a resumed maintain pass seals nothing).
 //
 // The centerpiece is a 100-seed differential sweep: random head-disjoint
 // mappings, random insert/erase batches, MaintainExchange vs a full
@@ -31,7 +33,6 @@ namespace {
 using instance::Instance;
 using instance::InstanceEqualsUpToNulls;
 using instance::RelationInstance;
-using instance::StorageMode;
 using instance::Tuple;
 using instance::Value;
 using logic::Atom;
@@ -118,92 +119,53 @@ TEST(EqualsUpToNullsTest, EmptyRelationsAreIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// Tombstone-aware DeltaViewSince
+// Tombstone-aware DeltaSince
 // ---------------------------------------------------------------------------
 
 Tuple Row2(std::int64_t a, std::int64_t b) {
   return {Value::Int64(a), Value::Int64(b)};
 }
 
-// Materializes every row of a view (refs then slices).
-std::multiset<Tuple> ViewRows(const instance::DeltaView& view) {
-  std::multiset<Tuple> rows;
-  for (const Tuple* t : view.refs) rows.insert(*t);
-  Tuple row;
-  for (const instance::DeltaSlice& slice : view.slices) {
-    for (std::size_t r = slice.begin; r < slice.end; ++r) {
-      slice.segment->CopyRow(r, &row);
-      rows.insert(row);
-    }
-  }
+std::vector<Tuple> Rows(const RelationInstance::TupleRefs& refs) {
+  std::vector<Tuple> rows;
+  for (const Tuple* t : refs) rows.push_back(*t);
   return rows;
-}
-
-TEST(TombstoneDeltaViewTest, EraseInOneRunKeepsOtherRunsSliced) {
-  RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
-  // Run 0: a large sealed batch; run 1: a small later batch (sizes differ
-  // enough that tiered compaction keeps them separate).
-  for (std::int64_t i = 0; i < 16; ++i) rel.Insert(Row2(i, i));
-  rel.PrepareSegments();
-  const std::size_t run0_end = rel.Watermark();
-  rel.Insert(Row2(100, 100));
-  rel.Insert(Row2(101, 101));
-  rel.PrepareSegments();
-  ASSERT_GE(rel.segment_shape().live_segments, 2u);
-
-  // Erase a row sealed into run 0. Watermarks at run 0's end must still see
-  // run 1 as a zero-copy slice — the erase only poisons run 0.
-  ASSERT_TRUE(rel.Erase(Row2(3, 3)));
-  instance::DeltaView later = rel.DeltaViewSince(run0_end);
-  EXPECT_TRUE(later.sliced);
-  EXPECT_EQ(later.size(), rel.DeltaSince(run0_end).size());
-
-  // A watermark-0 view walks run 0 through tombstone-skipping refs: same
-  // rows as the plain delta, erased row excluded.
-  instance::DeltaView full = rel.DeltaViewSince(0);
-  EXPECT_EQ(full.size(), rel.DeltaSince(0).size());
-  std::multiset<Tuple> rows = ViewRows(full);
-  EXPECT_EQ(rows.count(Row2(3, 3)), 0u);
-  EXPECT_EQ(rows.count(Row2(100, 100)), 1u);
-  EXPECT_EQ(rows.size(), 17u);
 }
 
 TEST(TombstoneDeltaViewTest, UnsealedSuffixSkipsTombstones) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   for (std::int64_t i = 0; i < 8; ++i) rel.Insert(Row2(i, i));
   rel.PrepareSegments();
   const std::size_t mark = rel.Watermark();
-  // Post-seal epoch: inserts and an erase of one of them, all unsealed.
+  // Post-seal epoch: inserts and an erase of one of them. The first insert
+  // dropped the run; the delta is the log either way.
   rel.Insert(Row2(50, 50));
   rel.Insert(Row2(51, 51));
   ASSERT_TRUE(rel.Erase(Row2(50, 50)));
-  instance::DeltaView view = rel.DeltaViewSince(mark);
-  EXPECT_EQ(view.size(), rel.DeltaSince(mark).size());
-  std::multiset<Tuple> rows = ViewRows(view);
-  EXPECT_EQ(rows.count(Row2(50, 50)), 0u);
-  EXPECT_EQ(rows.count(Row2(51, 51)), 1u);
+  EXPECT_FALSE(rel.SegmentCurrent());
+  EXPECT_EQ(Rows(rel.DeltaSince(mark)), std::vector<Tuple>{Row2(51, 51)});
 }
 
 TEST(TombstoneDeltaViewTest, SizeContractHoldsAcrossWatermarks) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
-  Rng rng(42);
-  for (std::int64_t i = 0; i < 12; ++i) rel.Insert(Row2(i, i));
+  std::vector<Tuple> inserted;  // insertion order, the log's order
+  auto insert = [&](std::int64_t i) {
+    rel.Insert(Row2(i, i));
+    inserted.push_back(Row2(i, i));
+  };
+  for (std::int64_t i = 0; i < 12; ++i) insert(i);
   rel.PrepareSegments();
-  for (std::int64_t i = 12; i < 15; ++i) rel.Insert(Row2(i, i));
+  for (std::int64_t i = 12; i < 15; ++i) insert(i);
   rel.PrepareSegments();
   ASSERT_TRUE(rel.Erase(Row2(2, 2)));
   ASSERT_TRUE(rel.Erase(Row2(13, 13)));
-  rel.Insert(Row2(99, 99));
+  insert(99);
   for (std::size_t mark = 0; mark <= rel.Watermark(); ++mark) {
-    instance::DeltaView view = rel.DeltaViewSince(mark);
-    auto refs = rel.DeltaSince(mark);
-    ASSERT_EQ(view.size(), refs.size()) << "watermark " << mark;
-    std::multiset<Tuple> expect;
-    for (const Tuple* t : refs) expect.insert(*t);
-    ASSERT_EQ(ViewRows(view), expect) << "watermark " << mark;
+    std::vector<Tuple> expect;
+    for (std::size_t i = mark; i < inserted.size(); ++i) {
+      if (rel.Contains(inserted[i])) expect.push_back(inserted[i]);
+    }
+    ASSERT_EQ(Rows(rel.DeltaSince(mark)), expect) << "watermark " << mark;
   }
 }
 
@@ -737,29 +699,192 @@ TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
   }
 }
 
-// The sweep again, under segmented storage: the maintain path must give
-// the same answers when deltas ride tombstone-aware segment slices.
+// ---------------------------------------------------------------------------
+// Seal points
+// ---------------------------------------------------------------------------
+
+// A chase from an empty frontier published `target`: every non-empty
+// relation holds a current run, sealed once, and nothing else ran.
+::testing::AssertionResult SealedOnPublish(const Instance& target,
+                                           const chase::ChaseStats& stats) {
+  std::size_t nonempty = 0;
+  for (const auto& [name, rel] : target.relations()) {
+    if (rel.empty()) continue;
+    ++nonempty;
+    if (!rel.SegmentCurrent()) {
+      return ::testing::AssertionFailure() << name << " holds no run";
+    }
+  }
+  if (stats.segment.seals != nonempty) {
+    return ::testing::AssertionFailure()
+           << stats.segment.seals << " seals for " << nonempty
+           << " non-empty relations";
+  }
+  if (stats.segment.compactions != 0 || stats.segment.merged_rows != 0 ||
+      stats.segment.retain_candidates != 0) {
+    return ::testing::AssertionFailure() << "run maintenance inside the chase";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Certain answers of "Q(x0, ..) :- R(x0, ..)" per relation of `expected`,
+// over `expected` and over `got`, must agree.
+::testing::AssertionResult SameCertainAnswers(const Instance& got,
+                                              const Instance& expected) {
+  for (const auto& [name, rel] : expected.relations()) {
+    logic::ConjunctiveQuery query;
+    query.head.relation = "Q";
+    Atom atom;
+    atom.relation = name;
+    for (std::size_t c = 0; c < rel.arity(); ++c) {
+      atom.terms.push_back(V("x" + std::to_string(c)));
+    }
+    query.head.terms = atom.terms;
+    query.body = {atom};
+    auto want = chase::CertainAnswers(query, expected);
+    auto have = chase::CertainAnswers(query, got);
+    if (!want.ok() || !have.ok() || *want != *have) {
+      return ::testing::AssertionFailure()
+             << "certain answers over " << name << " differ";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SealPointTest, ChaseInstanceSealsOncePerRelation) {
+  Instance chain;
+  chain.DeclareRelation("R", 2);
+  chain.DeclareRelation("T", 2);
+  for (std::int64_t i = 0; i < 64; ++i) {
+    chain.InsertUnchecked("R", Row2(i, i + 1));
+  }
+  Tgd copy{{Atom{"R", {V("x"), V("y")}}}, {Atom{"T", {V("x"), V("y")}}}};
+  Tgd step{{Atom{"T", {V("x"), V("y")}}, Atom{"R", {V("y"), V("z")}}},
+           {Atom{"T", {V("x"), V("z")}}}};
+  auto closed = chase::ChaseInstance({copy, step}, {}, chain);
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  EXPECT_EQ(closed->target.Find("T")->size(), 64u * 65u / 2u);
+  EXPECT_EQ(closed->stats.segment.seals, 2u);  // R and T, once each
+  EXPECT_TRUE(SealedOnPublish(closed->target, closed->stats));
+  // The input is untouched: it never had a run and still has none.
+  EXPECT_FALSE(chain.Find("R")->SegmentCurrent());
+}
+
+TEST(SealPointTest, RunChaseAndSessionSealOnPublish) {
+  Rng rng(11);
+  SweepCase c = MakeSweepCase(&rng);
+  auto chased = chase::RunChase(c.mapping, c.source);
+  ASSERT_TRUE(chased.ok()) << chased.status();
+  ASSERT_GT(chased->target.TotalTuples(), 0u);
+  EXPECT_TRUE(SealedOnPublish(chased->target, chased->stats));
+
+  auto begun = BeginExchangeSession(c.mapping, c.source);
+  ASSERT_TRUE(begun.ok()) << begun.status();
+  EXPECT_TRUE(SealedOnPublish(begun->target, begun->last_stats));
+  // The session source stays plain: the chase reads it, never seals it.
+  for (const auto& [name, rel] : begun->source.relations()) {
+    EXPECT_FALSE(rel.SegmentCurrent()) << name;
+  }
+}
+
+model::Relation IntRel(const std::string& name, std::size_t arity) {
+  std::vector<model::Attribute> attrs;
+  for (std::size_t c = 0; c < arity; ++c) {
+    attrs.push_back({"c" + std::to_string(c), model::DataType::Int64(), false});
+  }
+  return model::Relation(name, std::move(attrs), {});
+}
+
+TEST(SealPointTest, ResumedMaintainSealsNothing) {
+  // S(k, v) -> T(k, v);  S(k, v) -> exists y. U(k, y, v)
+  model::Schema src("Src", model::Metamodel::kRelational);
+  src.AddRelation(IntRel("S", 2));
+  model::Schema tgt("Tgt", model::Metamodel::kRelational);
+  tgt.AddRelation(IntRel("T", 2));
+  tgt.AddRelation(IntRel("U", 3));
+  Tgd to_t{{Atom{"S", {V("k"), V("v")}}}, {Atom{"T", {V("k"), V("v")}}}};
+  Tgd to_u{{Atom{"S", {V("k"), V("v")}}},
+           {Atom{"U", {V("k"), V("y"), V("v")}}}};
+  Mapping mapping = Mapping::FromTgds("m", src, tgt, {to_t, to_u});
+  Instance source = Instance::EmptyFor(src);
+  for (std::int64_t k = 0; k < 16; ++k) {
+    source.InsertUnchecked("S", Row2(k, k % 4));
+  }
+  auto begun = BeginExchangeSession(mapping, source);
+  ASSERT_TRUE(begun.ok()) << begun.status();
+  ExchangeSession session = std::move(begun.value());
+  ASSERT_TRUE(SealedOnPublish(session.target, session.last_stats));
+
+  Delta delta;
+  delta.inserts.DeclareRelation("S", 2);
+  delta.deletes.DeclareRelation("S", 2);
+  delta.inserts.InsertUnchecked("S", Row2(100, 5));
+  delta.deletes.InsertUnchecked("S", Row2(3, 3));
+  auto maintained = MaintainExchange(session, delta);
+  ASSERT_TRUE(maintained.ok()) << maintained.status();
+  ASSERT_EQ(session.fallbacks, 0u);
+  EXPECT_EQ(maintained->inserts.TotalTuples(), 2u);
+  EXPECT_EQ(maintained->deletes.TotalTuples(), 2u);
+  // Delta-sized: the resumed pass sealed nothing, and both maintained
+  // relations dropped the run sealed at the session's opening.
+  EXPECT_EQ(session.last_stats.segment.seals, 0u);
+  for (const char* name : {"T", "U"}) {
+    EXPECT_FALSE(session.target.Find(name)->SegmentProbePrefix({}).has_value())
+        << name;
+  }
+  // Readers of the unsealed target see what a fresh, sealed exchange of
+  // the post-delta source answers.
+  auto fresh = Exchange(mapping, session.source, ExchangeOptions{});
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(fresh->target.Find("U")->SegmentCurrent());
+  EXPECT_TRUE(SameCertainAnswers(session.target, fresh->target));
+  EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, fresh->target));
+}
+
+// The sweep again, watching the seal points: every session opens with a
+// target sealed on publish, resumed maintain passes seal nothing and drop
+// the runs of every relation they change, and readers of the maintained
+// (unsealed) target get the certain answers a fresh, sealed exchange
+// gives.
 TEST(IncrementalSweepTest, SegmentedStorageSweep) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed * 7919);
     SweepCase c = MakeSweepCase(&rng);
-    ExchangeOptions options;
-    options.storage = StorageMode::kSegmented;
-    auto begun = BeginExchangeSession(c.mapping, c.source, options);
+    auto begun = BeginExchangeSession(c.mapping, c.source);
     ASSERT_TRUE(begun.ok()) << "seed " << seed;
     ExchangeSession session = std::move(begun.value());
     ASSERT_TRUE(SupportIndexConsistent(session)) << "seed " << seed;
+    ASSERT_TRUE(SealedOnPublish(session.target, session.last_stats))
+        << "seed " << seed;
     for (std::size_t epoch = 0; epoch < 2; ++epoch) {
       Delta delta = MakeRandomDelta(c, session.source, epoch, &rng);
+      const std::size_t fallbacks = session.fallbacks;
       auto maintained = MaintainExchange(session, delta);
       ASSERT_TRUE(maintained.ok())
           << "seed " << seed << " epoch " << epoch << ": "
           << maintained.status().message();
       ASSERT_TRUE(SupportIndexConsistent(session))
           << "seed " << seed << " epoch " << epoch;
-      auto full = Exchange(c.mapping, session.source, options);
+      if (session.fallbacks == fallbacks) {
+        EXPECT_EQ(session.last_stats.segment.seals, 0u)
+            << "seed " << seed << " epoch " << epoch;
+        for (const Instance* side :
+             {&maintained->inserts, &maintained->deletes}) {
+          for (const auto& [name, rel] : side->relations()) {
+            if (rel.empty()) continue;
+            EXPECT_FALSE(session.target.Find(name)->SegmentCurrent())
+                << "seed " << seed << " epoch " << epoch << " " << name;
+          }
+        }
+      } else {
+        EXPECT_TRUE(SealedOnPublish(session.target, session.last_stats))
+            << "seed " << seed << " epoch " << epoch;
+      }
+      auto full = Exchange(c.mapping, session.source, ExchangeOptions{});
       ASSERT_TRUE(full.ok());
       ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+          << "seed " << seed << " epoch " << epoch;
+      EXPECT_TRUE(SameCertainAnswers(session.target, full.value().target))
           << "seed " << seed << " epoch " << epoch;
     }
   }

@@ -1,10 +1,11 @@
 // Compiled match plans (chase/plan.h) against the oracles they replace:
 //  - a differential sweep of random atom lists over random instances
-//    (sealed, unsealed, erase-dirtied and indexed relations) checks
+//    (unsealed, sealed, and mutated-after-seal relations) checks
 //    MatchAtoms, CertainAnswers and AllAnswers against MatchAtomsNaive;
 //  - access-path pins check that an outermost lookup bound only on a
-//    non-leading column and {0, c}-bound head probes never build a hash
-//    index;
+//    non-leading column and selective {0, c}-bound head probes never build
+//    a hash index, and that an unselective one moves to the hash index
+//    without changing the chase result;
 //  - a golden firing-order test pins exact instance text (null labels
 //    included), firing and null counters and provenance size for fixed
 //    exchange scenarios, so no executor change can reorder firings
@@ -31,7 +32,6 @@ namespace mm2::chase {
 namespace {
 
 using instance::Instance;
-using instance::StorageMode;
 using instance::Tuple;
 using instance::Value;
 using logic::Atom;
@@ -61,12 +61,11 @@ Tuple RandomTuple(Rng& rng, std::size_t arity) {
   return t;
 }
 
-// Three relations of arity 1..3, each left in one of four storage states:
-// indexed, sealed (current runs), unsealed (inserts after the seal sit in
-// the tail), or erase-dirtied (erases after the seal).
+// Three relations of arity 1..3, each left in one of four states: never
+// sealed, sealed (a current run), or mutated after the seal by inserts or
+// by an erase (the run dropped).
 Instance RandomInstance(Rng& rng, std::vector<std::size_t>* arities) {
   Instance db;
-  db.SetStorageMode(StorageMode::kSegmented);
   arities->clear();
   for (std::size_t r = 0; r < 3; ++r) {
     const std::string name = "R" + std::to_string(r);
@@ -75,16 +74,10 @@ Instance RandomInstance(Rng& rng, std::vector<std::size_t>* arities) {
     db.DeclareRelation(name, arity);
     instance::RelationInstance* rel = db.FindMutable(name);
     const std::size_t state = rng.Uniform(4);
-    if (state == 0) rel->set_storage_mode(StorageMode::kIndexed);
     const std::size_t rows = rng.Uniform(12);
     for (std::size_t i = 0; i < rows; ++i) rel->Insert(RandomTuple(rng, arity));
     if (state == 0) continue;
-    // Several seals leave several runs, so prefix probes cross runs.
     rel->PrepareSegments();
-    for (std::size_t i = rng.Uniform(4); i > 0; --i) {
-      rel->Insert(RandomTuple(rng, arity));
-      rel->PrepareSegments();
-    }
     if (state == 2) {
       for (std::size_t i = 1 + rng.Uniform(3); i > 0; --i) {
         rel->Insert(RandomTuple(rng, arity));
@@ -190,7 +183,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MatchPlanDiffProperty,
 
 TEST(MatchPlanAccessTest, NonLeadingLookupBuildsNoHashIndex) {
   Instance db;
-  db.SetStorageMode(StorageMode::kSegmented);
   db.DeclareRelation("T", 2);
   for (std::int64_t i = 0; i < 64; ++i) {
     db.InsertUnchecked("T", {Value::Int64(i), Value::Int64(i % 8)});
@@ -230,14 +222,49 @@ TEST(MatchPlanAccessTest, HeadProbeBoundOnLeadingColumnBuildsNoHashIndex) {
   for (std::int64_t i = 0; i < 32; ++i) {
     db.InsertUnchecked("S", {Value::Int64(i % 8), Value::Int64(i)});
   }
-  for (StorageMode mode : {StorageMode::kSegmented, StorageMode::kIndexed}) {
-    ChaseOptions options;
-    options.storage = mode;
-    auto result = RunChase(mapping, db, options);
+  auto result = RunChase(mapping, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->stats.index_builds, 0u);
+  EXPECT_EQ(result->stats.tgd_firings, 32u);
+  EXPECT_EQ(result->target.Find("T")->size(), 32u);
+}
+
+// The same head probe with k distinct leading values over n rows: at k = n
+// each probe walks about one row and the ordered range stays; at k = 1
+// every probe walks the whole relation, so the plan moves the probe to the
+// hash index (one build). Both paths enumerate in set order, so the chase
+// reproduces the naive oracle exactly, null labels included.
+TEST(MatchPlanAccessTest, UnselectiveLeadingColumnSwitchesToHashIndex) {
+  model::Schema source("Src", model::Metamodel::kRelational);
+  source.AddRelation(IntRelation("S", 2));
+  model::Schema target("Tgt", model::Metamodel::kRelational);
+  target.AddRelation(IntRelation("T", 3));
+  Tgd tgd;
+  tgd.body = {Atom{"S", {Term::Var("x"), Term::Var("z")}}};
+  tgd.head = {Atom{"T", {Term::Var("x"), Term::Var("y"), Term::Var("z")}}};
+  Mapping mapping = Mapping::FromTgds("m", source, target, {tgd});
+  constexpr std::int64_t kRows = 4000;
+  for (std::int64_t k : {kRows, std::int64_t{1}}) {
+    Instance db = Instance::EmptyFor(source);
+    for (std::int64_t i = 0; i < kRows; ++i) {
+      db.InsertUnchecked("S", {Value::Int64(i % k), Value::Int64(i)});
+    }
+    auto result = RunChase(mapping, db);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->stats.index_builds, 0u);
-    EXPECT_EQ(result->stats.tgd_firings, 32u);
-    EXPECT_EQ(result->target.Find("T")->size(), 32u);
+    ChaseOptions naive;
+    naive.naive = true;
+    naive.semi_naive = false;
+    auto oracle = RunChase(mapping, db, naive);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(text::InstanceToText(result->target),
+              text::InstanceToText(oracle->target))
+        << "k " << k;
+    EXPECT_EQ(result->stats.tgd_firings, static_cast<std::size_t>(kRows));
+    if (k == 1) {
+      EXPECT_GE(result->stats.index_builds, 1u) << "k " << k;
+    } else {
+      EXPECT_EQ(result->stats.index_builds, 0u) << "k " << k;
+    }
   }
 }
 
@@ -371,10 +398,8 @@ struct GoldenRun {
   std::size_t provenance = 0;
 };
 
-GoldenRun RunGolden(const Mapping& mapping, const Instance& db,
-                    StorageMode storage) {
+GoldenRun RunGolden(const Mapping& mapping, const Instance& db) {
   ChaseOptions options;
-  options.storage = storage;
   options.track_provenance = true;
   auto result = RunChase(mapping, db, options);
   if (!result.ok()) return {result.status().ToString(), 0, 0, 0};
@@ -383,8 +408,8 @@ GoldenRun RunGolden(const Mapping& mapping, const Instance& db,
 }
 
 // Recorded by running this scenario generator against the map-based
-// matcher that preceded compiled plans. Both storage modes must reproduce
-// every field, null labels included.
+// matcher that preceded compiled plans. The chase must reproduce every
+// field, null labels included.
 struct GoldenCase {
   std::uint64_t seed;
   bool second_order;
@@ -540,17 +565,13 @@ TEST(MatchPlanGoldenTest, FiringOrderMatchesRecordedRuns) {
         expected.second_order
             ? Mapping::FromSoTgd("so", s.source, s.target, s.so, s.egds)
             : Mapping::FromTgds("fo", s.source, s.target, s.tgds, s.egds);
-    for (StorageMode mode : {StorageMode::kSegmented, StorageMode::kIndexed}) {
-      const GoldenRun got = RunGolden(mapping, s.db, mode);
-      const std::string where =
-          "seed " + std::to_string(expected.seed) +
-          (expected.second_order ? " (SO)" : " (FO)") + " storage " +
-          instance::StorageModeName(mode);
-      EXPECT_EQ(got.outcome, expected.outcome) << where;
-      EXPECT_EQ(got.tgd_firings, expected.tgd_firings) << where;
-      EXPECT_EQ(got.nulls_created, expected.nulls_created) << where;
-      EXPECT_EQ(got.provenance, expected.provenance) << where;
-    }
+    const GoldenRun got = RunGolden(mapping, s.db);
+    const std::string where = "seed " + std::to_string(expected.seed) +
+                              (expected.second_order ? " (SO)" : " (FO)");
+    EXPECT_EQ(got.outcome, expected.outcome) << where;
+    EXPECT_EQ(got.tgd_firings, expected.tgd_firings) << where;
+    EXPECT_EQ(got.nulls_created, expected.nulls_created) << where;
+    EXPECT_EQ(got.provenance, expected.provenance) << where;
   }
 }
 
