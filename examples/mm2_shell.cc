@@ -63,7 +63,7 @@ void PrintHelp() {
       "  invert/inverse/extract/diff/merge/modelgen/exchange/match)\n"
       "  stats [--json]                dump the metrics registry\n"
       "  explain [--json]              ranked cost report (operators,\n"
-      "                                chase rules, strata, span phases)\n"
+      "                                chase rules, foresight, span phases)\n"
       "  explain mapping <m> [--json|--dot]\n"
       "                                static analysis: dependency strata,\n"
       "                                termination class, chase bounds\n"

@@ -8,7 +8,7 @@
 #                         value,unit,threads,hw_concurrency}, ... ]}
 #
 # Compare two trajectories with scripts/bench_compare.py (which refuses to
-# diff records taken at different thread counts).
+# diff records taken at different thread counts or hw_concurrency).
 #
 # Usage: scripts/bench_all.sh <label> [build-dir]    (build-dir: ./build)
 # Env:

@@ -11,6 +11,9 @@ count the bench process ran under): a pair of records taken at different
 thread counts is never compared — parallel walls are not comparable to
 serial walls — and is reported separately instead. Records without the
 field (pre-parallel baselines) compare against anything.
+Trajectories taken on machines with different core counts are refused
+outright: when the envelope or the records of the two files carry
+different "hw_concurrency" values, the script exits 2 and names both.
 Records are keyed by (bench, metric) and classified:
 
   time metrics   unit == "us": a candidate slower than
@@ -44,17 +47,24 @@ import sys
 
 
 def load_records(path):
+    """Returns ({(bench, metric): (value, unit, threads)}, hw_concurrency
+    values stamped on the envelope and the records)."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot load {path}: {e}")
     records = doc["records"] if isinstance(doc, dict) else doc
+    hw = set()
+    if isinstance(doc, dict) and doc.get("hw_concurrency") is not None:
+        hw.add(doc["hw_concurrency"])
     out = {}
     for r in records:
         out[(r["bench"], r["metric"])] = (float(r["value"]), r.get("unit", ""),
                                           r.get("threads"))
-    return out
+        if r.get("hw_concurrency") is not None:
+            hw.add(r["hw_concurrency"])
+    return out, hw
 
 
 def threshold_for(metric, overrides, default):
@@ -104,8 +114,15 @@ def main():
         except ValueError:
             sys.exit(f"error: bad fraction in --metric-threshold '{spec}'")
 
-    baseline = load_records(args.baseline)
-    candidate = load_records(args.candidate)
+    baseline, baseline_hw = load_records(args.baseline)
+    candidate, candidate_hw = load_records(args.candidate)
+    if baseline_hw and candidate_hw and baseline_hw != candidate_hw:
+        def names(values):
+            return ", ".join(str(v) for v in sorted(values))
+        print(f"error: refusing to compare trajectories taken at different "
+              f"hw_concurrency: baseline {names(baseline_hw)} vs candidate "
+              f"{names(candidate_hw)}", file=sys.stderr)
+        return 2
 
     regressions = []
     missing = []

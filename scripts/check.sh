@@ -34,10 +34,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # EventLog/CancelToken/Watchdog join the filter: the event log's ring
   # mutex + enabled/emitted atomics and the cancel token's relaxed stop
   # flag are exactly the kind of cross-thread state TSan is here for.
-  # ChaseStratifiedDiffProperty/ClosureStratifiedDiffProperty/Analysis/
-  # WatchdogForesight cover the stratified scheduler + analysis attach —
-  # the scheduler state is per-run but its metric mirroring and foresight
-  # events ride the shared registry/event-log mutexes.
+  # AnalysisTest/WatchdogForesight cover the analysis attach: foresight
+  # events and gauges ride the shared event-log/registry mutexes.
   # Segment/RelationSegment/ChaseSegmentedDiffProperty/
   # ClosureSegmentedDiffProperty cover the sealed run: the const
   # PrepareSegments seal under index_mu_, which shares its lock with the
@@ -47,7 +45,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # over the insert log, and session maintenance driving Erase/Insert
   # churn (which drops the run) against the lazily built log-position map
   # under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
 fi
 
 # Every gate appends its temp files here; one EXIT trap removes them all
@@ -187,8 +185,9 @@ EOF
 fi
 
 # Opt-in bench smoke: exercises bench_all.sh + bench_compare.py end to end
-# at tiny sizes — a self-compare must pass, and an inflated copy must fail,
-# proving the regression gate actually gates.
+# at tiny sizes — a self-compare must pass, an inflated copy must fail,
+# proving the regression gate actually gates, and a copy stamped with
+# another core count must be refused (exit 2).
 if [[ "${MM2_BENCH_SMOKE:-0}" == "1" ]]; then
   SMOKE_DIR="$(mktemp -d)"
   CLEANUP+=("$SMOKE_DIR")
@@ -210,5 +209,23 @@ EOF
     echo "error: bench_compare.py missed a 10x synthetic regression" >&2
     exit 1
   fi
-  echo "bench smoke gate passed (self-compare ok, 10x inflation caught)"
+  python3 - "$SMOKE_DIR" <<'EOF'
+import json, sys
+smoke_dir = sys.argv[1]
+doc = json.load(open(f"{smoke_dir}/BENCH_smoke.json"))
+hw = doc["hw_concurrency"] + 1
+doc["hw_concurrency"] = hw
+for r in doc["records"]:
+    r["hw_concurrency"] = hw
+json.dump(doc, open(f"{smoke_dir}/BENCH_other_hw.json", "w"))
+EOF
+  hw_status=0
+  python3 scripts/bench_compare.py \
+    "$SMOKE_DIR/BENCH_smoke.json" "$SMOKE_DIR/BENCH_other_hw.json" \
+    || hw_status=$?
+  if [[ "$hw_status" -ne 2 ]]; then
+    echo "error: bench_compare.py compared across hw_concurrency (exit $hw_status, want 2)" >&2
+    exit 1
+  fi
+  echo "bench smoke gate passed (self-compare ok, 10x inflation caught, hw_concurrency mismatch refused)"
 fi

@@ -22,8 +22,9 @@
 //      for j. Its SCC condensation, topologically ordered, is the
 //      mapping's *stratification*: rules in a stratum only ever receive
 //      new input from strictly earlier strata (or from their own SCC).
-//      The chase scheduler uses this to skip matching rules whose input
-//      strata are quiescent (chase.h, ChaseOptions::stratified).
+//      It is reported (`explain mapping`), not scheduled: the chase runs
+//      every rule each round, and an attached analysis only arms
+//      termination foresight (chase.h, ChaseOptions::analysis).
 //
 // Two modes mirror the two chase entry points. kExchange models RunChase:
 // tgd/SO bodies read the immutable source vocabulary (namespaced "src:")
@@ -108,10 +109,10 @@ struct MappingAnalysis {
   // constants + invented nulls) via G_0 = domain + constants,
   // G_{i+1} = G_i + E * G_i^W, iterated max_rank times. PredictedTuples
   // sums PredictedValues^arity over the written relations. PredictedRounds
-  // bounds the observed ChaseStats::rounds of a semi-naive chase (flat or
-  // stratified) over an instance with that active domain; it is the
-  // testable contract of the classifier. All three saturate at UINT64_MAX,
-  // which callers should render as "huge", not as a precise count.
+  // bounds the observed ChaseStats::rounds of a chase over an instance
+  // with that active domain; it is the testable contract of the
+  // classifier. All three saturate at UINT64_MAX, which callers should
+  // render as "huge", not as a precise count.
   std::uint64_t PredictedValues(std::uint64_t domain) const;
   std::uint64_t PredictedTuples(std::uint64_t domain) const;
   std::uint64_t PredictedRounds(std::uint64_t domain) const;

@@ -337,18 +337,6 @@ class ChaseRun {
       plans_.back().left = plans_.back().slots.Find(egd.left);
       plans_.back().right = plans_.back().slots.Find(egd.right);
     }
-    // Stratified scheduler (null analysis_ => disabled; the flat path pays
-    // one pointer compare per rule per round). The analysis' rule list is
-    // built in the same slot order as stats_.rules, so indices line up; a
-    // count mismatch means the caller attached an analysis of a different
-    // rule set, in which case scheduling is silently disabled rather than
-    // risking a wrong skip.
-    analysis_ = options_.analysis;
-    if (analysis_ != nullptr &&
-        analysis_->rules.size() != stats_.rules.size()) {
-      analysis_ = nullptr;
-    }
-    if (analysis_ != nullptr) SetUpStrata();
     // Times one rule's matching+firing for the current round and books the
     // aggregate-counter deltas into its RuleStats slot.
     auto attributed = [this](RuleStats& rule,
@@ -376,11 +364,7 @@ class ChaseRun {
     };
     bool changed = true;
     std::size_t rounds = 0;
-    // Under stratified scheduling a quiet round may simply mean the active
-    // strata reached fixpoint while later strata still await activation —
-    // keep looping until every stratum is done (each quiet round retires at
-    // least one stratum, so this terminates).
-    while (changed || (analysis_ != nullptr && !AllStrataDone())) {
+    while (changed) {
       if (++rounds > options_.max_rounds) {
         // The hard stop nobody asked for: attach the flight recorder so the
         // error names what the chase was doing when it ran away.
@@ -401,41 +385,30 @@ class ChaseRun {
       std::size_t round_unified0 = stats_.egd_unifications;
       std::size_t round_matched0 = stats_.assignments_matched;
       std::size_t round_delta0 = stats_.delta_tuples;
-      if (analysis_ != nullptr) {
-        stratum_ran_.assign(stats_.strata_count, 0);
-        stratum_changed_.assign(stats_.strata_count, 0);
-      }
       std::size_t rule_index = 0;
       for (const logic::SoTgdClause& clause : clauses) {
         std::size_t slot = rule_index++;
-        if (SkipByStratum(slot)) continue;
         MM2_ASSIGN_OR_RETURN(
             bool fired, attributed(stats_.rules[slot], [&] {
               return FireSoClause(clause, slot);
             }));
         changed |= fired;
-        NoteStratumResult(slot, fired);
       }
       for (const logic::Tgd& tgd : fo_tgds) {
         std::size_t slot = rule_index++;
-        if (SkipByStratum(slot)) continue;
         MM2_ASSIGN_OR_RETURN(bool fired,
                              attributed(stats_.rules[slot],
                                         [&] { return FireTgd(tgd, slot); }));
         changed |= fired;
-        NoteStratumResult(slot, fired);
       }
       for (const logic::Egd& egd : egds) {
         std::size_t slot = rule_index++;
-        if (SkipByStratum(slot)) continue;
         MM2_ASSIGN_OR_RETURN(bool fired,
                              attributed(stats_.rules[slot],
                                         [&] { return FireEgd(egd, slot); }));
         changed |= fired;
-        NoteStratumResult(slot, fired);
       }
       ++stats_.rounds;
-      if (analysis_ != nullptr) RetireStrata();
       round_span.SetAttribute("tgd_firings",
                               stats_.tgd_firings - round_firings0);
       round_span.SetAttribute("nulls_created",
@@ -475,22 +448,13 @@ class ChaseRun {
         if (rss_kb >= 0) g_rss->Set(static_cast<std::int64_t>(rss_kb));
       }
       if (events_on) {
-        std::vector<obs::EventField> heartbeat = {
-            obs::F("round", static_cast<std::uint64_t>(rounds)),
-            obs::F("delta", static_cast<std::uint64_t>(round_delta)),
-            obs::F("total_tuples", static_cast<std::uint64_t>(total_tuples)),
-            obs::F("nulls", static_cast<std::uint64_t>(stats_.nulls_created)),
-            obs::F("round_us", round_us), obs::F("rss_kb", rss_kb)};
-        if (analysis_ != nullptr) {
-          // The scheduling frontier: the earliest stratum still making (or
-          // awaiting) progress, plus how many are already retired.
-          heartbeat.push_back(obs::F(
-              "stratum", static_cast<std::uint64_t>(StratumFrontier())));
-          heartbeat.push_back(obs::F(
-              "strata_done", static_cast<std::uint64_t>(StrataDoneCount())));
-        }
-        events->Emit(obs::EventLevel::kInfo, "chase.heartbeat",
-                     std::move(heartbeat));
+        events->Emit(
+            obs::EventLevel::kInfo, "chase.heartbeat",
+            {obs::F("round", static_cast<std::uint64_t>(rounds)),
+             obs::F("delta", static_cast<std::uint64_t>(round_delta)),
+             obs::F("total_tuples", static_cast<std::uint64_t>(total_tuples)),
+             obs::F("nulls", static_cast<std::uint64_t>(stats_.nulls_created)),
+             obs::F("round_us", round_us), obs::F("rss_kb", rss_kb)});
       }
       if (watch_token_ != nullptr) {
         const std::uint64_t wall_us = static_cast<std::uint64_t>(
@@ -564,109 +528,6 @@ class ChaseRun {
     return Value::LabeledNull(next_label_++);
   }
 
-  // ---- Stratified scheduling ---------------------------------------------
-  // Strata indices are the analysis' topological order, so upstream strata
-  // always carry smaller indices and a single ascending pass lets
-  // retirement cascade within one round boundary.
-  void SetUpStrata() {
-    const std::size_t strata = analysis_->strata.size();
-    stats_.strata_count = strata;
-    stratum_of_.resize(stats_.rules.size());
-    for (std::size_t i = 0; i < stats_.rules.size(); ++i) {
-      stratum_of_[i] = analysis_->rules[i].stratum;
-      stats_.rules[i].stratum = static_cast<int>(analysis_->rules[i].stratum);
-    }
-    stratum_upstream_.assign(strata, {});
-    std::set<std::pair<std::size_t, std::size_t>> seen;
-    for (const analysis::RuleEdge& e : analysis_->rule_edges) {
-      std::size_t from = analysis_->rules[e.from].stratum;
-      std::size_t to = analysis_->rules[e.to].stratum;
-      if (from != to && seen.insert({from, to}).second) {
-        stratum_upstream_[to].push_back(from);
-      }
-    }
-    stratum_done_.assign(strata, 0);
-    stratum_active_.assign(strata, 1);
-    RefreshActivation();
-  }
-
-  bool UpstreamDone(std::size_t s) const {
-    for (std::size_t u : stratum_upstream_[s]) {
-      if (!stratum_done_[u]) return false;
-    }
-    return true;
-  }
-
-  // Exchange mode defers a stratum until its upstream cone is quiescent
-  // (late activation); closure mode runs everything that is not retired —
-  // deferring there can permute null naming and firing attribution, which
-  // would break bit-identity with the flat schedule.
-  void RefreshActivation() {
-    const bool closure = source_ == nullptr;
-    for (std::size_t s = 0; s < stratum_active_.size(); ++s) {
-      stratum_active_[s] =
-          !stratum_done_[s] && (closure || UpstreamDone(s)) ? 1 : 0;
-    }
-  }
-
-  bool AllStrataDone() const {
-    for (char done : stratum_done_) {
-      if (!done) return false;
-    }
-    return true;
-  }
-
-  std::size_t StrataDoneCount() const {
-    std::size_t count = 0;
-    for (char done : stratum_done_) count += done ? 1 : 0;
-    return count;
-  }
-
-  std::size_t StratumFrontier() const {
-    for (std::size_t s = 0; s < stratum_done_.size(); ++s) {
-      if (!stratum_done_[s]) return s;
-    }
-    return stratum_done_.size();
-  }
-
-  // True when rule `slot` must not be matched this round. Both skip kinds
-  // are provably empty passes under the flat schedule (see ChaseOptions),
-  // counted separately so `chase.strata.*` shows where the saving came
-  // from.
-  bool SkipByStratum(std::size_t slot) {
-    if (analysis_ == nullptr) return false;
-    const std::size_t s = stratum_of_[slot];
-    if (stratum_done_[s]) {
-      ++stats_.strata_skips_retired;
-      return true;
-    }
-    if (!stratum_active_[s]) {
-      ++stats_.strata_skips_inactive;
-      return true;
-    }
-    stratum_ran_[s] = 1;
-    return false;
-  }
-
-  void NoteStratumResult(std::size_t slot, bool fired) {
-    if (analysis_ != nullptr && fired) {
-      stratum_changed_[stratum_of_[slot]] = 1;
-    }
-  }
-
-  // Round-boundary retirement: a stratum whose whole upstream cone is done
-  // and whose rules all ran this round without changing anything has
-  // reached its final fixpoint — no future round can feed it new input.
-  void RetireStrata() {
-    for (std::size_t s = 0; s < stratum_done_.size(); ++s) {
-      if (!stratum_done_[s] && stratum_ran_[s] && !stratum_changed_[s] &&
-          UpstreamDone(s)) {
-        stratum_done_[s] = 1;
-      }
-    }
-    RefreshActivation();
-  }
-
   // One constraint compiled for the run (see plan.h). Body variables take
   // slots [0, body_slots) in name order; a tgd's existentials take the
   // slots after them, also in name order, so fresh nulls are invented in
@@ -721,7 +582,6 @@ class ChaseRun {
     std::size_t count = 0;
     std::size_t stride = 0;
     std::map<std::string, std::size_t, std::less<>> watermarks;
-    bool delta_pass = false;
 
     const Value* row(std::size_t i) const { return rows.data() + i * stride; }
   };
@@ -752,8 +612,7 @@ class ChaseRun {
         }
         ++out.count;
       }
-    } else if (options_.semi_naive && matched_once_[rule_index]) {
-      out.delta_pass = true;
+    } else if (matched_once_[rule_index]) {
       std::size_t consumed = MatchDelta(plan, db, watermarks_[rule_index], &out);
       stats_.delta_tuples += consumed;
       if (consumed == 0) ++stats_.delta_skips;
@@ -763,13 +622,11 @@ class ChaseRun {
       request.db = &db;
       request.cancel = watch_token_;
       out.count = plan.body.Run(request, frame_.data(), &out.rows);
-      if (options_.semi_naive) {
-        // The first full pass consumes the whole extension as its delta.
-        for (const auto& [name, mark] : out.watermarks) {
-          (void)mark;
-          const instance::RelationInstance* rel = db.Find(name);
-          if (rel != nullptr) stats_.delta_tuples += rel->size();
-        }
+      // The first full pass consumes the whole extension as its delta.
+      for (const auto& [name, mark] : out.watermarks) {
+        (void)mark;
+        const instance::RelationInstance* rel = db.Find(name);
+        if (rel != nullptr) stats_.delta_tuples += rel->size();
       }
     }
     stats_.assignments_matched += out.count;
@@ -1303,15 +1160,6 @@ class ChaseRun {
   // the rule has completed its first (full) pass.
   std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks_;
   std::vector<bool> matched_once_;
-  // Stratified-scheduler state, all empty when analysis_ is null. Indexed
-  // by stratum id (= the analysis' topological order).
-  const analysis::MappingAnalysis* analysis_ = nullptr;
-  std::vector<std::size_t> stratum_of_;  // rule slot -> stratum id
-  std::vector<std::vector<std::size_t>> stratum_upstream_;  // strict deps
-  std::vector<char> stratum_done_;     // retired forever
-  std::vector<char> stratum_active_;   // eligible to match this round
-  std::vector<char> stratum_ran_;      // matched during the current round
-  std::vector<char> stratum_changed_;  // changed state this round
   // Incremental-maintenance hooks, both null outside ResumeChase: the
   // caller-owned resume state (restored at the top of Run, re-exported at
   // the bottom) and the run's net target-side fact delta.
@@ -1329,7 +1177,8 @@ class ChaseRun {
 // collector sees one consistent `chase.*` counter family no matter which
 // entry point ran the chase.
 void MirrorStats(obs::Context* obs, const ChaseStats& stats,
-                 std::size_t provenance_entries, bool budget_stop) {
+                 std::size_t provenance_entries, bool budget_stop,
+                 bool analyzed) {
   if (obs == nullptr) return;
   obs::MetricsRegistry& m = obs->metrics;
   m.GetCounter("chase.runs").Increment();
@@ -1362,15 +1211,9 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
     m.GetGauge("storage.segment.live_segments")
         .Set(static_cast<std::int64_t>(stats.segment_shape.live_segments));
   }
-  // Strata + foresight families: materialized only for analysis-scheduled
-  // runs, so plain chases keep their exact pre-existing metric surface.
-  if (stats.strata_count > 0) {
-    m.GetGauge("chase.strata.count")
-        .Set(static_cast<std::int64_t>(stats.strata_count));
-    m.GetCounter("chase.strata.skips_inactive")
-        .Increment(stats.strata_skips_inactive);
-    m.GetCounter("chase.strata.skips_retired")
-        .Increment(stats.strata_skips_retired);
+  // Foresight family: materialized only for runs with an attached
+  // analysis, so plain chases keep their exact pre-existing metric surface.
+  if (analyzed) {
     constexpr std::uint64_t kGaugeMax =
         static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
     m.GetGauge("chase.foresight.predicted_rounds")
@@ -1382,25 +1225,6 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
         .Set(stats.predicted_terminating ? 1 : 0);
     if (stats.foresight_armed) {
       m.GetCounter("chase.foresight.armed").Increment();
-    }
-    // Per-stratum aggregates — obs::Profiler reads these back as the
-    // StratumCost table of `explain`.
-    std::map<int, std::pair<double, std::uint64_t>> per_stratum;  // wall, fire
-    std::map<int, std::uint64_t> stratum_rules;
-    for (const RuleStats& rule : stats.rules) {
-      if (rule.stratum < 0) continue;
-      per_stratum[rule.stratum].first += rule.wall_us;
-      per_stratum[rule.stratum].second += rule.firings;
-      ++stratum_rules[rule.stratum];
-    }
-    for (const auto& [stratum, cost] : per_stratum) {
-      const std::string prefix =
-          "chase.stratum." + std::to_string(stratum) + ".";
-      m.GetCounter(prefix + "wall_us")
-          .Increment(static_cast<std::uint64_t>(cost.first + 0.5));
-      m.GetCounter(prefix + "firings").Increment(cost.second);
-      m.GetGauge(prefix + "rules")
-          .Set(static_cast<std::int64_t>(stratum_rules[stratum]));
     }
   }
   // Per-constraint attribution, keyed by rule label so repeated runs of the
@@ -1414,9 +1238,6 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
     m.GetCounter(prefix + "firings").Increment(rule.firings);
     m.GetCounter(prefix + "nulls").Increment(rule.nulls_created);
     m.GetCounter(prefix + "rounds_active").Increment(rule.rounds_active);
-    if (rule.stratum >= 0) {
-      m.GetGauge(prefix + "stratum").Set(rule.stratum);
-    }
     obs::Histogram& rounds_hist = m.GetHistogram(prefix + "round_us");
     for (double us : rule.round_us) rounds_hist.Record(us);
   }
@@ -1464,31 +1285,21 @@ bool ApplyForesight(ChaseOptions* options, std::size_t input_tuples) {
   return true;
 }
 
-// Shared by every entry point: resolves `stratified` into an analysis
-// (`analyze` computes one when none is attached), arms foresight, and
-// packs the finished run into a ChaseResult with the foresight fields
+// Shared by every entry point: arms foresight from the attached analysis
+// and packs the finished run into a ChaseResult with the foresight fields
 // stamped. The O(|input|) active-domain sweep runs only when the rounds
-// bound reads it, so an egd-free exchange — every resumed maintenance
-// pass of one included — stays delta-sized.
+// bound reads it, so an egd-free exchange — every resumed maintenance pass
+// of one included — stays delta-sized.
 class AnalysisSetup {
  public:
-  template <typename Analyze>
-  AnalysisSetup(const ChaseOptions& options, const Instance& input,
-                Analyze&& analyze)
+  AnalysisSetup(const ChaseOptions& options, const Instance& input)
       : options_(options) {
-    if (options_.stratified && options_.analysis == nullptr) {
-      owned_.emplace(analyze());
-      options_.analysis = &*owned_;
-    }
     if (options_.analysis == nullptr) return;
     if (options_.analysis->RoundsBoundReadsDomain()) {
       domain_ = ActiveDomainSize(input);
     }
     armed_ = ApplyForesight(&options_, input.TotalTuples());
   }
-  // options_.analysis may point into owned_.
-  AnalysisSetup(const AnalysisSetup&) = delete;
-  AnalysisSetup& operator=(const AnalysisSetup&) = delete;
 
   // The adjusted copy the run executes under.
   const ChaseOptions& options() const { return options_; }
@@ -1499,20 +1310,20 @@ class AnalysisSetup {
     result.provenance = std::move(run.provenance());
     result.target = std::move(run.target());
     result.breach = std::move(run.breach());
-    if (options_.analysis != nullptr) {
+    const bool analyzed = options_.analysis != nullptr;
+    if (analyzed) {
       result.stats.predicted_terminating = options_.analysis->terminating();
       result.stats.predicted_rounds =
           options_.analysis->PredictedRounds(domain_);
       result.stats.foresight_armed = armed_;
     }
     MirrorStats(options_.obs, result.stats, result.provenance.size(),
-                result.breach.has_value());
+                result.breach.has_value(), analyzed);
     return result;
   }
 
  private:
   ChaseOptions options_;
-  std::optional<analysis::MappingAnalysis> owned_;
   std::uint64_t domain_ = 0;
   bool armed_ = false;
 };
@@ -1558,8 +1369,7 @@ void MirrorValueStats(obs::Context* obs) {
 Result<ChaseResult> RunChase(const logic::Mapping& mapping,
                              const instance::Instance& source,
                              const ChaseOptions& options) {
-  AnalysisSetup setup(options, source,
-                      [&] { return analysis::AnalyzeMapping(mapping); });
+  AnalysisSetup setup(options, source);
   ChaseRun run(&source, Instance::EmptyFor(mapping.target()),
                setup.options());
   MM2_RETURN_IF_ERROR(RunMapping(run, mapping, options));
@@ -1585,8 +1395,7 @@ Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
         std::max(resumed.first_null_label, state->next_label);
     resumed.trust_first_null_label = true;
   }
-  AnalysisSetup setup(resumed, source,
-                      [&] { return analysis::AnalyzeMapping(mapping); });
+  AnalysisSetup setup(resumed, source);
   ChaseRun run(&source, std::move(target), setup.options());
   run.AttachSession(state, std::move(provenance), net_change);
   MM2_RETURN_IF_ERROR(RunMapping(run, mapping, options));
@@ -1598,8 +1407,7 @@ Result<ChaseResult> ChaseInstance(const std::vector<logic::Tgd>& tgds,
                                   const instance::Instance& database,
                                   const ChaseOptions& options) {
   MM2_RETURN_IF_ERROR(RequireWeakAcyclicity(tgds, options));
-  AnalysisSetup setup(options, database,
-                      [&] { return analysis::AnalyzeClosure(tgds, egds); });
+  AnalysisSetup setup(options, database);
   ChaseRun run(nullptr, database, setup.options());
   MM2_RETURN_IF_ERROR(run.Run({}, tgds, egds));
   return setup.Finish(run);

@@ -110,15 +110,13 @@ struct ChaseOptions {
   // Evaluation strategy. `naive` restores the original rescan-everything
   // nested-loop executor — the oracle path for differential testing; it
   // never probes indexes, consults deltas or seals its result. Otherwise
-  // matching runs compiled plans, and `semi_naive` (the default)
-  // additionally restricts a rule's re-match after its first full pass to
-  // assignments where at least one body atom binds a tuple from that
-  // relation's delta set (tuples inserted since the rule's per-relation
-  // watermark). Either way the chase reads and writes the set and the
-  // insert log only; a chase from an empty frontier seals its finished
-  // target once on publish (RelationInstance::PrepareSegments).
+  // matching runs compiled plans: a rule's first pass matches in full, and
+  // every later pass only the assignments where at least one body atom
+  // binds a tuple from that relation's delta set (tuples inserted since the
+  // rule's per-relation watermark). Either way the chase reads and writes
+  // the set and the insert log only; a chase from an empty frontier seals
+  // its finished target once on publish (RelationInstance::PrepareSegments).
   bool naive = false;
-  bool semi_naive = true;
   // --- Resource budgets (the watchdog; 0 = unlimited) --------------------
   // Soft limits checked at every round boundary. On breach the chase stops
   // *gracefully*: Run returns OK with ChaseResult::breach describing which
@@ -129,36 +127,21 @@ struct ChaseOptions {
   std::uint64_t wall_budget_us = 0;  // wall time since Run started
   std::size_t tuple_budget = 0;      // tuples derived into the target
   std::size_t rss_budget_kb = 0;     // VmRSS watermark of the process
-  // --- Mapping introspection / stratified scheduling (opt-in) ------------
-  // When `stratified` is set (or an `analysis` is attached), rules are
-  // scheduled along the analysis' stratification instead of being matched
-  // flat every round. Two provably output-identical skips apply:
-  //   * retirement (all modes): once a stratum and its whole upstream cone
-  //     are quiescent, its rules are never matched again — the skipped
-  //     passes would have been empty delta-checks;
-  //   * late activation (data-exchange mode only): a rule whose stratum
-  //     still has non-quiescent upstream strata is not matched until the
-  //     stratum activates. In exchange mode tgd/SO strata have no upstream
-  //     (bodies read the immutable source), so only egds are deferred, and
-  //     they first run against exactly the state the flat schedule shows
-  //     them — instances, firing counters, and null naming stay
-  //     bit-identical to the flat semi-naive chase. Closure mode gets
-  //     retirement only, for the same bit-identity guarantee.
-  // The skipped passes are reported as ChaseStats::strata_skips_* and the
-  // `chase.strata.*` metric family; RuleStats and the heartbeat events
-  // carry stratum labels. `analysis` must describe exactly the rule set
-  // being chased (AnalyzeMapping for RunChase, AnalyzeClosure for
-  // ChaseInstance; a mismatched rule count disables scheduling). Not
-  // owned; must outlive the call. When `stratified` is set with a null
-  // `analysis`, the chase computes one itself.
-  //
-  // Foresight: when the (provided or computed) analysis classifies the
-  // rule set as potentially non-terminating and the caller armed no
-  // budget or cancel token, the chase auto-arms a conservative tuple
-  // budget (watchdog semantics: graceful stop with partial results) and
-  // emits a `chase.foresight` warning event.
-  bool stratified = false;
+  // --- Termination foresight (opt-in) ------------------------------------
+  // An attached `analysis` (AnalyzeMapping for RunChase and ResumeChase,
+  // AnalyzeClosure for ChaseInstance) changes no match and no firing. The
+  // run stamps its verdict and its round bound at the input's active
+  // domain into ChaseStats::predicted_*, mirrored as `chase.foresight.*`.
+  // When it classifies the rule set as potentially non-terminating and the
+  // caller armed no budget or cancel token, the chase auto-arms a
+  // conservative tuple budget (watchdog semantics: graceful stop with
+  // partial results) and emits a `chase.foresight` warning event. The
+  // chase never builds an analysis itself. Not owned; must outlive the
+  // call.
   const analysis::MappingAnalysis* analysis = nullptr;
+  // Inert: nothing reads it. It stays declared only because the mm2bench
+  // workloads still set it; remove it with them.
+  bool stratified = false;
   // Optional external stop switch (a server admission controller, a test).
   // The chase polls it at round boundaries and inside the match path;
   // budget breaches trip the same token, so every layer unwinds through
@@ -199,7 +182,6 @@ struct RuleStats {
   std::size_t unifications = 0;
   std::size_t rounds_active = 0;    // rounds in which the rule changed state
   std::vector<double> round_us;     // wall time per chase round, in order
-  int stratum = -1;                 // analysis stratum (-1: not stratified)
 };
 
 struct ChaseStats {
@@ -229,13 +211,9 @@ struct ChaseStats {
   // Relations holding a current run when the run ended (the target and, in
   // exchange mode, the source).
   instance::SegmentShape segment_shape;
-  // Stratified-scheduling + foresight telemetry, mirrored as
-  // `chase.strata.*` / `chase.foresight.*`. All zero (and the metric
-  // families stay unmaterialized) unless ChaseOptions enabled the
-  // scheduler.
-  std::size_t strata_count = 0;
-  std::size_t strata_skips_inactive = 0;  // passes deferred pre-activation
-  std::size_t strata_skips_retired = 0;   // passes skipped after retirement
+  // Foresight telemetry, mirrored as `chase.foresight.*`. Left at these
+  // defaults (and the metric family unmaterialized) unless ChaseOptions
+  // attached an analysis.
   std::uint64_t predicted_rounds = 0;     // analysis bound at this input
   bool predicted_terminating = true;
   bool foresight_armed = false;           // auto-armed conservative budget

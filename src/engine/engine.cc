@@ -286,13 +286,6 @@ Status Engine::Exchange(const std::string& out_instance,
     // Provenance is always on for engine-level exchanges: it is what the
     // `why` command reads back, and breach diagnostics lean on it too.
     options.track_provenance = true;
-    // So is mapping analysis: stratum labels feed `explain` and the
-    // heartbeat events, and foresight auto-arms a tuple budget when the
-    // classifier flags the mapping as potentially non-terminating. The
-    // analysis pass is static; the only instance scan, the active-domain
-    // count, runs only for mappings with target egds (the one case where
-    // the predicted-rounds bound reads it).
-    options.stratified = true;
     options.wall_budget_us = budget_wall_us_;
     options.tuple_budget = budget_tuples_;
     options.rss_budget_kb = budget_rss_kb_;
@@ -300,6 +293,9 @@ Status Engine::Exchange(const std::string& out_instance,
     // Exchanges run through an incremental session so a later `maintain`
     // can propagate source deltas without re-chasing; a one-shot exchange
     // pays only the session bookkeeping (provenance was always on here).
+    // The session analyzes the mapping once: `explain` reads its foresight
+    // section, and a mapping the classifier flags as potentially
+    // non-terminating runs under an auto-armed tuple budget.
     MM2_ASSIGN_OR_RETURN(
         runtime::ExchangeSession begun,
         runtime::BeginExchangeSession(m, std::move(source), options));

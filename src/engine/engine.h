@@ -183,9 +183,9 @@ class Engine {
   //                                   line with the same metric names)
   //   explain [--json]               (ranked cost report: per-operator
   //                                   totals/quantiles, per-chase-rule
-  //                                   attribution, strata, foresight, span
-  //                                   phases; --json emits one
-  //                                   machine-readable line)
+  //                                   attribution, foresight, span phases;
+  //                                   --json emits one machine-readable
+  //                                   line)
   //   explain mapping <m> [--json|--dot]
   //                                  (static analysis of a stored mapping:
   //                                   rule-dependency + position graphs,

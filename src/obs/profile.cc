@@ -14,7 +14,6 @@ namespace mm2::obs {
 namespace {
 
 constexpr char kRulePrefix[] = "chase.rule.";
-constexpr char kStratumPrefix[] = "chase.stratum.";
 
 using json::FormatDouble;
 
@@ -106,14 +105,6 @@ void BuildRules(const MetricsSnapshot& metrics, ProfileReport* report) {
       rule.rounds_active = c.value;
     }
   }
-  for (const GaugeSnapshot& g : metrics.gauges) {
-    if (g.name.rfind(kRulePrefix, 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(g.name, &head, &field)) continue;
-    if (field != "stratum") continue;
-    rules[head.substr(sizeof(kRulePrefix) - 1)].stratum = g.value;
-  }
   for (const HistogramSnapshot& h : metrics.histograms) {
     if (h.name.rfind(kRulePrefix, 0) != 0) continue;
     std::string head;
@@ -141,56 +132,6 @@ void BuildRules(const MetricsSnapshot& metrics, ProfileReport* report) {
               if (a.wall_us != b.wall_us) return a.wall_us > b.wall_us;
               return a.label < b.label;
             });
-}
-
-void BuildStrata(const MetricsSnapshot& metrics, ProfileReport* report) {
-  std::map<std::size_t, StratumCost> strata;
-  auto parse_index = [](const std::string& head, std::size_t* index) {
-    std::string tail = head.substr(sizeof(kStratumPrefix) - 1);
-    if (tail.empty()) return false;
-    std::size_t value = 0;
-    for (char c : tail) {
-      if (c < '0' || c > '9') return false;
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-    }
-    *index = value;
-    return true;
-  };
-  for (const CounterSnapshot& c : metrics.counters) {
-    if (c.name.rfind(kStratumPrefix, 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(c.name, &head, &field)) continue;
-    std::size_t index = 0;
-    if (!parse_index(head, &index)) continue;
-    StratumCost& s = strata[index];
-    if (field == "wall_us") {
-      s.wall_us = static_cast<double>(c.value);
-    } else if (field == "firings") {
-      s.firings = c.value;
-    }
-  }
-  for (const GaugeSnapshot& g : metrics.gauges) {
-    if (g.name.rfind(kStratumPrefix, 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(g.name, &head, &field)) continue;
-    std::size_t index = 0;
-    if (!parse_index(head, &index)) continue;
-    if (field == "rules") {
-      strata[index].rules = g.value < 0 ? 0 : static_cast<std::uint64_t>(g.value);
-    }
-  }
-  double total_us = 0;
-  for (auto& [index, s] : strata) {
-    s.index = index;
-    total_us += s.wall_us;
-    report->strata.push_back(std::move(s));
-  }
-  for (StratumCost& s : report->strata) {
-    s.share = total_us == 0 ? 0 : s.wall_us / total_us;
-  }
-  // std::map iteration already yields ascending stratum index.
 }
 
 void BuildForesight(const MetricsSnapshot& metrics, ProfileReport* report) {
@@ -409,19 +350,6 @@ std::vector<std::string> ProfileReport::Lines() const {
     lines.push_back("dominant rule: " + dominant->label + " (" +
                     Percent(dominant->share) + " of chase rule wall time)");
   }
-  if (!strata.empty()) {
-    lines.push_back("strata (" + std::to_string(strata.size()) + "):");
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"stratum", "rules", "wall_us", "share", "firings"});
-    for (const StratumCost& s : strata) {
-      rows.push_back({std::to_string(s.index), std::to_string(s.rules),
-                      Fixed1(s.wall_us), Percent(s.share),
-                      std::to_string(s.firings)});
-    }
-    for (std::string& line : Tabulate(rows, "rrrrr")) {
-      lines.push_back(std::move(line));
-    }
-  }
   if (foresight.any()) {
     lines.push_back("foresight:");
     std::vector<std::vector<std::string>> rows;
@@ -580,17 +508,7 @@ std::string ProfileReport::ToJson() const {
        << ", \"rounds\": " << rule.rounds << ", \"round_p50_us\": "
        << FormatDouble(rule.round_p50_us) << ", \"round_p95_us\": "
        << FormatDouble(rule.round_p95_us) << ", \"round_max_us\": "
-       << FormatDouble(rule.round_max_us) << ", \"stratum\": "
-       << rule.stratum << "}";
-  }
-  os << "], \"strata\": [";
-  first = true;
-  for (const StratumCost& s : strata) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"index\": " << s.index << ", \"rules\": " << s.rules
-       << ", \"wall_us\": " << FormatDouble(s.wall_us) << ", \"share\": "
-       << FormatDouble(s.share) << ", \"firings\": " << s.firings << "}";
+       << FormatDouble(rule.round_max_us) << "}";
   }
   os << "], \"foresight\": {\"analyzed\": "
      << (foresight.analyzed ? "true" : "false") << ", \"terminating\": "
@@ -648,7 +566,6 @@ ProfileReport Profiler::Build(const MetricsSnapshot& metrics,
   ProfileReport report;
   BuildOperators(metrics, &report);
   BuildRules(metrics, &report);
-  BuildStrata(metrics, &report);
   BuildForesight(metrics, &report);
   BuildStorage(metrics, &report);
   BuildValues(metrics, &report);

@@ -43,19 +43,6 @@ struct RuleCost {
   double round_p95_us = 0;
   double round_max_us = 0;
   double share = 0;  // fraction of the summed rule wall time
-  // Stratum assigned by mapping analysis (-1 when the chase ran unanalyzed);
-  // read from the `chase.rule.<label>.stratum` gauge.
-  std::int64_t stratum = -1;
-};
-
-// One stratum's aggregate cost under stratified scheduling, read from the
-// `chase.stratum.<i>.*` family. Only populated for analyzed runs.
-struct StratumCost {
-  std::size_t index = 0;
-  std::uint64_t rules = 0;    // rules assigned to this stratum
-  double wall_us = 0;         // summed member-rule wall time
-  std::uint64_t firings = 0;  // summed member-rule firings
-  double share = 0;           // fraction of the summed stratum wall time
 };
 
 // Termination foresight read back from the `chase.foresight.*` family:
@@ -151,7 +138,6 @@ struct ProfileReport {
   std::vector<OperatorCost> operators;  // by total_us desc
   std::vector<RuleCost> rules;          // by wall_us desc
   std::vector<PhaseCost> phases;        // by self_us desc (empty w/o tracing)
-  std::vector<StratumCost> strata;      // by index asc (empty w/o analysis)
   StorageCost storage;
   ValueCost values;
   IncrementalCost incremental;

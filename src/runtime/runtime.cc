@@ -416,9 +416,6 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   span.SetAttribute("source_tuples", source.TotalTuples());
   chase::ChaseOptions chase_options;
   chase_options.track_provenance = options.track_provenance;
-  chase_options.naive = options.naive;
-  chase_options.semi_naive = options.semi_naive;
-  chase_options.stratified = options.stratified;
   chase_options.wall_budget_us = options.wall_budget_us;
   chase_options.tuple_budget = options.tuple_budget;
   chase_options.rss_budget_kb = options.rss_budget_kb;
@@ -453,13 +450,14 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
 
 namespace {
 
-chase::ChaseOptions SessionChaseOptions(const ExchangeOptions& options) {
+// The chase options of one session pass. The analysis pointer is taken
+// afresh on every call because the session may have moved since the last.
+chase::ChaseOptions SessionChaseOptions(const ExchangeSession& session) {
+  const ExchangeOptions& options = session.options;
   chase::ChaseOptions copts;
   // Provenance is the deletion substrate; sessions always record it.
   copts.track_provenance = true;
-  copts.naive = options.naive;
-  copts.semi_naive = options.semi_naive;
-  copts.stratified = options.stratified;
+  copts.analysis = &session.analysis;
   copts.wall_budget_us = options.wall_budget_us;
   copts.tuple_budget = options.tuple_budget;
   copts.rss_budget_kb = options.rss_budget_kb;
@@ -507,13 +505,14 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
   obs::ObsSpan span(options.obs, "exchange.run");
   span.SetAttribute("mapping", mapping.name());
   span.SetAttribute("source_tuples", session.source.TotalTuples());
+  session.analysis = analysis::AnalyzeMapping(session.mapping);
   MM2_ASSIGN_OR_RETURN(
       chase::ChaseResult chased,
       chase::ResumeChase(session.mapping, session.source,
                          Instance::EmptyFor(mapping.target()),
                          chase::Provenance{}, &session.state,
                          /*net_change=*/nullptr,
-                         SessionChaseOptions(session.options)));
+                         SessionChaseOptions(session)));
   AdoptChaseResult(&session, std::move(chased));
   span.SetAttribute("target_tuples", session.target.TotalTuples());
   if (session.breach.has_value()) {
@@ -640,7 +639,7 @@ Result<Delta> MaintainSession(ExchangeSession& session,
                            Instance::EmptyFor(session.mapping.target()),
                            chase::Provenance{}, &session.state,
                            /*net_change=*/nullptr,
-                           SessionChaseOptions(session.options)));
+                           SessionChaseOptions(session)));
     AdoptChaseResult(&session, std::move(chased));
     out.inserts = session.target.Minus(old_target);
     out.deletes = old_target.Minus(session.target);
@@ -661,7 +660,7 @@ Result<Delta> MaintainSession(ExchangeSession& session,
         chase::ResumeChase(session.mapping, session.source,
                            std::move(session.target),
                            std::move(session.provenance), &session.state,
-                           &net, SessionChaseOptions(session.options)));
+                           &net, SessionChaseOptions(session)));
     AdoptChaseResult(&session, std::move(chased));
     // Net counts collapse churn: a fact erased by DRed and re-derived (or
     // rewritten away and back by an egd) sums to zero and is not reported.

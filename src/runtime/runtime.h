@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "algebra/eval.h"
+#include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "common/result.h"
 #include "instance/instance.h"
@@ -195,18 +196,8 @@ std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
 struct ExchangeOptions {
   bool compute_core = false;   // minimize the universal solution
   bool track_provenance = false;
-  // Chase evaluation strategy, passed straight through to ChaseOptions:
-  // `naive` restores the rescan-everything oracle, `semi_naive` (default)
-  // keeps delta-restricted re-matching on top of the compiled plans.
-  bool naive = false;
-  bool semi_naive = true;
-  // Analyze the mapping (analysis::AnalyzeMapping) before chasing and run
-  // the stratified scheduler: rules grouped into dependency strata, late
-  // strata not matched until their inputs are live, quiescent strata
-  // retired. Also arms termination foresight (a conservative tuple budget
-  // when the classifier says potentially non-terminating and no explicit
-  // budget is set). Off by default: the flat semi-naive chase is the
-  // baseline and the analysis pass is not free.
+  // Inert: nothing reads it. It stays declared only because the mm2bench
+  // workloads still set it; remove it with them.
   bool stratified = false;
   // Soft resource budgets, forwarded to ChaseOptions (0 = unlimited). On a
   // breach the chase stops gracefully and ExchangeResult::breach reports
@@ -233,7 +224,8 @@ struct ExchangeResult {
 
 // Runs the mapping end to end: chase, optional core minimization,
 // provenance. This is the "runtime that executes mappings" the revised
-// vision adds as a first-class component.
+// vision adds as a first-class component. Attaches no mapping analysis, so
+// its stats carry no foresight stamp.
 Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
                                 const instance::Instance& source,
                                 const ExchangeOptions& options = {});
@@ -251,11 +243,15 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
 // unwind in place).
 struct ExchangeSession {
   logic::Mapping mapping;
+  // AnalyzeMapping(mapping), built once when the session opens and
+  // attached (ChaseOptions::analysis) to every chase the session runs, so
+  // each pass arms foresight and stamps the round bound into last_stats.
+  analysis::MappingAnalysis analysis;
   instance::Instance source;       // current source; deltas applied in place
   instance::Instance target;       // maintained canonical universal solution
   chase::Provenance provenance;    // fact -> derivation witnesses
   chase::ChaseSessionState state;  // watermarks, skolem memo, journal
-  ExchangeOptions options;         // evaluation knobs reused per maintain
+  ExchangeOptions options;         // budgets and collector reused per maintain
   chase::ChaseStats last_stats;    // stats of the most recent (re)chase
   // Set when the most recent run stopped on a budget breach or cancel; the
   // session then holds a partial solution and the next maintain falls back
@@ -265,12 +261,12 @@ struct ExchangeSession {
   std::size_t fallbacks = 0;  // of which rebuilt via full re-chase
 };
 
-// Chases `source` from scratch and captures the resumable state. The
-// session takes ownership of the source instance (deltas mutate it in
-// place). Provenance tracking is always on — it is what makes deletions
-// answerable — and compute_core is rejected: the core is not
-// delta-maintainable, so incremental sessions maintain the canonical
-// solution instead.
+// Analyzes the mapping, chases `source` from scratch and captures the
+// resumable state. The session takes ownership of the source instance
+// (deltas mutate it in place). Provenance tracking is always on — it is
+// what makes deletions answerable — and compute_core is rejected: the core
+// is not delta-maintainable, so incremental sessions maintain the
+// canonical solution instead.
 Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
                                              instance::Instance source,
                                              const ExchangeOptions& options = {});

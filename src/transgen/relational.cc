@@ -113,6 +113,14 @@ Result<CompiledRelationalMapping> CompileRelationalMapping(
     return Status::Unsupported(
         "mappings with target egds need the chase (null unification)");
   }
+  for (const Tgd& tgd : mapping.tgds()) {
+    if (tgd.body.size() > kMaxCompiledBodyAtoms) {
+      return Status::InvalidArgument(
+          "tgd body of " + std::to_string(tgd.body.size()) +
+          " atoms exceeds the compiled loader's limit of " +
+          std::to_string(kMaxCompiledBodyAtoms) + "; use exchange");
+    }
+  }
   MM2_RETURN_IF_ERROR(mapping.Validate());
 
   CompiledRelationalMapping compiled;

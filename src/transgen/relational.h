@@ -1,6 +1,7 @@
 #ifndef MM2_TRANSGEN_RELATIONAL_H_
 #define MM2_TRANSGEN_RELATIONAL_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
 
@@ -28,6 +29,14 @@ namespace mm2::transgen {
 // inspect those columns; callers needing genuine labeled-null semantics
 // (certain answers over invented values, egd unification) use the chase.
 // Mappings with target egds are rejected: keys require the chase.
+//
+// A body compiles to a left-deep join tree one level per atom, and the
+// algebra's passes (SQL rendering, evaluation) recurse over it, so a tgd
+// body of more than kMaxCompiledBodyAtoms atoms is refused with
+// InvalidArgument instead of exhausting the stack; the chase (`exchange`)
+// has no such limit. The figure is the text parser's nesting limit.
+inline constexpr std::size_t kMaxCompiledBodyAtoms = 1000;
+
 struct CompiledRelationalMapping {
   // target relation -> plan producing its extension.
   std::map<std::string, algebra::ExprRef> loaders;

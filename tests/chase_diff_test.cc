@@ -1,11 +1,13 @@
 // Differential test for the chase executors: the naive nested-loop path
 // (ChaseOptions::naive, the pre-index implementation kept as oracle) must
-// agree with the index-backed path and with the semi-naive delta path on
+// agree with the default path (compiled plans, semi-naive delta passes) on
 // every randomly generated mapping. Agreement means identical status codes
 // and, on success, instances equal up to null renaming — checked as
 // homomorphic equivalence plus equal core sizes (cores of hom-equivalent
 // instances are isomorphic). Full-tgd closure cases invent no nulls, so
-// there the results must be exactly equal.
+// there the results must be exactly equal. The stratified sweeps pin the
+// foresight contract: attaching the mapping analysis changes nothing the
+// chase derives, and its round bound holds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "instance/instance.h"
 #include "instance/value.h"
@@ -37,14 +40,6 @@ using workload::Rng;
 ChaseOptions NaiveMode() {
   ChaseOptions o;
   o.naive = true;
-  o.semi_naive = false;
-  return o;
-}
-
-ChaseOptions IndexedMode() {
-  ChaseOptions o;
-  o.naive = false;
-  o.semi_naive = false;
   return o;
 }
 
@@ -179,35 +174,25 @@ TEST_P(ChaseDiffProperty, NaiveIndexedSemiNaiveAgree) {
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
 
   auto naive = RunChase(mapping, s.db, NaiveMode());
-  auto indexed = RunChase(mapping, s.db, IndexedMode());
   auto semi = RunChase(mapping, s.db, SemiNaiveMode());
 
-  ASSERT_EQ(naive.status().code(), indexed.status().code())
-      << "seed " << GetParam() << ": naive=" << naive.status()
-      << " indexed=" << indexed.status();
   ASSERT_EQ(naive.status().code(), semi.status().code())
       << "seed " << GetParam() << ": naive=" << naive.status()
       << " semi=" << semi.status();
-  if (!naive.ok()) return;  // all three rejected identically
+  if (!naive.ok()) return;  // both rejected identically
 
-  // The oracle path never touches the storage-layer indexes; the other two
-  // must account their probe traffic.
+  // The oracle path never touches the storage-layer indexes or deltas.
   EXPECT_EQ(naive->stats.index_probes, 0u);
   EXPECT_EQ(naive->stats.delta_tuples, 0u);
 
   // Universal solutions are unique up to homomorphic equivalence; firing
   // order may differ, so compare up to null renaming.
-  EXPECT_TRUE(HomEquivalent(naive->target, indexed->target))
-      << "seed " << GetParam();
   EXPECT_TRUE(HomEquivalent(naive->target, semi->target))
       << "seed " << GetParam();
 
   // Cores of hom-equivalent instances are isomorphic, hence equal-sized.
   Instance core_naive = ComputeCore(naive->target);
-  Instance core_indexed = ComputeCore(indexed->target);
   Instance core_semi = ComputeCore(semi->target);
-  EXPECT_EQ(core_naive.TotalTuples(), core_indexed.TotalTuples())
-      << "seed " << GetParam();
   EXPECT_EQ(core_naive.TotalTuples(), core_semi.TotalTuples())
       << "seed " << GetParam();
 }
@@ -249,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSerializeDiffProperty,
                          ::testing::Range(0, 100));
 
 // Full-tgd closure (no existentials, no nulls): the fixpoint is a unique
-// set of ground tuples, so all three executors must produce *identical*
+// set of ground tuples, so both executors must produce *identical*
 // instances, not just hom-equivalent ones. Random graphs chased to their
 // transitive closure exercise multi-round delta propagation hard.
 class ClosureDiffProperty : public ::testing::TestWithParam<int> {};
@@ -277,13 +262,10 @@ TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
   std::vector<Tgd> tgds = {copy, step};
 
   auto naive = ChaseInstance(tgds, {}, db, NaiveMode());
-  auto indexed = ChaseInstance(tgds, {}, db, IndexedMode());
   auto semi = ChaseInstance(tgds, {}, db, SemiNaiveMode());
   ASSERT_TRUE(naive.ok()) << naive.status();
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
   ASSERT_TRUE(semi.ok()) << semi.status();
 
-  EXPECT_TRUE(indexed->target.Equals(naive->target)) << "seed " << GetParam();
   EXPECT_TRUE(semi->target.Equals(naive->target)) << "seed " << GetParam();
   // Semi-naive actually consumed deltas (round 1 counts the extension).
   EXPECT_GT(semi->stats.delta_tuples, 0u);
@@ -291,39 +273,41 @@ TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureDiffProperty, ::testing::Range(0, 20));
 
-// Stratified-scheduling axis: running the chase with mapping analysis
-// attached (ChaseOptions::stratified) must be a pure scheduling
-// optimization. Strata only defer egd matching until the tgd strata are
-// quiescent (exchange mode) or retire rule groups the flat scheduler
-// would have delta-skipped anyway, so the *result* — the instance text,
-// which pins down null naming, and every firing-attribution counter —
-// must be bit-identical to the flat semi-naive run. Round counts and
-// delta-skip tallies legitimately differ (that skipped work is the
-// point), so they are deliberately not compared.
-ChaseOptions StratifiedMode() {
+// Stratified axis: the same sweeps with the stratum analysis attached
+// (ChaseOptions::analysis, built by analysis::AnalyzeMapping for RunChase
+// and AnalyzeClosure for ChaseInstance). There is one round loop; the
+// analysis only stamps foresight (the termination verdict and the
+// predicted round bound at the input's active domain). So the *result* —
+// the instance text, which pins down null naming, rounds and every
+// firing-attribution counter — must be bit-identical to the flat run
+// without it, and the predicted bound must dominate the observed rounds.
+ChaseOptions AnalyzedMode(const analysis::MappingAnalysis& analysis) {
   ChaseOptions o;
-  o.stratified = true;
+  o.analysis = &analysis;
   return o;
 }
 
-void ExpectSameRuleAttribution(const ChaseStats& flat,
-                               const ChaseStats& strat, int seed) {
-  EXPECT_EQ(flat.tgd_firings, strat.tgd_firings) << "seed " << seed;
-  EXPECT_EQ(flat.nulls_created, strat.nulls_created) << "seed " << seed;
-  EXPECT_EQ(flat.egd_unifications, strat.egd_unifications) << "seed " << seed;
-  EXPECT_EQ(flat.assignments_matched, strat.assignments_matched)
+void ExpectSameRuleAttribution(const ChaseStats& plain,
+                               const ChaseStats& analyzed, int seed) {
+  EXPECT_EQ(plain.rounds, analyzed.rounds) << "seed " << seed;
+  EXPECT_EQ(plain.tgd_firings, analyzed.tgd_firings) << "seed " << seed;
+  EXPECT_EQ(plain.nulls_created, analyzed.nulls_created) << "seed " << seed;
+  EXPECT_EQ(plain.egd_unifications, analyzed.egd_unifications)
       << "seed " << seed;
-  ASSERT_EQ(flat.rules.size(), strat.rules.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < flat.rules.size(); ++i) {
-    EXPECT_EQ(flat.rules[i].label, strat.rules[i].label) << "seed " << seed;
-    EXPECT_EQ(flat.rules[i].firings, strat.rules[i].firings)
-        << "seed " << seed << " rule " << flat.rules[i].label;
-    EXPECT_EQ(flat.rules[i].triggers_tested, strat.rules[i].triggers_tested)
-        << "seed " << seed << " rule " << flat.rules[i].label;
-    EXPECT_EQ(flat.rules[i].nulls_created, strat.rules[i].nulls_created)
-        << "seed " << seed << " rule " << flat.rules[i].label;
-    EXPECT_EQ(flat.rules[i].unifications, strat.rules[i].unifications)
-        << "seed " << seed << " rule " << flat.rules[i].label;
+  EXPECT_EQ(plain.assignments_matched, analyzed.assignments_matched)
+      << "seed " << seed;
+  ASSERT_EQ(plain.rules.size(), analyzed.rules.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < plain.rules.size(); ++i) {
+    const RuleStats& a = plain.rules[i];
+    const RuleStats& b = analyzed.rules[i];
+    EXPECT_EQ(a.label, b.label) << "seed " << seed;
+    EXPECT_EQ(a.firings, b.firings) << "seed " << seed << " rule " << a.label;
+    EXPECT_EQ(a.triggers_tested, b.triggers_tested)
+        << "seed " << seed << " rule " << a.label;
+    EXPECT_EQ(a.nulls_created, b.nulls_created)
+        << "seed " << seed << " rule " << a.label;
+    EXPECT_EQ(a.unifications, b.unifications)
+        << "seed " << seed << " rule " << a.label;
   }
 }
 
@@ -333,9 +317,11 @@ TEST_P(ChaseStratifiedDiffProperty, StratifiedEqualsFlatBitForBit) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
+  const analysis::MappingAnalysis analysis = analysis::AnalyzeMapping(mapping);
+  EXPECT_FALSE(analysis.strata.empty()) << "seed " << GetParam();
 
   auto flat = RunChase(mapping, s.db, SemiNaiveMode());
-  auto strat = RunChase(mapping, s.db, StratifiedMode());
+  auto strat = RunChase(mapping, s.db, AnalyzedMode(analysis));
   ASSERT_EQ(flat.status().code(), strat.status().code())
       << "seed " << GetParam() << ": flat=" << flat.status()
       << " stratified=" << strat.status();
@@ -348,22 +334,12 @@ TEST_P(ChaseStratifiedDiffProperty, StratifiedEqualsFlatBitForBit) {
       << "seed " << GetParam();
   ExpectSameRuleAttribution(flat->stats, strat->stats, GetParam());
 
-  // The scheduler actually ran, and its telemetry stayed off on the flat
-  // side (the disabled path materializes nothing).
-  EXPECT_GT(strat->stats.strata_count, 0u) << "seed " << GetParam();
-  EXPECT_EQ(flat->stats.strata_count, 0u);
-  // Every rule got a stratum; flat rules stay unassigned.
-  for (const RuleStats& rule : strat->stats.rules) {
-    EXPECT_GE(rule.stratum, 0) << "seed " << GetParam();
-  }
-  for (const RuleStats& rule : flat->stats.rules) {
-    EXPECT_EQ(rule.stratum, -1);
-  }
-  // S-t scenarios are always weakly acyclic, and the predicted round
-  // bound must dominate what either scheduler observed.
+  // Foresight is stamped only when an analysis is attached.
+  EXPECT_EQ(flat->stats.predicted_rounds, 0u);
+  // S-t scenarios are always weakly acyclic, so nothing auto-arms, and the
+  // predicted round bound must dominate the observed rounds.
   EXPECT_TRUE(strat->stats.predicted_terminating) << "seed " << GetParam();
-  EXPECT_LE(flat->stats.rounds, strat->stats.predicted_rounds)
-      << "seed " << GetParam();
+  EXPECT_FALSE(strat->stats.foresight_armed) << "seed " << GetParam();
   EXPECT_LE(strat->stats.rounds, strat->stats.predicted_rounds)
       << "seed " << GetParam();
 }
@@ -371,10 +347,9 @@ TEST_P(ChaseStratifiedDiffProperty, StratifiedEqualsFlatBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseStratifiedDiffProperty,
                          ::testing::Range(0, 100));
 
-// Closure mode only retires quiescent strata (late activation would
-// reorder null invention), so transitive closure over random graphs must
-// stay exactly equal too — including when an independent shallow chain
-// rides along, the case where retirement skips real delta-check passes.
+// Transitive closure over random graphs with an independent shallow rule
+// riding along, so the analysis sees more than one stratum: the analyzed
+// run must stay exactly equal to the flat one.
 class ClosureStratifiedDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureStratifiedDiffProperty, StratifiedClosureExactlyEqual) {
@@ -403,20 +378,25 @@ TEST_P(ClosureStratifiedDiffProperty, StratifiedClosureExactlyEqual) {
   step.body = {Atom{"T", {Term::Var("x"), Term::Var("y")}},
                Atom{"R", {Term::Var("y"), Term::Var("z")}}};
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
-  // Independent depth-1 stratum: quiescent after one round while the
-  // closure stratum keeps iterating — the retirement win.
+  // Independent depth-1 rule: quiet after one round while the closure
+  // keeps iterating.
   Tgd shallow;
   shallow.body = {Atom{"A", {Term::Var("x")}}};
   shallow.head = {Atom{"B", {Term::Var("x")}}};
   std::vector<Tgd> tgds = {copy, step, shallow};
+  const analysis::MappingAnalysis analysis =
+      analysis::AnalyzeClosure(tgds, {});
+  ASSERT_GT(analysis.strata.size(), 1u);
 
   auto flat = ChaseInstance(tgds, {}, db, SemiNaiveMode());
-  auto strat = ChaseInstance(tgds, {}, db, StratifiedMode());
+  auto strat = ChaseInstance(tgds, {}, db, AnalyzedMode(analysis));
   ASSERT_TRUE(flat.ok()) << flat.status();
   ASSERT_TRUE(strat.ok()) << strat.status();
   EXPECT_TRUE(strat->target.Equals(flat->target)) << "seed " << GetParam();
+  EXPECT_EQ(text::InstanceToText(strat->target),
+            text::InstanceToText(flat->target))
+      << "seed " << GetParam();
   ExpectSameRuleAttribution(flat->stats, strat->stats, GetParam());
-  EXPECT_GT(strat->stats.strata_count, 0u);
   // Full tgds invent nothing, so the classifier must say terminating and
   // its round bound must hold.
   EXPECT_TRUE(strat->stats.predicted_terminating);
@@ -491,28 +471,23 @@ TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
 
   auto naive = RunChase(mapping, s.db, NaiveMode());
-  for (bool semi_naive : {false, true}) {
-    ChaseOptions options;
-    options.semi_naive = semi_naive;
-    auto sealed = RunChase(mapping, s.db, options);
-    ASSERT_EQ(naive.status().code(), sealed.status().code())
-        << "seed " << GetParam() << " semi_naive " << semi_naive
-        << ": naive=" << naive.status() << " sealed=" << sealed.status();
-    if (!sealed.ok()) continue;
-    ExpectSealedOnce(*sealed, GetParam());
-    EXPECT_EQ(naive->stats.segment.seals, 0u);  // the oracle never seals
-    // The chase reads the source and never seals it.
-    for (const auto& [name, rel] : s.db.relations()) {
-      EXPECT_FALSE(rel.SegmentCurrent()) << "seed " << GetParam();
-    }
-    const Instance plain = Unsealed(sealed->target);
-    EXPECT_EQ(text::InstanceToText(plain),
-              text::InstanceToText(sealed->target))
-        << "seed " << GetParam();
-    ExpectSameReads(sealed->target, plain, GetParam());
-    EXPECT_TRUE(HomEquivalent(naive->target, sealed->target))
-        << "seed " << GetParam() << " semi_naive " << semi_naive;
+  auto sealed = RunChase(mapping, s.db, SemiNaiveMode());
+  ASSERT_EQ(naive.status().code(), sealed.status().code())
+      << "seed " << GetParam() << ": naive=" << naive.status()
+      << " sealed=" << sealed.status();
+  if (!sealed.ok()) return;
+  ExpectSealedOnce(*sealed, GetParam());
+  EXPECT_EQ(naive->stats.segment.seals, 0u);  // the oracle never seals
+  // The chase reads the source and never seals it.
+  for (const auto& [name, rel] : s.db.relations()) {
+    EXPECT_FALSE(rel.SegmentCurrent()) << "seed " << GetParam();
   }
+  const Instance plain = Unsealed(sealed->target);
+  EXPECT_EQ(text::InstanceToText(plain), text::InstanceToText(sealed->target))
+      << "seed " << GetParam();
+  ExpectSameReads(sealed->target, plain, GetParam());
+  EXPECT_TRUE(HomEquivalent(naive->target, sealed->target))
+      << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSegmentedDiffProperty,

@@ -368,13 +368,12 @@ TEST(ChaseInstanceTest, ClosesUnderIntraSchemaTgds) {
   EXPECT_EQ(result->target.Find("E")->size(), 6u);  // transitive closure
 }
 
-// Stratified runs stamp the analysis' round bound at the input's active
-// domain. The chase counts the domain only when the bound reads it, so the
-// stamp must still equal the bound at the true domain size in every case:
-// egd-free exchange (a constant), exchange with egds, and closure.
+// Runs with an attached analysis stamp its round bound at the input's
+// active domain. The chase counts the domain only when the bound reads it,
+// so the stamp must still equal the bound at the true domain size in every
+// case: egd-free exchange (a constant), exchange with egds, and closure.
 TEST(ChaseTest, ForesightStampsRoundBoundAtActiveDomain) {
   ChaseOptions options;
-  options.stratified = true;
   Tgd tgd;
   tgd.body = {Atom{"Emp", {V("e"), V("d")}}};
   tgd.head = {Atom{"Worker", {V("e"), V("m")}}};
@@ -389,6 +388,7 @@ TEST(ChaseTest, ForesightStampsRoundBoundAtActiveDomain) {
         Mapping::FromTgds("m", SourceSchema(), TargetSchema(), {tgd}, egds);
     analysis::MappingAnalysis a = analysis::AnalyzeMapping(m);
     EXPECT_EQ(a.RoundsBoundReadsDomain(), !egds.empty());
+    options.analysis = &a;
     auto result = RunChase(m, SourceDb(), options);
     ASSERT_TRUE(result.ok()) << result.status();
     // SourceDb's active domain: eids 1 and 2, depts "sales" and "eng".
@@ -404,6 +404,7 @@ TEST(ChaseTest, ForesightStampsRoundBoundAtActiveDomain) {
   ASSERT_TRUE(db.Insert("E", {Value::Int64(2), Value::Int64(3)}).ok());
   analysis::MappingAnalysis closure = analysis::AnalyzeClosure({trans}, {});
   EXPECT_TRUE(closure.RoundsBoundReadsDomain());
+  options.analysis = &closure;
   auto closed = ChaseInstance({trans}, {}, db, options);
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_EQ(closed->stats.predicted_rounds, closure.PredictedRounds(3));

@@ -268,18 +268,33 @@ TEST_F(EngineExtTest, StatsJsonSharesMetricNamesWithTextForm) {
   EXPECT_FALSE(engine_.RunScript("stats --verbose").ok());
 }
 
-TEST_F(EngineExtTest, ExchangeAttributesStrataAndForesight) {
+TEST_F(EngineExtTest, ExchangeAndMaintainStampForesight) {
+  // The engine's session analyzes the mapping once and attaches it to
+  // every pass, so `explain` shows the foresight section after the
+  // exchange and after a maintain, and no stratum table anywhere.
+  auto expect_foresight = [this](const char* after) {
+    auto log = engine_.RunScript("explain --json");
+    ASSERT_TRUE(log.ok()) << log.status();
+    const std::string& json = log->back();
+    EXPECT_NE(json.find("\"foresight\": {\"analyzed\": true, "
+                        "\"terminating\": true"),
+              std::string::npos)
+        << after << ": " << json;
+    EXPECT_EQ(json.find("\"strata\""), std::string::npos) << after;
+    EXPECT_EQ(json.find("\"stratum\""), std::string::npos) << after;
+  };
   ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D").ok());
-  auto log = engine_.RunScript("explain --json");
-  ASSERT_TRUE(log.ok()) << log.status();
-  const std::string& json = log->back();
-  // Engine exchanges run stratified, so the rule carries its stratum and
-  // the strata/foresight sections are live.
-  EXPECT_NE(json.find("\"stratum\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"strata\": [{\"index\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"foresight\": {\"analyzed\": true, "
-                      "\"terminating\": true"),
-            std::string::npos);
+  expect_foresight("exchange");
+  // A fresh collector for the maintain: the gauges it reports can only
+  // come from the maintain's own chase pass.
+  obs::Context maintain_obs;
+  engine_.SetObservability(&maintain_obs);
+  ASSERT_TRUE(engine_.RunScript("apply +Orders(2,\"gizmo\")\n"
+                                "apply +Lines(2,5)\n"
+                                "maintain flatten")
+                  .ok());
+  expect_foresight("maintain");
+  engine_.SetObservability(nullptr);
 }
 
 TEST_F(EngineExtTest, LogLevelCommandSetsThreshold) {

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "instance/instance.h"
 #include "logic/formula.h"
@@ -362,6 +363,65 @@ TEST(MaintainDRedTest, DeletingMergedFactFallsBackToRechase) {
   ASSERT_TRUE(maintained2.ok()) << maintained2.status().message();
   EXPECT_EQ(maintained2.value().inserts.TotalTuples(), 1u);
   EXPECT_EQ(session.fallbacks, 1u);
+}
+
+// Distinct values across an instance: the active domain the analysis'
+// round bound is evaluated at.
+std::uint64_t ActiveDomain(const Instance& db) {
+  std::set<Value> values;
+  for (const auto& [name, rel] : db.relations()) {
+    for (const Tuple& t : rel.tuples()) values.insert(t.begin(), t.end());
+  }
+  return values.size();
+}
+
+// A session opened with default options analyzes its mapping once and
+// attaches the analysis to every pass: the opening chase, a resumed
+// maintain and a fallback re-chase each stamp the verdict and the round
+// bound at the current source's active domain (the key egd makes the bound
+// read it).
+TEST(MaintainDRedTest, DefaultSessionStampsForesightOnEveryPass) {
+  Mapping m = KeyedExistentialMapping();
+  const analysis::MappingAnalysis a = analysis::AnalyzeMapping(m);
+  ASSERT_TRUE(a.RoundsBoundReadsDomain());
+  Instance source;
+  source.DeclareRelation("S", 1);
+  source.DeclareRelation("R", 2);
+  ASSERT_TRUE(source.Insert("S", {Value::Int64(1)}).ok());
+  ASSERT_TRUE(source.Insert("R", Row2(1, 10)).ok());
+  ASSERT_TRUE(source.Insert("R", Row2(2, 30)).ok());
+  auto begun = BeginExchangeSession(m, std::move(source), ExchangeOptions{});
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ExchangeSession session = std::move(begun.value());
+  auto expect_stamped = [&](const char* pass) {
+    const chase::ChaseStats& stats = session.last_stats;
+    EXPECT_TRUE(stats.predicted_terminating) << pass;
+    EXPECT_EQ(stats.predicted_rounds,
+              a.PredictedRounds(ActiveDomain(session.source)))
+        << pass;
+    EXPECT_GT(stats.predicted_rounds, 0u) << pass;
+    EXPECT_LE(stats.rounds, stats.predicted_rounds) << pass;
+    EXPECT_FALSE(stats.foresight_armed) << pass;
+  };
+  expect_stamped("begin");
+
+  Delta insert;
+  insert.inserts.DeclareRelation("R", 2);
+  insert.inserts.InsertUnchecked("R", Row2(3, 40));
+  ASSERT_TRUE(MaintainExchange(session, insert).ok());
+  ASSERT_EQ(session.fallbacks, 0u);
+  expect_stamped("resumed maintain");
+
+  // Deleting both derivations of the egd-merged P(1,10) forces the
+  // re-chase.
+  Delta merged;
+  merged.deletes.DeclareRelation("S", 1);
+  merged.deletes.InsertUnchecked("S", {Value::Int64(1)});
+  merged.deletes.DeclareRelation("R", 2);
+  merged.deletes.InsertUnchecked("R", Row2(1, 10));
+  ASSERT_TRUE(MaintainExchange(session, merged).ok());
+  ASSERT_EQ(session.fallbacks, 1u);
+  expect_stamped("fallback maintain");
 }
 
 // Insert-only maintain with an egd merge at maintain time: the null

@@ -253,7 +253,6 @@ TEST(MatchPlanAccessTest, UnselectiveLeadingColumnSwitchesToHashIndex) {
     ASSERT_TRUE(result.ok()) << result.status();
     ChaseOptions naive;
     naive.naive = true;
-    naive.semi_naive = false;
     auto oracle = RunChase(mapping, db, naive);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     EXPECT_EQ(text::InstanceToText(result->target),

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "chase/chase.h"
+#include "engine/engine.h"
 #include "transgen/relational.h"
 #include "workload/generators.h"
 
@@ -216,6 +217,62 @@ TEST(RelationalCompileTest, ToStringListsLoaders) {
   ASSERT_TRUE(compiled.ok());
   EXPECT_NE(compiled->ToString().find("loader for Students"),
             std::string::npos);
+}
+
+// E(x0, x1), E(x1, x2), ..., E(x<n-1>, x<n>) -> Path(x0, x<n>): a chain
+// body of `atoms` atoms over one binary source relation.
+Mapping ChainMapping(std::size_t atoms) {
+  model::Schema source = SchemaBuilder("ChainSrc", Metamodel::kRelational)
+                             .Relation("E", {{"a", DataType::Int64()},
+                                             {"b", DataType::Int64()}})
+                             .Build();
+  model::Schema target = SchemaBuilder("ChainTgt", Metamodel::kRelational)
+                             .Relation("Path", {{"a", DataType::Int64()},
+                                                {"b", DataType::Int64()}})
+                             .Build();
+  auto var = [](std::size_t i) { return Term::Var("x" + std::to_string(i)); };
+  Tgd tgd;
+  tgd.body.reserve(atoms);
+  for (std::size_t i = 0; i < atoms; ++i) {
+    tgd.body.push_back(Atom{"E", {var(i), var(i + 1)}});
+  }
+  tgd.head = {Atom{"Path", {var(0), var(atoms)}}};
+  return Mapping::FromTgds("deep", source, target, {tgd});
+}
+
+// The compiled loader is a join tree one level per body atom, walked
+// recursively, so an overlong body is refused up front: both `sql` (which
+// prints CompileRelationalMapping) and `batchload` answer InvalidArgument
+// naming the limit and the chase, instead of overflowing the stack.
+TEST(RelationalCompileTest, RefusesBodiesBeyondTheAtomLimit) {
+  const Mapping deep = ChainMapping(30000);
+  auto compiled = CompileRelationalMapping(deep);
+  ASSERT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = compiled.status().message();
+  EXPECT_NE(message.find("30000 atoms"), std::string::npos) << message;
+  EXPECT_NE(message.find(std::to_string(kMaxCompiledBodyAtoms)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("use exchange"), std::string::npos) << message;
+
+  engine::Engine engine;
+  ASSERT_TRUE(engine.repo().PutSchema(deep.source()).ok());
+  ASSERT_TRUE(engine.repo().PutSchema(deep.target()).ok());
+  ASSERT_TRUE(engine.repo().PutMapping(deep).ok());
+  Instance db = Instance::EmptyFor(deep.source());
+  ASSERT_TRUE(db.Insert("E", {Value::Int64(0), Value::Int64(1)}).ok());
+  ASSERT_TRUE(engine.repo().PutInstance("G", std::move(db)).ok());
+  auto loaded = engine.RunScript("batchload Out deep G");
+  ASSERT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("use exchange"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_FALSE(engine.repo().HasInstance("Out"));
+}
+
+TEST(RelationalCompileTest, CompilesABodyAtTheAtomLimit) {
+  auto compiled = CompileRelationalMapping(ChainMapping(kMaxCompiledBodyAtoms));
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->loaders.count("Path"), 1u);
 }
 
 }  // namespace

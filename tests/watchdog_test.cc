@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "instance/instance.h"
 #include "logic/formula.h"
@@ -282,14 +283,16 @@ TEST(WatchdogTest, MaxRoundsErrorCarriesFlightDump) {
 
 TEST(WatchdogForesightTest, AutoArmsTupleBudgetOnNonTerminatingClosure) {
   // The known-negative classifier case: R(x,y) -> exists z. R(y,z) cycles
-  // through a special edge, so a stratified run with no explicit budget
+  // through a special edge, so an analyzed run with no explicit budget
   // must arm a conservative tuple budget on its own and stop gracefully
   // instead of chasing forever.
   obs::Context obs;
   std::ostringstream sink;
   obs.events.Configure(obs::EventFormat::kText, &sink);
+  const analysis::MappingAnalysis analysis =
+      analysis::AnalyzeClosure({DivergingTgd()}, {});
   ChaseOptions options;
-  options.stratified = true;
+  options.analysis = &analysis;
   options.max_rounds = 100000000;  // foresight must fire long before this
   options.obs = &obs;
   auto result = ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
@@ -323,8 +326,10 @@ TEST(WatchdogForesightTest, AutoArmsTupleBudgetOnNonTerminatingClosure) {
 TEST(WatchdogForesightTest, ExplicitBudgetSuppressesAutoArm) {
   // An explicit (generous) wall budget means the user already bounded the
   // run; foresight must not stack a tuple budget on top.
+  const analysis::MappingAnalysis analysis =
+      analysis::AnalyzeClosure({DivergingTgd()}, {});
   ChaseOptions options;
-  options.stratified = true;
+  options.analysis = &analysis;
   options.wall_budget_us = 5000;
   options.max_rounds = 100000000;
   auto result = ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
@@ -339,8 +344,10 @@ TEST(WatchdogForesightTest, TerminatingClosureNeverArms) {
   Tgd copy;
   copy.body = {Atom{"R", {V("x"), V("y")}}};
   copy.head = {Atom{"Q", {V("x")}}};
+  const analysis::MappingAnalysis analysis =
+      analysis::AnalyzeClosure({copy}, {});
   ChaseOptions options;
-  options.stratified = true;
+  options.analysis = &analysis;
   auto result = ChaseInstance({copy}, {}, SeedInstance(), options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->breach.has_value());
