@@ -19,7 +19,6 @@
 #include <string>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace mm2::bench {
@@ -31,22 +30,16 @@ inline obs::Context& Obs() {
   return ctx;
 }
 
-// The MM2_THREADS-resolved default worker count this bench process runs
-// under, resolved once. Benches that sweep an explicit thread axis encode
-// the axis in the metric name instead; this field captures the ambient
-// setting so comparison tooling can refuse to diff runs taken at
-// different thread counts.
-inline std::size_t BenchThreads() {
-  static const std::size_t resolved = common::ResolveThreadCount(0);
-  return resolved;
-}
-
+// Every line also carries the build flavour (MM2_BENCH_BUILD_TYPE, defined
+// by bench/CMakeLists.txt) and the core count, the two stamps
+// bench_compare.py refuses to compare across.
 inline void PrintJsonLine(const std::string& bench, const std::string& metric,
                           double value, const std::string& unit) {
   std::printf("{\"bench\": \"%s\", \"metric\": \"%s\", \"value\": %.6g, "
-              "\"unit\": \"%s\", \"threads\": %zu, \"hw_concurrency\": %u}\n",
+              "\"unit\": \"%s\", \"build_type\": \"%s\", "
+              "\"hw_concurrency\": %u}\n",
               bench.c_str(), metric.c_str(), value, unit.c_str(),
-              BenchThreads(), std::thread::hardware_concurrency());
+              MM2_BENCH_BUILD_TYPE, std::thread::hardware_concurrency());
 }
 
 // Peak resident set size of this process in KiB (VmHWM from

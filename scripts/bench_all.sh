@@ -3,19 +3,17 @@
 # collects the '{"bench": ...}' JSON metric lines that bench/bench_report.h
 # prints after each google-benchmark run, and writes one trajectory file:
 #
-#   BENCH_<label>.json = {"label": "<label>", "mm2_threads": N,
+#   BENCH_<label>.json = {"label": "<label>", "build_type": "<flavour>",
 #                         "hw_concurrency": M, "records": [ {bench,metric,
-#                         value,unit,threads,hw_concurrency}, ... ]}
+#                         value,unit,build_type,hw_concurrency}, ... ]}
 #
+# build_type is the bench build's CMAKE_BUILD_TYPE, plus "+<sanitizers>"
+# when MM2_SANITIZE was set; the envelope copies it from the records.
 # Compare two trajectories with scripts/bench_compare.py (which refuses to
-# diff records taken at different thread counts or hw_concurrency).
+# diff trajectories of different build types or hw_concurrency).
 #
 # Usage: scripts/bench_all.sh <label> [build-dir]    (build-dir: ./build)
 # Env:
-#   MM2_THREADS       ambient worker count for the algebra's parallel hash
-#                     join (default 1 = serial; the chase is always
-#                     serial); inherited by every bench binary and recorded
-#                     in the envelope + every record
 #   MM2_BENCH_ARGS    extra flags passed to every bench binary
 #                     (e.g. --benchmark_min_time=0.05; the seed baselines
 #                     are taken with --benchmark_min_time=0.05, see
@@ -69,9 +67,10 @@ if [[ "$count" -eq 0 ]]; then
   exit 1
 fi
 
+BUILD_TYPE="$(sed -n '1s/.*"build_type": "\([^"]*\)".*/\1/p' "$TMP")"
 {
-  printf '{"label": "%s", "mm2_threads": %s, "hw_concurrency": %s, "records": [\n' \
-    "$LABEL" "${MM2_THREADS:-1}" "$(nproc)"
+  printf '{"label": "%s", "build_type": "%s", "hw_concurrency": %s, "records": [\n' \
+    "$LABEL" "$BUILD_TYPE" "$(nproc)"
   awk 'NR > 1 { printf ",\n" } { printf "%s", $0 }' "$TMP"
   printf '\n]}\n'
 } > "$OUT"

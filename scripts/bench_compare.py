@@ -6,14 +6,11 @@ Usage:
 
 A record is a {"bench", "metric", "value", "unit"} object as written by
 scripts/bench_all.sh (a bare JSON array of records is accepted too).
-Records may additionally carry "threads" (the MM2_THREADS-resolved worker
-count the bench process ran under): a pair of records taken at different
-thread counts is never compared — parallel walls are not comparable to
-serial walls — and is reported separately instead. Records without the
-field (pre-parallel baselines) compare against anything.
-Trajectories taken on machines with different core counts are refused
-outright: when the envelope or the records of the two files carry
-different "hw_concurrency" values, the script exits 2 and names both.
+Trajectories whose timings are not comparable are refused outright: when
+the envelopes or the records of the two files carry different
+"build_type" values (say Release against RelWithDebInfo+address,undefined)
+or different "hw_concurrency" values, the script exits 2 and names both.
+A file without a stamp compares against anything.
 Records are keyed by (bench, metric) and classified:
 
   time metrics   unit == "us": a candidate slower than
@@ -37,7 +34,8 @@ Per-metric thresholds override the default via repeatable
 e.g. --metric-threshold 'chase.run.latency_us.*=1.0' allows 2x on the
 chase while everything else stays at the default.
 
-Exit codes: 0 = no regression, 1 = regression(s), 2 = usage/input error.
+Exit codes: 0 = no regression, 1 = regression(s), 2 = usage/input error
+or incomparable trajectories.
 """
 
 import argparse
@@ -46,25 +44,32 @@ import json
 import sys
 
 
+# Stamps that make two trajectories incomparable when their values differ.
+STAMPS = ("build_type", "hw_concurrency")
+
+
 def load_records(path):
-    """Returns ({(bench, metric): (value, unit, threads)}, hw_concurrency
-    values stamped on the envelope and the records)."""
+    """Returns ({(bench, metric): (value, unit)}, {stamp: values stamped on
+    the envelope and the records})."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot load {path}: {e}")
     records = doc["records"] if isinstance(doc, dict) else doc
-    hw = set()
-    if isinstance(doc, dict) and doc.get("hw_concurrency") is not None:
-        hw.add(doc["hw_concurrency"])
+    stamps = {stamp: set() for stamp in STAMPS}
+    for stamped in ([doc] if isinstance(doc, dict) else []) + records:
+        for stamp in STAMPS:
+            if stamped.get(stamp) is not None:
+                stamps[stamp].add(stamped[stamp])
     out = {}
     for r in records:
-        out[(r["bench"], r["metric"])] = (float(r["value"]), r.get("unit", ""),
-                                          r.get("threads"))
-        if r.get("hw_concurrency") is not None:
-            hw.add(r["hw_concurrency"])
-    return out, hw
+        out[(r["bench"], r["metric"])] = (float(r["value"]), r.get("unit", ""))
+    return out, stamps
+
+
+def names(values):
+    return ", ".join(str(v) for v in sorted(values))
 
 
 def threshold_for(metric, overrides, default):
@@ -114,30 +119,25 @@ def main():
         except ValueError:
             sys.exit(f"error: bad fraction in --metric-threshold '{spec}'")
 
-    baseline, baseline_hw = load_records(args.baseline)
-    candidate, candidate_hw = load_records(args.candidate)
-    if baseline_hw and candidate_hw and baseline_hw != candidate_hw:
-        def names(values):
-            return ", ".join(str(v) for v in sorted(values))
-        print(f"error: refusing to compare trajectories taken at different "
-              f"hw_concurrency: baseline {names(baseline_hw)} vs candidate "
-              f"{names(candidate_hw)}", file=sys.stderr)
-        return 2
+    baseline, baseline_stamps = load_records(args.baseline)
+    candidate, candidate_stamps = load_records(args.candidate)
+    for stamp in STAMPS:
+        base, cand = baseline_stamps[stamp], candidate_stamps[stamp]
+        if base and cand and base != cand:
+            print(f"error: refusing to compare trajectories taken at "
+                  f"different {stamp}: baseline {names(base)} vs candidate "
+                  f"{names(cand)}", file=sys.stderr)
+            return 2
 
     regressions = []
     missing = []
-    thread_mismatches = []
     compared = 0
-    for key, (base_value, unit, base_threads) in sorted(baseline.items()):
+    for key, (base_value, unit) in sorted(baseline.items()):
         bench, metric = key
         if key not in candidate:
             missing.append(key)
             continue
-        cand_value, _, cand_threads = candidate[key]
-        if (base_threads is not None and cand_threads is not None
-                and base_threads != cand_threads):
-            thread_mismatches.append((key, base_threads, cand_threads))
-            continue
+        cand_value, _ = candidate[key]
         compared += 1
         is_time = unit == "us"
         is_memory = unit == "kb"
@@ -167,14 +167,7 @@ def main():
 
     new_keys = len([k for k in candidate if k not in baseline])
     print(f"compared {compared} metrics "
-          f"({len(missing)} missing in candidate, {new_keys} new, "
-          f"{len(thread_mismatches)} skipped for thread-count mismatch)")
-
-    if thread_mismatches:
-        for (bench, metric), bt, ct in thread_mismatches[:10]:
-            print(f"  not compared (threads {bt} vs {ct}): {bench} {metric}")
-        if len(thread_mismatches) > 10:
-            print(f"  ... and {len(thread_mismatches) - 10} more")
+          f"({len(missing)} missing in candidate, {new_keys} new)")
 
     if missing:
         for bench, metric in missing[:10]:

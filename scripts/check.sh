@@ -4,13 +4,14 @@
 # and counter atomics should stay race- and UB-clean — but the gate covers
 # every target. Usage:
 #   scripts/check.sh                # address,undefined (default)
-#   scripts/check.sh --tsan         # ThreadSanitizer over the shared-state
-#                                   # suites: the thread pool and parallel
-#                                   # hash join, the storage layer's locks,
-#                                   # intern pool, event log and cancel
-#                                   # token, plus the chase differential
-#                                   # sweeps that drive them, all under
-#                                   # -fsanitize=thread (build-tsan/)
+#   scripts/check.sh --tsan         # ThreadSanitizer over the suites whose
+#                                   # objects callers may share across
+#                                   # their own threads: the storage
+#                                   # layer's locks, intern pool, event log
+#                                   # and cancel token, plus the chase
+#                                   # differential sweeps that drive them,
+#                                   # all under -fsanitize=thread
+#                                   # (build-tsan/)
 #   MM2_SANITIZE=thread scripts/check.sh   # TSan over the full suite
 #   BUILD_DIR=/tmp/san scripts/check.sh
 #   MM2_BENCH_SMOKE=1 scripts/check.sh   # also run the bench-regression
@@ -25,12 +26,12 @@ TEST_FILTER=""
 if [[ "${1:-}" == "--tsan" ]]; then
   SANITIZERS="thread"
   BUILD_DIR="${BUILD_DIR_TSAN:-build-tsan}"
-  # The suites exercising RelationInstance's index/delta machinery
-  # (concurrent-probe test, naive-vs-indexed differential sweep) plus the
-  # thread pool's one user: the work-stealing pool itself, its thread-count
-  # resolution, and the sharded parallel hash join. InternPool /
-  # ValueIntern cover the sharded string pool: racing Intern() calls and
-  # lock-free Get()s from freshly published chunks.
+  # mm2 runs every call on its caller's thread; these suites cover the
+  # state a caller may share across its own threads. RelationInstance /
+  # InstanceTest exercise the index/delta machinery (concurrent-probe
+  # test, naive-vs-indexed differential sweep). InternPool / ValueIntern
+  # cover the sharded string pool: racing Intern() calls and lock-free
+  # Get()s from freshly published chunks.
   # EventLog/CancelToken/Watchdog join the filter: the event log's ring
   # mutex + enabled/emitted atomics and the cancel token's relaxed stop
   # flag are exactly the kind of cross-thread state TSan is here for.
@@ -45,7 +46,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # over the insert log, and session maintenance driving Erase/Insert
   # churn (which drops the run) against the lazily built log-position map
   # under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|AnalysisTest|WatchdogForesight|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
 fi
 
 # Every gate appends its temp files here; one EXIT trap removes them all
@@ -186,8 +187,8 @@ fi
 
 # Opt-in bench smoke: exercises bench_all.sh + bench_compare.py end to end
 # at tiny sizes — a self-compare must pass, an inflated copy must fail,
-# proving the regression gate actually gates, and a copy stamped with
-# another core count must be refused (exit 2).
+# proving the regression gate actually gates, and copies stamped with
+# another core count or another build type must be refused (exit 2).
 if [[ "${MM2_BENCH_SMOKE:-0}" == "1" ]]; then
   SMOKE_DIR="$(mktemp -d)"
   CLEANUP+=("$SMOKE_DIR")
@@ -209,23 +210,26 @@ EOF
     echo "error: bench_compare.py missed a 10x synthetic regression" >&2
     exit 1
   fi
-  python3 - "$SMOKE_DIR" <<'EOF'
+  for stamp in hw_concurrency build_type; do
+    python3 - "$SMOKE_DIR" "$stamp" <<'EOF'
 import json, sys
-smoke_dir = sys.argv[1]
+smoke_dir, stamp = sys.argv[1], sys.argv[2]
 doc = json.load(open(f"{smoke_dir}/BENCH_smoke.json"))
-hw = doc["hw_concurrency"] + 1
-doc["hw_concurrency"] = hw
+value = doc[stamp]
+other = value + 1 if isinstance(value, int) else value + "-other"
+doc[stamp] = other
 for r in doc["records"]:
-    r["hw_concurrency"] = hw
-json.dump(doc, open(f"{smoke_dir}/BENCH_other_hw.json", "w"))
+    r[stamp] = other
+json.dump(doc, open(f"{smoke_dir}/BENCH_other_{stamp}.json", "w"))
 EOF
-  hw_status=0
-  python3 scripts/bench_compare.py \
-    "$SMOKE_DIR/BENCH_smoke.json" "$SMOKE_DIR/BENCH_other_hw.json" \
-    || hw_status=$?
-  if [[ "$hw_status" -ne 2 ]]; then
-    echo "error: bench_compare.py compared across hw_concurrency (exit $hw_status, want 2)" >&2
-    exit 1
-  fi
-  echo "bench smoke gate passed (self-compare ok, 10x inflation caught, hw_concurrency mismatch refused)"
+    stamp_status=0
+    python3 scripts/bench_compare.py \
+      "$SMOKE_DIR/BENCH_smoke.json" "$SMOKE_DIR/BENCH_other_$stamp.json" \
+      || stamp_status=$?
+    if [[ "$stamp_status" -ne 2 ]]; then
+      echo "error: bench_compare.py compared across $stamp (exit $stamp_status, want 2)" >&2
+      exit 1
+    fi
+  done
+  echo "bench smoke gate passed (self-compare ok, 10x inflation caught, hw_concurrency and build_type mismatches refused)"
 fi

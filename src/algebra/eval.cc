@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace mm2::algebra {
 
@@ -224,117 +222,6 @@ Status AppendJoinColumns(const std::vector<std::string>& right_columns,
   return Status::OK();
 }
 
-// Root-level evaluation context. Evaluate() recurses through the public
-// entry point from every operator, so the root installs one context (with
-// its lazily created thread pool) in a thread-local and the whole subtree
-// shares it — no signature churn across a dozen operator evaluators, and
-// nested Evaluate calls on worker threads (there are none today) would
-// simply see no context and run serial.
-struct EvalContext {
-  EvalOptions options;
-  std::size_t workers;
-  std::unique_ptr<common::ThreadPool> pool;
-
-  explicit EvalContext(const EvalOptions& opts)
-      : options(opts), workers(common::ResolveThreadCount(opts.threads)) {}
-
-  // Returns the pool when this join is big enough to amortize a fan-out,
-  // creating it on first use; nullptr means "run serial".
-  common::ThreadPool* PoolFor(std::size_t rows) {
-    if (workers <= 1 || rows < options.min_parallel_rows) return nullptr;
-    if (pool == nullptr) pool = std::make_unique<common::ThreadPool>(workers);
-    return pool.get();
-  }
-};
-
-thread_local EvalContext* g_eval_ctx = nullptr;
-
-struct EvalContextGuard {
-  bool installed;
-  explicit EvalContextGuard(EvalContext* ctx)
-      : installed(g_eval_ctx == nullptr) {
-    if (installed) g_eval_ctx = ctx;
-  }
-  ~EvalContextGuard() {
-    if (installed) g_eval_ctx = nullptr;
-  }
-};
-
-// Parallel generic hash join. Build: each worker scans all right rows but
-// keeps only the keys hashing into its shard, so every per-key bucket
-// accumulates in right-row order — the same bucket order the serial
-// std::map build produces. Probe: left rows split into contiguous chunks
-// whose output vectors concatenate in chunk order. Result rows are
-// therefore byte-identical to the serial path, kLeftOuter padding included.
-Result<Table> ParallelHashJoin(const Expr& expr, const Table& left,
-                               const Table& right, Table out,
-                               const std::vector<std::size_t>& left_keys,
-                               const std::vector<std::size_t>& right_keys,
-                               common::ThreadPool& pool) {
-  const std::size_t shard_count = pool.size();
-  std::vector<std::map<Tuple, std::vector<const Tuple*>>> shards(shard_count);
-  instance::TupleHash hasher;
-  pool.ParallelFor(
-      shard_count, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t s = begin; s < end; ++s) {
-          for (const Tuple& r : right.rows) {
-            Tuple key;
-            key.reserve(right_keys.size());
-            bool has_null = false;
-            for (std::size_t k : right_keys) {
-              if (r[k].is_null()) has_null = true;
-              key.push_back(r[k]);
-            }
-            if (has_null) continue;  // NULL keys never join
-            if (hasher(key) % shard_count != s) continue;
-            shards[s][std::move(key)].push_back(&r);
-          }
-        }
-      });
-  const std::size_t width = out.columns.size();
-  std::vector<std::vector<Tuple>> partial(
-      std::min(pool.size(), std::max<std::size_t>(left.rows.size(), 1)));
-  pool.ParallelFor(
-      left.rows.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::vector<Tuple>& rows = partial[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          const Tuple& l = left.rows[i];
-          Tuple key;
-          key.reserve(left_keys.size());
-          bool has_null = false;
-          for (std::size_t k : left_keys) {
-            if (l[k].is_null()) has_null = true;
-            key.push_back(l[k]);
-          }
-          const std::vector<const Tuple*>* bucket = nullptr;
-          if (!has_null) {
-            const auto& shard = shards[hasher(key) % shard_count];
-            auto it = shard.find(key);
-            if (it != shard.end()) bucket = &it->second;
-          }
-          if (bucket != nullptr) {
-            for (const Tuple* r : *bucket) {
-              Tuple row = l;
-              row.insert(row.end(), r->begin(), r->end());
-              rows.push_back(std::move(row));
-            }
-          } else if (expr.join_kind() == Expr::JoinKind::kLeftOuter) {
-            Tuple row = l;
-            row.resize(width, Value::Null());
-            rows.push_back(std::move(row));
-          }
-        }
-      });
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  out.rows.reserve(total);
-  for (auto& p : partial) {
-    for (Tuple& row : p) out.rows.push_back(std::move(row));
-  }
-  return out;
-}
-
 // Equi-join where the right operand is a base-table scan: probe the
 // relation's on-demand index on the key columns instead of materializing
 // the scan and rebuilding a hash map per call. Buckets come back in set
@@ -437,10 +324,12 @@ Result<Table> JoinScanProbe(const Expr& expr, const Table& left,
   return out;
 }
 
-Result<Table> EvaluateJoin(const Expr& expr, const Catalog& catalog,
-                           const instance::Instance& database) {
-  MM2_ASSIGN_OR_RETURN(Table left,
-                       Evaluate(*expr.children()[0], catalog, database));
+// One join level over its evaluated left operand: the scan probe when the
+// right operand is a base-table scan, else the cross product or the hash
+// join over the evaluated right operand.
+Result<Table> JoinLevel(const Expr& expr, const Table& left,
+                        const Catalog& catalog,
+                        const instance::Instance& database) {
   const Expr& right_expr = *expr.children()[1];
   if (expr.join_kind() != Expr::JoinKind::kCross &&
       right_expr.kind() == Expr::Kind::kScan) {
@@ -483,16 +372,6 @@ Result<Table> EvaluateJoin(const Expr& expr, const Catalog& catalog,
     return Status::InvalidArgument("equijoin requires at least one key");
   }
 
-  // Big enough inputs take the parallel build/probe path; identical output.
-  common::ThreadPool* pool =
-      g_eval_ctx == nullptr
-          ? nullptr
-          : g_eval_ctx->PoolFor(left.rows.size() + right.rows.size());
-  if (pool != nullptr) {
-    return ParallelHashJoin(expr, left, right, std::move(out), left_keys,
-                            right_keys, *pool);
-  }
-
   // Hash join: build on the right side.
   std::map<Tuple, std::vector<const Tuple*>> build;
   for (const Tuple& r : right.rows) {
@@ -528,6 +407,24 @@ Result<Table> EvaluateJoin(const Expr& expr, const Catalog& catalog,
     }
   }
   return out;
+}
+
+// The relational compiler builds a left-deep chain with one join per body
+// atom (up to 1,000), so the left spine is walked in a loop rather than by
+// recursion: the stack stays flat at any length. Levels apply bottom up,
+// each joining the table so far with its own right operand.
+Result<Table> EvaluateJoin(const Expr& expr, const Catalog& catalog,
+                           const instance::Instance& database) {
+  std::vector<const Expr*> spine;
+  const Expr* leaf = &expr;
+  for (; leaf->kind() == Expr::Kind::kJoin; leaf = leaf->children()[0].get()) {
+    spine.push_back(leaf);
+  }
+  MM2_ASSIGN_OR_RETURN(Table table, Evaluate(*leaf, catalog, database));
+  for (auto level = spine.rbegin(); level != spine.rend(); ++level) {
+    MM2_ASSIGN_OR_RETURN(table, JoinLevel(**level, table, catalog, database));
+  }
+  return table;
 }
 
 // Digs a `column = literal` conjunct out of a selection predicate (the
@@ -767,22 +664,7 @@ Result<Table> EvaluateAggregate(const Expr& expr, const Table& in) {
 }  // namespace
 
 Result<Table> Evaluate(const Expr& expr, const Catalog& catalog,
-                       const instance::Instance& database,
-                       const EvalOptions& options) {
-  EvalContext ctx(options);
-  // When a context is already installed (a recursive call re-entering with
-  // explicit options), the root's options win and this guard is a no-op.
-  EvalContextGuard guard(&ctx);
-  return Evaluate(expr, catalog, database);
-}
-
-Result<Table> Evaluate(const Expr& expr, const Catalog& catalog,
                        const instance::Instance& database) {
-  if (g_eval_ctx == nullptr) {
-    // Root call without explicit options: install defaults (which honor
-    // MM2_THREADS) so the whole evaluation tree shares one context.
-    return Evaluate(expr, catalog, database, EvalOptions{});
-  }
   switch (expr.kind()) {
     case Expr::Kind::kScan: {
       MM2_ASSIGN_OR_RETURN(std::vector<std::string> columns,

@@ -59,30 +59,9 @@ Result<instance::Value> EvaluateScalar(const Scalar& scalar,
                                        const std::vector<std::string>& columns,
                                        const instance::Tuple& row);
 
-// Evaluation knobs. Defaults reproduce the serial evaluator unless the
-// MM2_THREADS environment variable says otherwise.
-struct EvalOptions {
-  // Worker threads for the parallel generic hash join (sharded build +
-  // partitioned probe). 0 defers to MM2_THREADS, which defaults to 1
-  // (serial). Output rows are byte-identical to the serial path at any
-  // thread count: build workers keep per-key buckets in right-row order and
-  // probe chunks concatenate in left-row order.
-  std::size_t threads = 0;
-  // Joins below this many combined input rows always run serial — the
-  // fan-out costs more than the probes it spreads. Tests lower it to force
-  // the parallel path on small inputs.
-  std::size_t min_parallel_rows = 2048;
-};
-
 // Evaluates a relational expression against a database instance.
 Result<Table> Evaluate(const Expr& expr, const Catalog& catalog,
                        const instance::Instance& database);
-
-// As above with explicit evaluation options (threaded through every
-// recursive operator evaluation under this call).
-Result<Table> Evaluate(const Expr& expr, const Catalog& catalog,
-                       const instance::Instance& database,
-                       const EvalOptions& options);
 
 // Materializes a table into `database` under `relation` with set semantics
 // (declares/overwrites the relation extension).

@@ -882,8 +882,7 @@ class ChaseRun {
         changed = true;
       }
       if (filtered_out) continue;
-      if (options_.restricted &&
-          EvalHead(plan, frame, /*invent=*/false, head_tuples_.data()) &&
+      if (EvalHead(plan, frame, /*invent=*/false, head_tuples_.data()) &&
           AllPresent(plan, head_tuples_.data())) {
         RecordSatisfied(plan, frame, frame);
         continue;
@@ -933,7 +932,7 @@ class ChaseRun {
     for (std::size_t i = 0; i < match.count; ++i) {
       frame_.resize(plan.slots.size());
       std::copy_n(match.row(i), match.stride, frame_.begin());
-      if (options_.restricted && HeadSatisfied(plan)) {
+      if (HeadSatisfied(plan)) {
         // The probe's extension binds the head existentials to the
         // satisfying values, naming the exact facts this trigger supports.
         RecordSatisfied(plan, probe_rows_.data(), frame_.data());

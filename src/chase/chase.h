@@ -91,9 +91,6 @@ struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
   // engine generates are weakly acyclic, so this is a safety net).
   std::size_t max_rounds = 10000;
-  // Restricted (standard) chase: fire a tgd only when its head is not
-  // already satisfied. The unrestricted variant is exposed for tests.
-  bool restricted = true;
   // First label to use for invented nulls.
   std::int64_t first_null_label = 0;
   // Trust first_null_label outright instead of scanning source and target
@@ -238,7 +235,8 @@ struct ChaseResult {
 // terms are interpreted by inventing one labeled null per distinct
 // (function, arguments) combination, which is exactly the Skolem semantics.
 // Target egds are then chased to enforce keys; two constants forced equal
-// yields an Inconsistent error.
+// yields an Inconsistent error. The chase is restricted (standard): a
+// trigger whose head is already satisfied in the target fires nothing.
 Result<ChaseResult> RunChase(const logic::Mapping& mapping,
                              const instance::Instance& source,
                              const ChaseOptions& options = {});

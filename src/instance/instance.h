@@ -59,12 +59,13 @@ struct IndexStats {
 //    A chase seals its result once on publish, and the algebra's prefix
 //    join seals a base relation on first use; nothing else does.
 //
-// Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe —
-// index lookups take a shared lock, and only the first Probe of a new
-// column set upgrades to an exclusive lock to build. PrepareSegments takes
-// the exclusive lock too, but must not race SegmentProbePrefix readers.
-// Mutation still requires external synchronization, like the containers
-// this wraps.
+// Thread safety: mm2 spawns no threads, so these guarantees serve callers
+// that share one relation across their own threads. Concurrent const access
+// (Probe/DeltaSince/tuples) is safe — index lookups take a shared lock, and
+// only the first Probe of a new column set upgrades to an exclusive lock to
+// build. PrepareSegments takes the exclusive lock too, but must not race
+// SegmentProbePrefix readers. Mutation still requires external
+// synchronization, like the containers this wraps.
 class RelationInstance {
  public:
   using ColumnSet = std::vector<std::size_t>;

@@ -30,7 +30,8 @@ namespace mm2::instance {
 // with RelationInstance's shared-lock probes. Get()/HashOf() are lock-free:
 // ids index into append-only chunk arrays whose chunk pointers are
 // published with release stores, so concurrent readers resolving string
-// order (the parallel hash join's workers) never contend.
+// order never contend. mm2 itself runs every call on its caller's thread;
+// the pool is process-wide, so callers on different threads share it.
 class StringPool {
  public:
   using StringId = std::uint32_t;

@@ -342,54 +342,6 @@ TEST(EvalIndexTest, ProbeJoinAgreesWithGenericHashJoin) {
   }
 }
 
-// The parallel hash join (sharded build + partitioned probe) must be
-// byte-identical to the serial generic join: same rows in the same order,
-// including left-outer null padding. Const children keep both sides off
-// the scan-probe fast path; min_parallel_rows = 1 forces the fan-out even
-// on small inputs.
-TEST(EvalIndexTest, ParallelHashJoinIdenticalToSerial) {
-  Instance db;
-  Catalog cat;
-  cat.Add("ignored", {"x"});
-  std::vector<instance::Tuple> left_rows, right_rows;
-  for (int i = 0; i < 97; ++i) {
-    left_rows.push_back({Value::Int64(i % 13), Value::String("L" + std::to_string(i))});
-  }
-  for (int i = 0; i < 61; ++i) {
-    // Duplicate keys on the right exercise bucket ordering; key 12 never
-    // appears so some left rows go unmatched (outer padding).
-    right_rows.push_back({Value::Int64(i % 12), Value::Int64(i)});
-  }
-  ExprRef left = Expr::Const({"k", "tag"}, std::move(left_rows));
-  ExprRef right = Expr::Const({"rk", "payload"}, std::move(right_rows));
-  for (Expr::JoinKind kind :
-       {Expr::JoinKind::kInner, Expr::JoinKind::kLeftOuter}) {
-    ExprRef join = Expr::Join(left, right, kind, {{"k", "rk"}});
-    auto serial = Evaluate(*join, cat, db);
-    EvalOptions parallel_opts;
-    parallel_opts.threads = 4;
-    parallel_opts.min_parallel_rows = 1;
-    auto parallel = Evaluate(*join, cat, db, parallel_opts);
-    ASSERT_TRUE(serial.ok() && parallel.ok())
-        << serial.status() << " " << parallel.status();
-    EXPECT_EQ(serial->columns, parallel->columns);
-    EXPECT_EQ(serial->rows, parallel->rows);  // exact order, not just sets
-    if (kind == Expr::JoinKind::kLeftOuter) {
-      EXPECT_GT(parallel->rows.size(), 0u);
-    }
-  }
-  // Below the row threshold the 4-thread options still take the serial
-  // path; the result must (trivially) agree as well.
-  EvalOptions high_threshold;
-  high_threshold.threads = 4;
-  high_threshold.min_parallel_rows = 1u << 20;
-  ExprRef join = Expr::Join(left, right, Expr::JoinKind::kInner, {{"k", "rk"}});
-  auto serial = Evaluate(*join, cat, db);
-  auto gated = Evaluate(*join, cat, db, high_threshold);
-  ASSERT_TRUE(serial.ok() && gated.ok());
-  EXPECT_EQ(serial->rows, gated->rows);
-}
-
 TEST(EvalIndexTest, SelectOnKeyUsesIndexAndKeepsFullPredicate) {
   Instance db;
   db.DeclareRelation("N", 2);

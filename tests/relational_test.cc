@@ -4,6 +4,10 @@
 // genuine labeled-null machinery.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "chase/chase.h"
 #include "engine/engine.h"
 #include "transgen/relational.h"
@@ -240,10 +244,11 @@ Mapping ChainMapping(std::size_t atoms) {
   return Mapping::FromTgds("deep", source, target, {tgd});
 }
 
-// The compiled loader is a join tree one level per body atom, walked
-// recursively, so an overlong body is refused up front: both `sql` (which
-// prints CompileRelationalMapping) and `batchload` answer InvalidArgument
-// naming the limit and the chase, instead of overflowing the stack.
+// The compiled loader is a join tree one level per body atom, and `ToSql`
+// and the tree's destructor recurse once per level, so an overlong body is
+// refused up front: both `sql` (which prints CompileRelationalMapping) and
+// `batchload` answer InvalidArgument naming the limit and the chase,
+// instead of overflowing the stack.
 TEST(RelationalCompileTest, RefusesBodiesBeyondTheAtomLimit) {
   const Mapping deep = ChainMapping(30000);
   auto compiled = CompileRelationalMapping(deep);
@@ -273,6 +278,29 @@ TEST(RelationalCompileTest, CompilesABodyAtTheAtomLimit) {
   auto compiled = CompileRelationalMapping(ChainMapping(kMaxCompiledBodyAtoms));
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_EQ(compiled->loaders.count("Path"), 1u);
+}
+
+// A body at the limit must also run, within the default stack under the
+// sanitizers too, and load what the chase derives. E holds a 3-cycle, each
+// of whose nodes starts exactly one path of every length, and a 3-edge
+// tail whose paths die out after a few joins.
+TEST(RelationalCompileTest, ExecutesABodyAtTheAtomLimit) {
+  const Mapping deep = ChainMapping(kMaxCompiledBodyAtoms);
+  auto compiled = CompileRelationalMapping(deep);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Instance db = Instance::EmptyFor(deep.source());
+  const std::vector<std::pair<std::int64_t, std::int64_t>> edges = {
+      {0, 1}, {1, 2}, {2, 0}, {10, 11}, {11, 12}, {12, 13}};
+  for (const auto& [from, to] : edges) {
+    ASSERT_TRUE(db.Insert("E", {Value::Int64(from), Value::Int64(to)}).ok());
+  }
+  auto fast = ExecuteCompiledMapping(*compiled, deep, db);
+  ASSERT_TRUE(fast.ok()) << fast.status();
+  auto slow = chase::RunChase(deep, db);
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  EXPECT_TRUE(fast->Equals(slow->target))
+      << "fast:\n" << fast->ToString() << "slow:\n" << slow->target.ToString();
+  EXPECT_EQ(fast->Find("Path")->size(), 3u);
 }
 
 }  // namespace

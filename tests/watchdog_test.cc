@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,37 +179,6 @@ TEST(WatchdogTest, PreTrippedExternalTokenStopsAfterFirstRound) {
   EXPECT_EQ(result->breach->round, 1u);
   EXPECT_NE(result->breach->diagnostic.find("admission control"),
             std::string::npos);
-}
-
-TEST(WatchdogTest, TupleBudgetStopIgnoresMm2Threads) {
-  // MM2_THREADS sizes only the algebra hash join's pool; the chase is
-  // serial, so a budget stop lands at the same round with the same partial
-  // target whatever the variable says.
-  auto run = [] {
-    ChaseOptions options;
-    options.tuple_budget = 25;
-    options.max_rounds = 100000;
-    return ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
-  };
-  const char* saved = std::getenv("MM2_THREADS");
-  const std::string restore = saved == nullptr ? "" : saved;
-  ::unsetenv("MM2_THREADS");
-  auto unset = run();
-  ::setenv("MM2_THREADS", "4", 1);
-  auto four = run();
-  if (saved == nullptr) {
-    ::unsetenv("MM2_THREADS");
-  } else {
-    ::setenv("MM2_THREADS", restore.c_str(), 1);
-  }
-  ASSERT_TRUE(unset.ok()) << unset.status();
-  ASSERT_TRUE(four.ok()) << four.status();
-  ASSERT_TRUE(unset->breach.has_value());
-  ASSERT_TRUE(four->breach.has_value());
-  EXPECT_EQ(four->breach->kind, "tuples");
-  EXPECT_EQ(four->breach->round, unset->breach->round);
-  EXPECT_EQ(four->breach->observed, unset->breach->observed);
-  EXPECT_TRUE(four->target.Equals(unset->target));
 }
 
 TEST(WatchdogTest, BudgetStoppedPartialTargetMapsIntoFixpoint) {
