@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Unified bench driver: runs every bench_* binary under <build-dir>/bench,
+# Unified bench runner: runs every bench the build declares (the manifest
+# <build-dir>/bench/benches.txt that bench/CMakeLists.txt's mm2_add_bench
+# writes), names any other bench_* binary it skips on stderr, and
 # collects the '{"bench": ...}' JSON metric lines that bench/bench_report.h
 # prints after each google-benchmark run, and writes one trajectory file:
 #
@@ -46,10 +48,32 @@ fi
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-count=0
+MANIFEST="$BUILD_DIR/bench/benches.txt"
+if [[ ! -f "$MANIFEST" ]]; then
+  echo "error: no bench manifest at $MANIFEST — configure and build first:" >&2
+  echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+  exit 1
+fi
+mapfile -t DECLARED < "$MANIFEST"
+# A bench_* binary the manifest does not name belongs to a target this build
+# no longer declares.
 for bench in "$BUILD_DIR"/bench/bench_*; do
   [[ -f "$bench" && -x "$bench" ]] || continue
   name="$(basename "$bench")"
+  if ! printf '%s\n' "${DECLARED[@]}" | grep -qxF "$name"; then
+    echo "skipping stray binary $name (not declared by this build)" >&2
+  fi
+done
+
+count=0
+for name in "${DECLARED[@]}"; do
+  [[ -n "$name" ]] || continue
+  bench="$BUILD_DIR/bench/$name"
+  if [[ ! -x "$bench" ]]; then
+    echo "error: $name is declared but not built — build first:" >&2
+    echo "  cmake --build $BUILD_DIR -j" >&2
+    exit 1
+  fi
   if [[ -n "${MM2_BENCH_FILTER:-}" ]] && ! [[ "$name" =~ ${MM2_BENCH_FILTER} ]]; then
     continue
   fi
@@ -62,8 +86,7 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
 done
 
 if [[ "$count" -eq 0 ]]; then
-  echo "error: no bench binaries under $BUILD_DIR/bench — build first:" >&2
-  echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+  echo "error: no declared bench ran (check MM2_BENCH_FILTER)" >&2
   exit 1
 fi
 

@@ -188,12 +188,39 @@ fi
 # Opt-in bench smoke: exercises bench_all.sh + bench_compare.py end to end
 # at tiny sizes — a self-compare must pass, an inflated copy must fail,
 # proving the regression gate actually gates, and copies stamped with
-# another core count or another build type must be refused (exit 2).
+# another core count or another build type must be refused (exit 2). A
+# stray bench_zz_stale planted in the bench directory (the binary a deleted
+# target leaves behind) must be named on stderr and never run: it would
+# fail the run and add a zz_stale record.
 if [[ "${MM2_BENCH_SMOKE:-0}" == "1" ]]; then
   SMOKE_DIR="$(mktemp -d)"
   CLEANUP+=("$SMOKE_DIR")
+  STRAY="$BUILD_DIR/bench/bench_zz_stale"
+  CLEANUP+=("$STRAY")
+  cat > "$STRAY" <<'EOF'
+#!/bin/sh
+echo '{"bench": "zz_stale", "metric": "x", "value": 1, "unit": "us"}'
+exit 1
+EOF
+  chmod +x "$STRAY"
+  bench_status=0
   MM2_BENCH_SMOKE=1 MM2_BENCH_OUT_DIR="$SMOKE_DIR" \
-    scripts/bench_all.sh smoke "$BUILD_DIR"
+    scripts/bench_all.sh smoke "$BUILD_DIR" 2> "$SMOKE_DIR/bench_all.err" \
+    || bench_status=$?
+  cat "$SMOKE_DIR/bench_all.err" >&2
+  rm -f "$STRAY"
+  if [[ "$bench_status" -ne 0 ]]; then
+    echo "error: bench_all.sh failed (exit $bench_status)" >&2
+    exit 1
+  fi
+  if ! grep -q "stray binary bench_zz_stale" "$SMOKE_DIR/bench_all.err"; then
+    echo "error: bench_all.sh did not name the stray bench_zz_stale" >&2
+    exit 1
+  fi
+  if grep -q zz_stale "$SMOKE_DIR/BENCH_smoke.json"; then
+    echo "error: bench_all.sh ran the stray bench_zz_stale" >&2
+    exit 1
+  fi
   python3 scripts/bench_compare.py \
     "$SMOKE_DIR/BENCH_smoke.json" "$SMOKE_DIR/BENCH_smoke.json"
   python3 - "$SMOKE_DIR" <<'EOF'
@@ -231,5 +258,5 @@ EOF
       exit 1
     fi
   done
-  echo "bench smoke gate passed (self-compare ok, 10x inflation caught, hw_concurrency and build_type mismatches refused)"
+  echo "bench smoke gate passed (stray binary skipped, self-compare ok, 10x inflation caught, hw_concurrency and build_type mismatches refused)"
 fi

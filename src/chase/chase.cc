@@ -22,38 +22,6 @@ using instance::Value;
 using logic::Atom;
 using logic::Term;
 
-std::string Fact::ToString() const {
-  return relation + instance::TupleToString(tuple);
-}
-
-void Provenance::Record(const Fact& target, Witness witness) {
-  map_[target].push_back(std::move(witness));
-}
-
-const std::vector<Witness>* Provenance::WitnessesOf(const Fact& target) const {
-  auto it = map_.find(target);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void Provenance::RewriteValue(const Value& from, const Value& to) {
-  auto rewrite_fact = [&](Fact fact) {
-    for (Value& v : fact.tuple) {
-      if (v == from) v = to;
-    }
-    return fact;
-  };
-  std::map<Fact, std::vector<Witness>> rewritten;
-  for (auto& [fact, witnesses] : map_) {
-    Fact new_fact = rewrite_fact(fact);
-    for (Witness& w : witnesses) {
-      for (Fact& f : w) f = rewrite_fact(f);
-    }
-    auto& slot = rewritten[new_fact];
-    slot.insert(slot.end(), witnesses.begin(), witnesses.end());
-  }
-  map_ = std::move(rewritten);
-}
-
 namespace {
 
 // Tries to extend `assignment` so that `atom` maps onto `tuple`.
@@ -211,7 +179,7 @@ class ChaseRun {
   }
 
   // Arms incremental-maintenance mode: restore/export semi-naive state
-  // through `session`, seed the provenance map with the previous call's
+  // through `session`, seed the provenance store with the previous call's
   // derivations, and book every target-side insert/erase into `net_change`.
   void AttachSession(ChaseSessionState* session, Provenance provenance,
                      FactDelta* net_change) {
@@ -336,6 +304,9 @@ class ChaseRun {
       plans_.push_back(CompileRule(egd.body, kNoHead, {}));
       plans_.back().left = plans_.back().slots.Find(egd.left);
       plans_.back().right = plans_.back().slots.Find(egd.right);
+    }
+    if (options_.track_provenance) {
+      for (RulePlan& plan : plans_) RegisterWitnessRule(plan);
     }
     // Times one rule's matching+firing for the current round and books the
     // aggregate-counter deltas into its RuleStats slot.
@@ -541,6 +512,10 @@ class ChaseRun {
     MatchPlan head_probe;  // FO tgds: extends a body frame into the target
     std::vector<PlanAtom> head;
     std::vector<PlanAtom> witness;  // the body, read back as facts
+    // Provenance ids: the body as a registered witness rule, and each head
+    // atom's relation. Set when the run tracks provenance.
+    Provenance::Id witness_rule = Provenance::kNone;
+    std::vector<Provenance::Id> head_relations;
     std::vector<std::pair<PlanTerm, PlanTerm>> equalities;  // SO premises
     Slot left = kNoSlot;  // egd equality
     Slot right = kNoSlot;
@@ -790,18 +765,39 @@ class ChaseRun {
     return witness;
   }
 
-  // Books `witness` as a support of `fact` into the provenance map and —
-  // for session chases — the source->target dependents index. Sessions
-  // call this on every supporting trigger, fired or probe-satisfied, so
-  // the recorded derivations are complete: deletion maintenance can treat
-  // a fact whose witnesses all died as genuinely underivable.
-  void RecordWitness(const Fact& fact, Witness witness) {
-    if (session_ != nullptr) {
-      for (const Fact& s : witness) {
-        session_->dependents[s].push_back(fact);
+  // Registers the rule's body and head relations with the provenance store.
+  void RegisterWitnessRule(RulePlan& plan) {
+    if (plan.head.empty()) return;  // egds book no witness
+    std::vector<Provenance::BodyAtom> body;
+    for (const PlanAtom& atom : plan.witness) {
+      Provenance::BodyAtom& out = body.emplace_back();
+      out.relation = atom.relation;
+      for (const PlanTerm& t : atom.terms) {
+        Provenance::Column& column = out.columns.emplace_back();
+        if (t.kind == PlanTerm::Kind::kSlot) {
+          column.slot = t.slot;
+        } else if (t.kind == PlanTerm::Kind::kConstant) {
+          column.constant = t.value;
+        }  // function terms never occur in matched bodies: NULL
       }
     }
-    provenance_.Record(fact, std::move(witness));
+    plan.witness_rule = provenance_.AddRule(body, plan.body_slots);
+    plan.head_relations.clear();
+    for (const PlanAtom& atom : plan.head) {
+      plan.head_relations.push_back(provenance_.AddRelation(atom.relation));
+    }
+  }
+
+  // Books the body frame as a witness of head atom `j`'s fact `tuple`; a
+  // session chase also lists the fact under every fact the witness reads,
+  // the support index deletion maintenance walks. Sessions call this on
+  // every supporting trigger, fired or probe-satisfied, so the recorded
+  // derivations are complete: deletion maintenance can treat a fact whose
+  // witnesses all died as genuinely underivable.
+  void RecordWitness(const RulePlan& plan, std::size_t j, const Tuple& tuple,
+                     const Value* body_frame) {
+    provenance_.Book(plan.witness_rule, plan.head_relations[j], tuple,
+                     body_frame, session_ != nullptr);
   }
 
   // Session chases book a satisfied trigger too: its head facts (under the
@@ -814,8 +810,7 @@ class ChaseRun {
       return;
     }
     for (std::size_t j = 0; j < plan.head.size(); ++j) {
-      RecordWitness(Fact{plan.head[j].relation, head_scratch_[j]},
-                    WitnessOf(plan, body_frame));
+      RecordWitness(plan, j, head_scratch_[j], body_frame);
     }
   }
 
@@ -841,9 +836,10 @@ class ChaseRun {
       // multi-atom head can be partially satisfied), keeping the support
       // index complete.
       if (options_.track_provenance && (inserted || session_ != nullptr)) {
-        Fact fact{atom.relation, tuple};
-        RecordWitness(fact, WitnessOf(plan, frame));
-        if (inserted && net_change_ != nullptr) ++(*net_change_)[fact];
+        RecordWitness(plan, j, tuple, frame);
+        if (inserted && net_change_ != nullptr) {
+          ++(*net_change_)[Fact{atom.relation, tuple}];
+        }
       }
     }
     if (inserted_any) ++stats_.tgd_firings;
@@ -1060,16 +1056,6 @@ class ChaseRun {
     if (session_ != nullptr) {
       for (Witness& witness : session_->unification_witnesses) {
         for (Fact& fact : witness) {
-          for (Value& v : fact.tuple) {
-            if (v == from) v = to;
-          }
-        }
-      }
-      // The dependents index names target facts on its value side; keep
-      // them in the merged vocabulary so deletion maintenance finds their
-      // provenance entries. (Keys are source facts — never rewritten.)
-      for (auto& [source_fact, facts] : session_->dependents) {
-        for (Fact& fact : facts) {
           for (Value& v : fact.tuple) {
             if (v == from) v = to;
           }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "chase/provenance.h"
 #include "common/status.h"
 #include "instance/instance.h"
 #include "logic/formula.h"
@@ -50,42 +51,6 @@ std::vector<Assignment> MatchAtoms(const std::vector<logic::Atom>& atoms,
 std::vector<Assignment> MatchAtomsNaive(const std::vector<logic::Atom>& atoms,
                                         const instance::Instance& database,
                                         std::size_t limit = 0);
-
-// A fact is a (relation, tuple) pair; a witness is the list of source facts
-// that fired the rule deriving a target fact (why-provenance, Section 5).
-struct Fact {
-  std::string relation;
-  instance::Tuple tuple;
-
-  bool operator==(const Fact&) const = default;
-  bool operator<(const Fact& other) const {
-    if (relation != other.relation) return relation < other.relation;
-    return tuple < other.tuple;
-  }
-  std::string ToString() const;
-};
-
-using Witness = std::vector<Fact>;
-
-// Why-provenance: every target fact maps to the witnesses that derived it.
-class Provenance {
- public:
-  void Record(const Fact& target, Witness witness);
-  const std::vector<Witness>* WitnessesOf(const Fact& target) const;
-  // Applies a value rewrite (null unification from an egd step) to both
-  // sides of the provenance map.
-  void RewriteValue(const instance::Value& from, const instance::Value& to);
-  std::size_t size() const { return map_.size(); }
-
-  // Full derivation map, fact -> recorded witnesses. The mutable overload
-  // exists for incremental maintenance (DRed prunes dead witnesses and
-  // drops unsupported facts in place); everything else should read.
-  const std::map<Fact, std::vector<Witness>>& entries() const { return map_; }
-  std::map<Fact, std::vector<Witness>>& mutable_entries() { return map_; }
-
- private:
-  std::map<Fact, std::vector<Witness>> map_;
-};
 
 struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
@@ -253,13 +218,6 @@ struct ChaseSessionState {
   // and whether its first full pass has completed.
   std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks;
   std::vector<bool> matched_once;
-  // Complete support index: source fact -> target facts holding a recorded
-  // witness containing it. Session chases book a witness on EVERY
-  // supporting trigger — fired or probe-satisfied — so after deletion
-  // maintenance prunes dead witnesses, a target fact with zero remaining
-  // witnesses is genuinely underivable and no re-derive chase pass is
-  // needed. Egd unification rewrites the target-side fact names in place.
-  std::map<Fact, std::vector<Fact>> dependents;
   // Skolem interpretation table: (function, args) -> labeled null. Kept so
   // a resumed SO chase reuses the same null for the same Skolem term.
   std::map<std::pair<std::string, std::vector<instance::Value>>,
@@ -285,7 +243,8 @@ using FactDelta = std::map<Fact, int>;
 // first chase that additionally captures the resume state; with an
 // initialized one only assignments binding at least one tuple above the
 // per-rule watermarks are re-matched. `target` and `provenance` carry the
-// previous call's result back in. `net_change`, when non-null, accumulates
+// previous call's result back in; a session's provenance also holds its
+// support index. `net_change`, when non-null, accumulates
 // the run's target-side fact delta. Forces provenance tracking (the DRed
 // substrate); a breach leaves `state` uninitialized since the partial
 // fixpoint is not resumable.

@@ -189,12 +189,17 @@ void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
   }
 }
 
+// A gauge's value, or 0 when the gauge is absent or negative.
+std::uint64_t GaugeValue(const MetricsSnapshot& metrics, const char* name) {
+  const GaugeSnapshot* g = metrics.FindGauge(name);
+  return (g == nullptr || g->value < 0) ? 0
+                                        : static_cast<std::uint64_t>(g->value);
+}
+
 void BuildValues(const MetricsSnapshot& metrics, ProfileReport* report) {
   ValueCost& v = report->values;
-  auto gauge = [&metrics](const char* name) -> std::uint64_t {
-    const GaugeSnapshot* g = metrics.FindGauge(name);
-    return (g == nullptr || g->value < 0) ? 0
-                                          : static_cast<std::uint64_t>(g->value);
+  auto gauge = [&metrics](const char* name) {
+    return GaugeValue(metrics, name);
   };
   v.value_bytes = gauge("value.bytes_per_value");
   v.interned_strings = gauge("value.intern.strings");
@@ -218,6 +223,11 @@ void BuildIncremental(const MetricsSnapshot& metrics, ProfileReport* report) {
   i.target_inserts = counter("chase.incremental.target_inserts");
   i.target_deletes = counter("chase.incremental.target_deletes");
   i.latency_us = counter("chase.incremental.latency_us");
+  i.provenance_facts = GaugeValue(metrics, "chase.provenance.facts");
+  i.provenance_witnesses = GaugeValue(metrics, "chase.provenance.witnesses");
+  i.provenance_support_edges =
+      GaugeValue(metrics, "chase.provenance.support_edges");
+  i.provenance_bytes = GaugeValue(metrics, "chase.provenance.bytes");
 }
 
 void BuildPhases(const std::vector<SpanRecord>& spans,
@@ -428,22 +438,34 @@ std::vector<std::string> ProfileReport::Lines() const {
   }
   if (incremental.any()) {
     lines.push_back("incremental:");
-    double avg_us = static_cast<double>(incremental.latency_us) /
-                    static_cast<double>(incremental.maintains);
     std::vector<std::vector<std::string>> rows;
-    rows.push_back({"maintains", std::to_string(incremental.maintains)});
-    rows.push_back({"fallbacks", std::to_string(incremental.fallbacks)});
-    rows.push_back(
-        {"dred.candidates", std::to_string(incremental.dred_candidates)});
-    rows.push_back({"dred.kept", std::to_string(incremental.dred_kept)});
-    rows.push_back({"source +/-",
-                    std::to_string(incremental.source_inserts) + " / " +
-                        std::to_string(incremental.source_deletes)});
-    rows.push_back({"target +/-",
-                    std::to_string(incremental.target_inserts) + " / " +
-                        std::to_string(incremental.target_deletes)});
-    rows.push_back({"latency_us", std::to_string(incremental.latency_us)});
-    rows.push_back({"us/maintain", Fixed1(avg_us)});
+    if (incremental.maintains != 0) {
+      double avg_us = static_cast<double>(incremental.latency_us) /
+                      static_cast<double>(incremental.maintains);
+      rows.push_back({"maintains", std::to_string(incremental.maintains)});
+      rows.push_back({"fallbacks", std::to_string(incremental.fallbacks)});
+      rows.push_back(
+          {"dred.candidates", std::to_string(incremental.dred_candidates)});
+      rows.push_back({"dred.kept", std::to_string(incremental.dred_kept)});
+      rows.push_back({"source +/-",
+                      std::to_string(incremental.source_inserts) + " / " +
+                          std::to_string(incremental.source_deletes)});
+      rows.push_back({"target +/-",
+                      std::to_string(incremental.target_inserts) + " / " +
+                          std::to_string(incremental.target_deletes)});
+      rows.push_back({"latency_us", std::to_string(incremental.latency_us)});
+      rows.push_back({"us/maintain", Fixed1(avg_us)});
+    }
+    if (incremental.provenance_bytes != 0) {
+      rows.push_back({"provenance.facts",
+                      std::to_string(incremental.provenance_facts)});
+      rows.push_back({"provenance.witnesses",
+                      std::to_string(incremental.provenance_witnesses)});
+      rows.push_back({"provenance.support_edges",
+                      std::to_string(incremental.provenance_support_edges)});
+      rows.push_back({"provenance.bytes",
+                      std::to_string(incremental.provenance_bytes)});
+    }
     for (std::string& line : Tabulate(rows, "lr")) {
       lines.push_back(std::move(line));
     }
@@ -554,6 +576,11 @@ std::string ProfileReport::ToJson() const {
      << ", \"target_inserts\": " << incremental.target_inserts
      << ", \"target_deletes\": " << incremental.target_deletes
      << ", \"latency_us\": " << incremental.latency_us
+     << ", \"provenance_facts\": " << incremental.provenance_facts
+     << ", \"provenance_witnesses\": " << incremental.provenance_witnesses
+     << ", \"provenance_support_edges\": "
+     << incremental.provenance_support_edges
+     << ", \"provenance_bytes\": " << incremental.provenance_bytes
      << "}, \"totals\": {\"operator_total_us\": "
      << FormatDouble(operator_total_us)
      << ", \"rule_total_us\": " << FormatDouble(rule_total_us)

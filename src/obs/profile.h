@@ -128,8 +128,14 @@ struct IncrementalCost {
   std::uint64_t target_inserts = 0;   // induced target insertions
   std::uint64_t target_deletes = 0;   // induced target deletions
   std::uint64_t latency_us = 0;       // summed maintain wall time
+  // The session provenance store after the last pass (`chase.provenance.*`
+  // gauges): facts with a witness, witnesses, support-index entries, bytes.
+  std::uint64_t provenance_facts = 0;
+  std::uint64_t provenance_witnesses = 0;
+  std::uint64_t provenance_support_edges = 0;
+  std::uint64_t provenance_bytes = 0;
 
-  bool any() const { return maintains != 0; }
+  bool any() const { return maintains != 0 || provenance_bytes != 0; }
 };
 
 // A structured cost report: "where did the time go?" answered three ways.

@@ -367,17 +367,18 @@ std::string ErrorTranslator::Translate(const std::string& table,
 
 std::string ExplainFact(const chase::Provenance& provenance,
                         const chase::Fact& fact) {
-  const std::vector<chase::Witness>* witnesses = provenance.WitnessesOf(fact);
-  if (witnesses == nullptr || witnesses->empty()) {
-    return fact.ToString() + " has no recorded derivation";
-  }
-  std::string out = fact.ToString() + " because:\n";
-  for (const chase::Witness& w : *witnesses) {
-    out += "  <-";
-    for (const chase::Fact& f : w) out += " " + f.ToString();
-    out += "\n";
-  }
-  return out;
+  std::string lines;
+  const std::size_t witnesses =
+      provenance.VisitWitnesses(fact, [&lines](const chase::Witness& w) {
+        lines += "  <-";
+        for (const chase::Fact& f : w) {
+          lines += ' ';
+          lines += f.ToString();
+        }
+        lines += '\n';
+      });
+  if (witnesses == 0) return fact.ToString() + " has no recorded derivation";
+  return fact.ToString() + " because:\n" + lines;
 }
 
 std::string ExplainFact(const chase::ChaseResult& result,
@@ -388,14 +389,12 @@ std::string ExplainFact(const chase::ChaseResult& result,
 std::vector<chase::Fact> Lineage(const chase::Provenance& provenance,
                                  const chase::Fact& fact) {
   std::vector<chase::Fact> lineage;
-  const std::vector<chase::Witness>* witnesses = provenance.WitnessesOf(fact);
-  if (witnesses == nullptr) return lineage;
   std::set<chase::Fact> seen;
-  for (const chase::Witness& w : *witnesses) {
+  provenance.VisitWitnesses(fact, [&](const chase::Witness& w) {
     for (const chase::Fact& f : w) {
       if (seen.insert(f).second) lineage.push_back(f);
     }
-  }
+  });
   return lineage;
 }
 
@@ -468,13 +467,30 @@ chase::ChaseOptions SessionChaseOptions(const ExchangeSession& session) {
 
 // True if any fact of any recorded unification witness is in `facts`.
 bool JournalTouches(const std::vector<chase::Witness>& journal,
-                    const std::set<chase::Fact>& facts) {
+                    const std::vector<chase::Fact>& facts) {
+  if (journal.empty() || facts.empty()) return false;
+  std::vector<chase::Fact> sorted = facts;
+  std::sort(sorted.begin(), sorted.end());
   for (const chase::Witness& witness : journal) {
     for (const chase::Fact& fact : witness) {
-      if (facts.count(fact) != 0) return true;
+      if (std::binary_search(sorted.begin(), sorted.end(), fact)) return true;
     }
   }
   return false;
+}
+
+// Sets the `chase.provenance.*` gauges from the session's provenance store.
+void MirrorProvenance(const ExchangeSession& session) {
+  obs::Context* obs = session.options.obs;
+  if (obs == nullptr) return;
+  const chase::Provenance::Footprint f = session.provenance.footprint();
+  obs::MetricsRegistry& m = obs->metrics;
+  m.GetGauge("chase.provenance.facts").Set(static_cast<std::int64_t>(f.facts));
+  m.GetGauge("chase.provenance.witnesses")
+      .Set(static_cast<std::int64_t>(f.witnesses));
+  m.GetGauge("chase.provenance.support_edges")
+      .Set(static_cast<std::int64_t>(f.support_edges));
+  m.GetGauge("chase.provenance.bytes").Set(static_cast<std::int64_t>(f.bytes));
 }
 
 void AdoptChaseResult(ExchangeSession* session, chase::ChaseResult chased) {
@@ -482,6 +498,7 @@ void AdoptChaseResult(ExchangeSession* session, chase::ChaseResult chased) {
   session->provenance = std::move(chased.provenance);
   session->last_stats = std::move(chased.stats);
   session->breach = std::move(chased.breach);
+  MirrorProvenance(*session);
 }
 
 }  // namespace
@@ -537,12 +554,10 @@ Result<Delta> MaintainSession(ExchangeSession& session,
 
   // Source deletions first (mirroring ApplyDelta), collecting the facts
   // actually removed — deletes of absent tuples are no-ops.
-  std::set<chase::Fact> dead;
+  std::vector<chase::Fact> dead;
   for (const auto& [name, rel] : source_delta.deletes.relations()) {
     for (const Tuple& t : rel.tuples()) {
-      if (session.source.Erase(name, t).ok()) {
-        dead.insert(chase::Fact{name, t});
-      }
+      if (session.source.Erase(name, t).ok()) dead.push_back({name, t});
     }
   }
 
@@ -550,54 +565,21 @@ Result<Delta> MaintainSession(ExchangeSession& session,
   // A deleted fact that justified an egd/SO-equality unification licensed a
   // null merge we cannot cheaply unwind — rebuild instead.
   bool fallback = poisoned;
-  std::set<chase::Fact> candidates;  // the DRed over-estimate
+  std::vector<chase::Fact> candidates;  // the DRed over-estimate
   std::size_t counting_kept = 0;
   if (!fallback && !dead.empty()) {
     fallback = JournalTouches(session.state.unification_witnesses, dead);
   }
   if (!fallback && !dead.empty()) {
-    // Step 2: prune the witnesses that used a dead fact, walking only the
-    // facts the support index names for the dead set — O(|delta| * fanout),
+    // Step 2: prune the witnesses that read a dead fact, visiting only the
+    // facts the support index lists for the dead set — O(|delta| * fanout),
     // never O(|target|). Session provenance is complete (probe-satisfied
     // triggers record witnesses too), so a fact left with no witness is
     // genuinely underivable and needs no re-derive chase; facts with a
     // surviving witness are kept with zero chase work (counting shortcut).
-    // Inverted index for the prune: target fact -> the dead facts that
-    // actually point at it. A hot fact with many witnesses (think an
-    // existential head over a low-cardinality key) is then checked against
-    // its own two-or-three relevant dead facts instead of the whole dead
-    // set — the witness sweep costs equality probes, not set lookups.
-    std::map<chase::Fact, std::vector<const chase::Fact*>> affected;
-    for (const chase::Fact& d : dead) {
-      auto it = session.state.dependents.find(d);
-      if (it == session.state.dependents.end()) continue;
-      for (const chase::Fact& t : it->second) affected[t].push_back(&d);
-      session.state.dependents.erase(it);
-    }
-    auto& entries = session.provenance.mutable_entries();
-    for (const auto& [fact, relevant] : affected) {
-      auto it = entries.find(fact);
-      if (it == entries.end()) continue;  // stale index entry: already gone
-      std::vector<chase::Witness>& witnesses = it->second;
-      const std::size_t before = witnesses.size();
-      witnesses.erase(
-          std::remove_if(witnesses.begin(), witnesses.end(),
-                         [&](const chase::Witness& w) {
-                           for (const chase::Fact& f : w) {
-                             for (const chase::Fact* d : relevant) {
-                               if (f == *d) return true;
-                             }
-                           }
-                           return false;
-                         }),
-          witnesses.end());
-      if (witnesses.empty()) {
-        candidates.insert(it->first);
-        entries.erase(it);
-      } else if (witnesses.size() != before) {
-        ++counting_kept;
-      }
-    }
+    chase::Provenance::Pruned pruned = session.provenance.Prune(dead);
+    candidates = std::move(pruned.unsupported);
+    counting_kept = pruned.kept;
     // An over-estimated fact that itself witnessed a unification forces the
     // rebuild too: erasing it would leave merged nulls unjustified.
     fallback = JournalTouches(session.state.unification_witnesses, candidates);
@@ -716,6 +698,7 @@ Result<Delta> MaintainExchange(ExchangeSession& session,
     session.target = Instance::EmptyFor(session.mapping.target());
     session.provenance = chase::Provenance{};
     session.state = chase::ChaseSessionState{};
+    MirrorProvenance(session);
   }
   return out;
 }

@@ -237,8 +237,9 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
 // A resumable exchange: the materialized target plus everything the chase
 // needs to maintain it under source deltas without starting over — the
 // semi-naive frontier (per-rule watermarks), the Skolem memo (so re-derived
-// facts reuse the nulls they already invented), derivation witnesses (the
-// DRed substrate for deletions), and the journal of facts that justified
+// facts reuse the nulls they already invented), derivation witnesses and
+// their support index (the DRed substrate for deletions), and the journal
+// of facts that justified
 // egd/SO-equality unifications (the cases incremental deletion cannot
 // unwind in place).
 struct ExchangeSession {
@@ -249,7 +250,7 @@ struct ExchangeSession {
   analysis::MappingAnalysis analysis;
   instance::Instance source;       // current source; deltas applied in place
   instance::Instance target;       // maintained canonical universal solution
-  chase::Provenance provenance;    // fact -> derivation witnesses
+  chase::Provenance provenance;    // witnesses plus the support index
   chase::ChaseSessionState state;  // watermarks, skolem memo, journal
   ExchangeOptions options;         // budgets and collector reused per maintain
   chase::ChaseStats last_stats;    // stats of the most recent (re)chase

@@ -290,13 +290,11 @@ TEST(ChaseTest, ProvenanceRecordsWitnesses) {
   auto result = RunChase(m, SourceDb(), options);
   ASSERT_TRUE(result.ok());
   Fact fact{"Worker", {Value::Int64(1), Value::Int64(1)}};
-  const std::vector<Witness>* witnesses =
-      result->provenance.WitnessesOf(fact);
-  ASSERT_NE(witnesses, nullptr);
-  ASSERT_EQ(witnesses->size(), 1u);
-  ASSERT_EQ((*witnesses)[0].size(), 1u);
-  EXPECT_EQ((*witnesses)[0][0].relation, "Emp");
-  EXPECT_EQ((*witnesses)[0][0].tuple[0], Value::Int64(1));
+  const std::vector<Witness> witnesses = result->provenance.WitnessesOf(fact);
+  ASSERT_EQ(witnesses.size(), 1u);
+  ASSERT_EQ(witnesses[0].size(), 1u);
+  EXPECT_EQ(witnesses[0][0].relation, "Emp");
+  EXPECT_EQ(witnesses[0][0].tuple[0], Value::Int64(1));
 }
 
 TEST(ChaseTest, ProvenanceSurvivesEgdDrivenNullMerge) {
@@ -334,19 +332,18 @@ TEST(ChaseTest, ProvenanceSurvivesEgdDrivenNullMerge) {
   // Lineage is queryable through the rewritten value for BOTH facts...
   for (const char* relation : {"P", "Q"}) {
     Fact fact{relation, {Value::Int64(1), merged}};
-    const std::vector<Witness>* witnesses =
+    const std::vector<Witness> witnesses =
         result->provenance.WitnessesOf(fact);
-    ASSERT_NE(witnesses, nullptr) << relation;
-    ASSERT_FALSE(witnesses->empty());
-    EXPECT_EQ((*witnesses)[0][0].relation, "S");
-    EXPECT_EQ((*witnesses)[0][0].tuple[0], Value::Int64(1));
+    ASSERT_FALSE(witnesses.empty()) << relation;
+    EXPECT_EQ(witnesses[0][0].relation, "S");
+    EXPECT_EQ(witnesses[0][0].tuple[0], Value::Int64(1));
   }
   // ...and the pre-merge null no longer resolves (exactly one of the two
   // invented labels was rewritten away; probe the one that is not the
   // survivor).
   std::int64_t dead_label = merged.label() == 0 ? 1 : 0;
   Fact stale{"P", {Value::Int64(1), Value::LabeledNull(dead_label)}};
-  EXPECT_EQ(result->provenance.WitnessesOf(stale), nullptr);
+  EXPECT_TRUE(result->provenance.WitnessesOf(stale).empty());
 }
 
 TEST(ChaseInstanceTest, ClosesUnderIntraSchemaTgds) {

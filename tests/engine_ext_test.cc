@@ -481,6 +481,50 @@ TEST_F(EngineExtTest, WhyAfterMaintainReadsTheMaintainedProvenance) {
       << Joined(*deleted);
 }
 
+// The explain report carries the session's provenance footprint, in text
+// and in JSON, as of the last session pass.
+TEST_F(EngineExtTest, ExplainReportsTheProvenanceFootprint) {
+  auto explain_json = [this]() -> std::string {
+    auto log = engine_.RunScript("explain --json");
+    return log.ok() && !log->empty() ? log->back() : "";
+  };
+  auto bytes_of = [](const std::string& json) -> long long {
+    const std::string key = "\"provenance_bytes\": ";
+    const std::size_t at = json.find(key);
+    return at == std::string::npos ? -1
+                                   : std::stoll(json.substr(at + key.size()));
+  };
+  ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D").ok());
+  // Flat(1,"widget",3) has one witness reading Orders(1,"widget") and
+  // Lines(1,3): one support-index entry each.
+  std::string json = explain_json();
+  EXPECT_NE(json.find("\"provenance_facts\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"provenance_witnesses\": 1,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"provenance_support_edges\": 2,"), std::string::npos)
+      << json;
+  EXPECT_GT(bytes_of(json), 0) << json;
+  auto text = engine_.RunScript("explain");
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(Joined(*text).find("provenance.bytes"), std::string::npos)
+      << Joined(*text);
+
+  // The maintain deletes Lines(1,3): its entry leaves the index and
+  // Flat(1,"widget",3) its only witness. Flat(2,"gizmo",5) books a witness
+  // reading two facts; Orders(1,"widget") keeps its entry for the erased
+  // fact until it is deleted itself.
+  ASSERT_TRUE(engine_.RunScript(std::string(kOrderDelta) + "maintain flatten")
+                  .ok());
+  json = explain_json();
+  EXPECT_NE(json.find("\"provenance_facts\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"provenance_witnesses\": 1,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"provenance_support_edges\": 3,"), std::string::npos)
+      << json;
+  EXPECT_GT(bytes_of(json), 0) << json;
+  EXPECT_NE(json.find("\"maintains\": 1,"), std::string::npos) << json;
+}
+
 TEST_F(EngineExtTest, MaintainRestoresAnOverwrittenOutput) {
   ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D").ok());
   ASSERT_TRUE(engine_.repo().PutInstance("Dout", Instance{}).ok());
