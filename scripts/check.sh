@@ -185,6 +185,92 @@ EOF
   fi
 fi
 
+# JSON gate (default path only): drive the demo exchange plus one maintained
+# delta under `trace`, then `explain --json`, `stats --json` and `explain
+# mapping mapSSp --json`. Every JSON line and the trace file must parse, and
+# every object in explain's report must carry exactly the recorded keys, in
+# order.
+if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
+  JSON_OUT="$(mktemp)"
+  JSON_TRACE="$(mktemp)"
+  CLEANUP+=("$JSON_OUT" "$JSON_TRACE")
+  {
+    echo "load-schema examples/data/school.schema"
+    echo "load-schema examples/data/school_v2.schema"
+    echo "load-instance D examples/data/school.instance"
+    echo "load-mapping examples/data/split.mapping"
+    echo "trace $JSON_TRACE"
+    echo "exchange Dprime mapSSp D"
+    echo 'apply +Names(3,"Cy")'
+    echo "maintain mapSSp"
+    echo "explain --json"
+    echo "stats --json"
+    echo "explain mapping mapSSp --json"
+    echo "quit"
+  } | "$BUILD_DIR/examples/mm2_shell" 2> /dev/null > "$JSON_OUT"
+  python3 - "$JSON_OUT" "$JSON_TRACE" <<'EOF'
+import json, re, sys
+try:
+    json.load(open(sys.argv[2]))
+except json.JSONDecodeError as err:
+    sys.exit(f"error: the trace file does not parse ({err})")
+docs = []
+for line in open(sys.argv[1]):
+    line = re.sub(r"^(mm2> )+", "", line).strip()
+    if line.startswith("{"):
+        try:
+            docs.append(json.loads(line))
+        except json.JSONDecodeError as err:
+            sys.exit(f"error: JSON output does not parse ({err}): {line!r}")
+if len(docs) != 3:
+    sys.exit(f"error: expected 3 JSON lines (explain, stats, explain mapping), got {len(docs)}")
+explain, stats, mapping = docs
+if list(stats) != ["counters", "gauges", "histograms"]:
+    sys.exit(f"error: stats --json keys are {list(stats)}")
+if "rules" not in mapping:
+    sys.exit("error: explain mapping --json has no rules")
+keys = {
+    "report": ["operators", "rules", "foresight", "phases", "storage",
+               "values", "incremental", "totals"],
+    "operators": ["name", "calls", "errors", "total_us", "share", "p50_us",
+                  "p95_us", "p99_us", "max_us"],
+    "rules": ["label", "kind", "wall_us", "share", "triggers_tested",
+              "firings", "nulls_created", "rounds_active", "rounds",
+              "round_p50_us", "round_p95_us", "round_max_us"],
+    "foresight": ["analyzed", "terminating", "armed", "predicted_rounds",
+                  "observed_rounds"],
+    "phases": ["name", "count", "total_us", "self_us", "share", "max_us"],
+    "storage": ["index_probes", "index_probe_hits", "index_builds",
+                "delta_tuples", "delta_rule_skips", "segment_seals",
+                "segment_sealed_rows", "segment_compares", "segment_probes",
+                "segment_probe_hits", "segment_skips",
+                "segment_live_segments"],
+    "values": ["value_bytes", "interned_strings", "interned_bytes",
+               "intern_hits", "intern_misses"],
+    "incremental": ["maintains", "fallbacks", "dred_candidates", "dred_kept",
+                    "source_inserts", "source_deletes", "target_inserts",
+                    "target_deletes", "latency_us", "provenance_facts",
+                    "provenance_witnesses", "provenance_support_edges",
+                    "provenance_bytes"],
+    "totals": ["operator_total_us", "rule_total_us", "phase_total_us"],
+}
+def check(where, obj, want):
+    if list(obj) != want:
+        sys.exit(f"error: explain --json {where} keys are {list(obj)}, want {want}")
+check("report", explain, keys["report"])
+objects = 1
+for section in keys["report"]:
+    value = explain[section]
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        sys.exit(f"error: explain --json {section} is empty")
+    for item in items:
+        check(section, item, keys[section])
+        objects += 1
+print(f"json gate passed (3 JSON lines and the trace parse, {objects} explain objects carry the recorded keys)")
+EOF
+fi
+
 # Opt-in bench smoke: exercises bench_all.sh + bench_compare.py end to end
 # at tiny sizes — a self-compare must pass, an inflated copy must fail,
 # proving the regression gate actually gates, and copies stamped with

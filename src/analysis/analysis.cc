@@ -1,7 +1,6 @@
 #include "analysis/analysis.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
@@ -9,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace mm2::analysis {
@@ -132,29 +132,6 @@ bool Reaches(const std::vector<std::vector<PosEdge>>& adj, std::size_t from,
   };
   dfs(from, dfs);
   return found;
-}
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 8);
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string DotEscape(const std::string& raw) {
@@ -605,19 +582,19 @@ std::string MappingAnalysis::ToJson(std::uint64_t domain) const {
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const RuleNode& r = rules[i];
     if (i > 0) out << ", ";
-    out << "{\"label\": \"" << JsonEscape(r.label) << "\", \"kind\": \""
+    out << "{\"label\": \"" << json::Escape(r.label) << "\", \"kind\": \""
         << r.kind << "\", \"stratum\": " << r.stratum
         << ", \"recursive\": " << (r.recursive ? "true" : "false")
         << ", \"creates_values\": " << (r.creates_values ? "true" : "false")
         << ", \"reads\": [";
     for (std::size_t j = 0; j < r.reads.size(); ++j) {
       if (j > 0) out << ", ";
-      out << "\"" << JsonEscape(r.reads[j]) << "\"";
+      out << "\"" << json::Escape(r.reads[j]) << "\"";
     }
     out << "], \"writes\": [";
     for (std::size_t j = 0; j < r.writes.size(); ++j) {
       if (j > 0) out << ", ";
-      out << "\"" << JsonEscape(r.writes[j]) << "\"";
+      out << "\"" << json::Escape(r.writes[j]) << "\"";
     }
     out << "]}";
   }
@@ -640,7 +617,7 @@ std::string MappingAnalysis::ToJson(std::uint64_t domain) const {
   out << "], \"positions\": [";
   for (std::size_t i = 0; i < positions.size(); ++i) {
     if (i > 0) out << ", ";
-    out << "\"" << JsonEscape(positions[i].name) << "\"";
+    out << "\"" << json::Escape(positions[i].name) << "\"";
   }
   out << "], \"position_edges\": [";
   for (std::size_t i = 0; i < position_edges.size(); ++i) {
@@ -652,7 +629,7 @@ std::string MappingAnalysis::ToJson(std::uint64_t domain) const {
   out << "], \"cycle\": [";
   for (std::size_t i = 0; i < cycle.size(); ++i) {
     if (i > 0) out << ", ";
-    out << "\"" << JsonEscape(cycle[i]) << "\"";
+    out << "\"" << json::Escape(cycle[i]) << "\"";
   }
   out << "], \"predicted\": {\"domain\": " << domain
       << ", \"values\": " << PredictedValues(domain)

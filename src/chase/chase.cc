@@ -167,16 +167,7 @@ class ChaseRun {
  public:
   ChaseRun(const Instance* source, Instance target,
            const ChaseOptions& options)
-      : source_(source), target_(std::move(target)), options_(options) {
-    if (options.trust_first_null_label) {
-      next_label_ = options.first_null_label;
-    } else {
-      std::int64_t source_max =
-          source_ == nullptr ? -1 : source_->MaxNullLabel();
-      next_label_ = std::max(options.first_null_label,
-                             std::max(source_max, target_.MaxNullLabel()) + 1);
-    }
-  }
+      : source_(source), target_(std::move(target)), options_(options) {}
 
   // Arms incremental-maintenance mode: restore/export semi-naive state
   // through `session`, seed the provenance store with the previous call's
@@ -255,6 +246,17 @@ class ChaseRun {
     // never fire still show up (with zero cost) in the attribution.
     stats_.rules.clear();
     stats_.rules.resize(clauses.size() + fo_tgds.size() + egds.size());
+    // A resumed session carries the next free null label across calls
+    // (labels smuggled in via source deltas included), so it skips the
+    // O(|instance|) max-label sweep that would dominate a delta-sized pass.
+    if (session_ != nullptr && session_->initialized) {
+      next_label_ = std::max(options_.first_null_label, session_->next_label);
+    } else {
+      const std::int64_t source_max =
+          source_ == nullptr ? -1 : source_->MaxNullLabel();
+      next_label_ = std::max(options_.first_null_label,
+                             std::max(source_max, target_.MaxNullLabel()) + 1);
+    }
     // Resumed runs restore the semi-naive frontier captured by the previous
     // call instead of resetting it: rules re-match only above their old
     // watermarks, and Skolem terms keep resolving to the nulls they already
@@ -265,7 +267,6 @@ class ChaseRun {
       watermarks_ = std::move(session_->watermarks);
       matched_once_ = session_->matched_once;
       skolem_ = std::move(session_->skolem);
-      next_label_ = std::max(next_label_, session_->next_label);
     } else {
       watermarks_.assign(stats_.rules.size(), {});
       matched_once_.assign(stats_.rules.size(), false);
@@ -1213,12 +1214,11 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
     }
   }
   // Per-constraint attribution, keyed by rule label so repeated runs of the
-  // same rule set accumulate. obs::Profiler parses this family back out of
-  // the snapshot for `explain`'s ranked chase table.
+  // same rule set accumulate. obs::Profiler reads this family back out of
+  // the snapshot for `explain`'s ranked chase table; a rule's wall time is
+  // its round_us histogram's exact sum.
   for (const RuleStats& rule : stats.rules) {
     const std::string prefix = "chase.rule." + rule.label + ".";
-    m.GetCounter(prefix + "wall_us")
-        .Increment(static_cast<std::uint64_t>(rule.wall_us + 0.5));
     m.GetCounter(prefix + "triggers").Increment(rule.triggers_tested);
     m.GetCounter(prefix + "firings").Increment(rule.firings);
     m.GetCounter(prefix + "nulls").Increment(rule.nulls_created);
@@ -1372,14 +1372,6 @@ Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
   // Provenance is the DRed substrate — a session without it cannot answer
   // deletions, so maintenance always records it.
   resumed.track_provenance = true;
-  // A resumed session already knows the next free null label (kept current
-  // across calls, including labels smuggled in via source deltas), so the
-  // O(|instance|) max-label sweep is skipped.
-  if (state != nullptr && state->initialized) {
-    resumed.first_null_label =
-        std::max(resumed.first_null_label, state->next_label);
-    resumed.trust_first_null_label = true;
-  }
   AnalysisSetup setup(resumed, source);
   ChaseRun run(&source, std::move(target), setup.options());
   run.AttachSession(state, std::move(provenance), net_change);

@@ -56,13 +56,10 @@ struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
   // engine generates are weakly acyclic, so this is a safety net).
   std::size_t max_rounds = 10000;
-  // First label to use for invented nulls.
+  // First label to use for invented nulls. A run also starts above every
+  // label in its source and target (an O(|instance|) sweep), or, resuming
+  // an initialized session, at the session's next label without the sweep.
   std::int64_t first_null_label = 0;
-  // Trust first_null_label outright instead of scanning source and target
-  // for the max existing label (an O(|instance|) sweep). Set by resumed
-  // sessions, which carry the counter across calls — the sweep would
-  // otherwise dominate a delta-sized maintenance pass.
-  bool trust_first_null_label = false;
   // Record why-provenance for every derived fact.
   bool track_provenance = false;
   // Refuse (Unsupported) first-order rule sets that are not weakly

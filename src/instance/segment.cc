@@ -1,25 +1,6 @@
 #include "instance/segment.h"
 
-#include <algorithm>
-
 namespace mm2::instance {
-
-namespace {
-
-// Lexicographic three-way compare of two length-`len` value runs.
-int CompareValues(const Value* a, const Value* b, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    if (a[i] < b[i]) return -1;
-    if (b[i] < a[i]) return 1;
-  }
-  return 0;
-}
-
-void Count(SegmentOpStats* stats, std::uint64_t n) {
-  if (stats != nullptr) stats->compares += n;
-}
-
-}  // namespace
 
 StorageMode ResolveStorageMode(StorageMode requested) { return requested; }
 
@@ -110,37 +91,6 @@ void Segment::FinalizeBounds() {
 // SegmentInserter
 // ---------------------------------------------------------------------------
 
-SegmentPtr SegmentInserter::Seal(SegmentOpStats* stats) {
-  std::vector<Tuple> rows;
-  rows.swap(pending_);
-  CountedSort(&rows, stats);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) {
-      Count(stats, 1);
-      if (rows[i] == rows[out - 1]) continue;
-    }
-    if (out != i) rows[out] = std::move(rows[i]);
-    ++out;
-  }
-  rows.resize(out);
-  auto segment = std::make_shared<Segment>();
-  segment->arity_ = arity_;
-  segment->rows_ = rows.size();
-  segment->columns_.resize(arity_);
-  for (std::size_t c = 0; c < arity_; ++c) {
-    std::vector<Value>& col = segment->columns_[c];
-    col.reserve(rows.size());
-    for (const Tuple& row : rows) col.push_back(row[c]);
-  }
-  segment->FinalizeBounds();
-  if (stats != nullptr) {
-    ++stats->seals;
-    stats->sealed_rows += segment->rows_;
-  }
-  return segment;
-}
-
 SegmentPtr SegmentInserter::FromSorted(std::size_t arity,
                                        const std::set<Tuple>& rows,
                                        SegmentOpStats* stats) {
@@ -162,47 +112,6 @@ SegmentPtr SegmentInserter::FromSorted(std::size_t arity,
     stats->sealed_rows += segment->rows_;
   }
   return segment;
-}
-
-// ---------------------------------------------------------------------------
-// Sorted-row helpers
-// ---------------------------------------------------------------------------
-
-void CountedSort(std::vector<Tuple>* rows, SegmentOpStats* stats) {
-  if (stats == nullptr) {
-    std::sort(rows->begin(), rows->end());
-    return;
-  }
-  std::uint64_t* compares = &stats->compares;
-  std::sort(rows->begin(), rows->end(),
-            [compares](const Tuple& a, const Tuple& b) {
-              ++*compares;
-              return a < b;
-            });
-}
-
-bool SortedContains(const std::vector<Tuple>& sorted, const Tuple& tuple,
-                    SegmentOpStats* stats) {
-  std::uint64_t* compares =
-      stats != nullptr ? &stats->compares : nullptr;
-  std::size_t lo = 0, hi = sorted.size();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (compares != nullptr) ++*compares;
-    int cmp = CompareValues(sorted[mid].data(), tuple.data(),
-                            std::min(sorted[mid].size(), tuple.size()));
-    if (cmp == 0 && sorted[mid].size() != tuple.size()) {
-      cmp = sorted[mid].size() < tuple.size() ? -1 : 1;
-    }
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else if (cmp > 0) {
-      hi = mid;
-    } else {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mm2::instance

@@ -25,9 +25,9 @@ const char* StorageModeName(StorageMode mode);
 // per-relation totals around a run (exactly like IndexStats) and mirrors
 // the live fields as the `storage.segment.*` counter family.
 struct SegmentOpStats {
-  std::uint64_t seals = 0;        // runs sealed (PrepareSegments, Seal)
+  std::uint64_t seals = 0;        // runs sealed (PrepareSegments)
   std::uint64_t sealed_rows = 0;  // rows written by seals
-  std::uint64_t compares = 0;     // tuple comparisons (sort/search)
+  std::uint64_t compares = 0;     // tuple comparisons (prefix search)
   std::uint64_t probes = 0;       // sorted-prefix probes served
   std::uint64_t probe_hits = 0;   // rows yielded by served probes
   std::uint64_t skips = 0;        // probes cut short by min/max bounds
@@ -141,40 +141,14 @@ struct SegmentRange {
   bool empty() const { return begin >= end; }
 };
 
-// Accumulates rows and seals them into a Segment: Seal() sorts (counting
-// compares), removes duplicates, lays the survivors out column-major and
-// records per-column min/max. The inserter is reusable after Seal (empty).
+// The one seal: RelationInstance::PrepareSegments hands its std::set here.
 class SegmentInserter {
  public:
-  explicit SegmentInserter(std::size_t arity) : arity_(arity) {}
-
-  void Add(const Tuple& tuple) { pending_.push_back(tuple); }
-  void Add(Tuple&& tuple) { pending_.push_back(std::move(tuple)); }
-  std::size_t pending_rows() const { return pending_.size(); }
-
-  SegmentPtr Seal(SegmentOpStats* stats);
-
-  // Seals a std::set's contents directly: set iteration is already sorted
-  // and unique, so this is a straight column-major copy (no compares).
+  // Set iteration is already sorted and unique, so this is a straight
+  // column-major copy (no compares) plus the per-column min/max.
   static SegmentPtr FromSorted(std::size_t arity, const std::set<Tuple>& rows,
                                SegmentOpStats* stats);
-
- private:
-  std::size_t arity_;
-  std::vector<Tuple> pending_;
 };
-
-// ---------------------------------------------------------------------------
-// Sorted-row helpers: plain row-major vectors, same counted-comparison
-// discipline as the segment operations.
-// ---------------------------------------------------------------------------
-
-// Sorts rows ascending, counting comparisons into `stats` when non-null.
-void CountedSort(std::vector<Tuple>* rows, SegmentOpStats* stats);
-
-// Binary-search membership in an ascending row vector.
-bool SortedContains(const std::vector<Tuple>& sorted, const Tuple& tuple,
-                    SegmentOpStats* stats);
 
 }  // namespace mm2::instance
 

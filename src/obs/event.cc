@@ -6,6 +6,8 @@
 #include <iostream>
 #include <string_view>
 
+#include "common/json.h"
+
 namespace mm2::obs {
 
 const char* EventLevelName(EventLevel level) {
@@ -43,41 +45,6 @@ EventField F(std::string key, double value) {
   return {std::move(key), buf, true};
 }
 
-namespace {
-
-// Minimal JSON string escaping: quotes, backslashes, and control bytes.
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string Event::ToJson() const {
   char head[96];
   std::snprintf(head, sizeof(head), "{\"seq\": %llu, \"t_us\": %.1f, ",
@@ -86,17 +53,17 @@ std::string Event::ToJson() const {
   out += "\"level\": \"";
   out += EventLevelName(level);
   out += "\", \"event\": \"";
-  AppendJsonEscaped(&out, name);
+  json::AppendEscaped(&out, name);
   out += '"';
   for (const EventField& f : fields) {
     out += ", \"";
-    AppendJsonEscaped(&out, f.key);
+    json::AppendEscaped(&out, f.key);
     out += "\": ";
     if (f.number) {
       out += f.value;
     } else {
       out += '"';
-      AppendJsonEscaped(&out, f.value);
+      json::AppendEscaped(&out, f.value);
       out += '"';
     }
   }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "obs/json.h"
+#include "common/json.h"
 
 namespace mm2::obs {
 
@@ -103,17 +103,6 @@ const HistogramSnapshot* MetricsSnapshot::FindHistogram(
   return nullptr;
 }
 
-namespace {
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::vector<std::string> MetricsSnapshot::Lines() const {
   std::vector<std::string> lines;
   for (const CounterSnapshot& c : counters) {
@@ -125,11 +114,11 @@ std::vector<std::string> MetricsSnapshot::Lines() const {
   for (const HistogramSnapshot& h : histograms) {
     lines.push_back("histogram " + h.name + " count=" +
                     std::to_string(h.count) + " mean=" +
-                    FormatDouble(h.mean()) + " p50=" +
-                    FormatDouble(h.p50()) + " p95=" +
-                    FormatDouble(h.p95()) + " p99=" +
-                    FormatDouble(h.p99()) + " max=" +
-                    FormatDouble(h.max));
+                    json::FormatDouble(h.mean()) + " p50=" +
+                    json::FormatDouble(h.p50()) + " p95=" +
+                    json::FormatDouble(h.p95()) + " p99=" +
+                    json::FormatDouble(h.p99()) + " max=" +
+                    json::FormatDouble(h.max));
   }
   return lines;
 }

@@ -120,7 +120,7 @@ struct MetricsSnapshot {
   // One JSON object (single line): {"counters": {name: value, ...},
   // "gauges": {...}, "histograms": {name: {count, sum, min, max, mean,
   // p50, p95, p99}, ...}}. Shares the escaping/number formatting of
-  // `explain --json` (obs/json.h) so `stats --json` spells metric names
+  // `explain --json` (common/json.h) so `stats --json` spells metric names
   // and values identically.
   std::string ToJson() const;
 };

@@ -4,32 +4,304 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
 
-#include "obs/json.h"
+#include "common/json.h"
+#include "common/strings.h"
 #include "obs/obs.h"
 
 namespace mm2::obs {
 
 namespace {
 
-constexpr char kRulePrefix[] = "chase.rule.";
-
 using json::FormatDouble;
 
-std::string JsonEscape(const std::string& s) { return json::Escape(s); }
+// How a section row's value prints. kShown is whether the row's section
+// shows; a derived row reads rows `a` (and `b`) of its block.
+enum class Form {
+  kCount,    // the number
+  kBound,    // the number, or "unbounded" at the saturated gauge
+  kVerdict,  // "terminating" / "potentially non-terminating"; JSON bool
+  kYesNo,    // "yes" / "no"; JSON bool
+  kShown,    // JSON bool: the section shows
+  kRatio,    // a / b to one decimal
+  kRate,     // a / (a + b) as a percentage
+  kPair,     // "a / b"
+};
+using enum Form;
 
-// Splits "op.<name>.<field>" / "chase.rule.<label>.<field>" style names at
-// the *last* dot, so labels containing dots survive.
-bool SplitLastDot(const std::string& name, std::string* head,
-                  std::string* tail) {
-  std::size_t dot = name.rfind('.');
-  if (dot == std::string::npos || dot == 0 || dot + 1 == name.size()) {
+// Which value of a row shows its block, and so its section, in the text.
+enum class Shows { kNever, kIfNonzero, kIfPresent };
+using enum Shows;
+
+// One `explain` scalar, declared once: its text label, its JSON key and the
+// registry counter or gauge it reads (a gauge below zero reads 0). A null
+// label keeps the row out of the text, a null key out of the JSON. A row
+// with no metric is derived: it prints rows `a` and `b` of its block.
+struct Row {
+  const char* label;
+  const char* key;
+  const char* metric;
+  Shows shows = kNever;
+  Form form = kCount;
+  std::size_t a = 0;
+  std::size_t b = 0;
+};
+
+// When a block of rows renders.
+enum class Guard {
+  kSection,     // with its section in the text; always in the JSON
+  kText,        // in the text when one of its rows shows it; always in JSON
+  kTextAndJson  // in both only when one of its rows shows it
+};
+
+struct Block {
+  std::span<const Row> rows;
+  Guard guard = Guard::kSection;
+};
+
+// A section shows in the text when any of its rows shows it; a hidden one
+// prints its placeholder line, if it has one. The JSON always has it.
+struct Section {
+  const char* name;  // text header and JSON key
+  const char* placeholder;
+  std::span<const Block> blocks;
+};
+
+// Termination foresight: what the static classifier predicted versus what
+// the chase observed (`chase.foresight.*`, mirrored for analyzed runs).
+constexpr Row kForesight[] = {
+    {nullptr, "analyzed", nullptr, kNever, kShown},
+    {"termination", "terminating", "chase.foresight.terminating", kIfPresent,
+     kVerdict},
+    {nullptr, "armed", "chase.foresight.armed", kIfNonzero, kYesNo},
+    {"predicted rounds (bound)", "predicted_rounds",
+     "chase.foresight.predicted_rounds", kIfPresent, kBound},
+    {"observed rounds", "observed_rounds", "chase.foresight.observed_rounds",
+     kIfPresent},
+    {"budget auto-armed", nullptr, nullptr, kNever, kYesNo, 2},
+};
+
+// Index probe traffic and semi-naive delta sizes.
+constexpr Row kStorage[] = {
+    {"index.probes", "index_probes", "index.probes", kIfNonzero},
+    {"index.probe_hits", "index_probe_hits", "index.probe_hits", kIfNonzero},
+    {"index.builds", "index_builds", "index.builds", kIfNonzero},
+    {"chase.delta.tuples", "delta_tuples", "chase.delta.tuples", kIfNonzero},
+    {"chase.delta.rule_skips", "delta_rule_skips", "chase.delta.rule_skips",
+     kIfNonzero},
+    {"tuples/probe", nullptr, nullptr, kNever, kRatio, 1, 0},
+};
+
+// The run a chase sealed on publish, once one was sealed or probed.
+constexpr Row kSegments[] = {
+    {"segment.seals", "segment_seals", "storage.segment.seals", kIfNonzero},
+    {"segment.sealed_rows", "segment_sealed_rows",
+     "storage.segment.sealed_rows"},
+    {"segment.compares", "segment_compares", "storage.segment.compares"},
+    {"segment.probes", "segment_probes", "storage.segment.probes", kIfNonzero},
+    {"segment.probe_hits", "segment_probe_hits", "storage.segment.probe_hits"},
+    {"segment.skips", "segment_skips", "storage.segment.skips"},
+    {"segment.live_segments", "segment_live_segments",
+     "storage.segment.live_segments"},
+};
+
+// The process-wide string intern pool behind the compact Value.
+constexpr Row kValues[] = {
+    {"bytes/value", "value_bytes", "value.bytes_per_value"},
+    {"intern.strings", "interned_strings", "value.intern.strings", kIfNonzero},
+    {"intern.bytes", "interned_bytes", "value.intern.bytes"},
+    {"intern.hits", "intern_hits", "value.intern.hits", kIfNonzero},
+    {"intern.misses", "intern_misses", "value.intern.misses", kIfNonzero},
+    {"intern hit rate", nullptr, nullptr, kNever, kRate, 3, 4},
+};
+
+// Incremental maintenance, mirrored by runtime::MaintainExchange.
+constexpr Row kMaintains[] = {
+    {"maintains", "maintains", "chase.incremental.maintains", kIfNonzero},
+    {"fallbacks", "fallbacks", "chase.incremental.fallbacks"},
+    {"dred.candidates", "dred_candidates", "chase.incremental.dred_candidates"},
+    {"dred.kept", "dred_kept", "chase.incremental.dred_kept"},
+    {nullptr, "source_inserts", "chase.incremental.source_inserts"},
+    {nullptr, "source_deletes", "chase.incremental.source_deletes"},
+    {"source +/-", nullptr, nullptr, kNever, kPair, 4, 5},
+    {nullptr, "target_inserts", "chase.incremental.target_inserts"},
+    {nullptr, "target_deletes", "chase.incremental.target_deletes"},
+    {"target +/-", nullptr, nullptr, kNever, kPair, 7, 8},
+    {"latency_us", "latency_us", "chase.incremental.latency_us"},
+    {"us/maintain", nullptr, nullptr, kNever, kRatio, 10, 0},
+};
+
+// The session provenance store after the last pass.
+constexpr Row kProvenance[] = {
+    {"provenance.facts", "provenance_facts", "chase.provenance.facts"},
+    {"provenance.witnesses", "provenance_witnesses",
+     "chase.provenance.witnesses"},
+    {"provenance.support_edges", "provenance_support_edges",
+     "chase.provenance.support_edges"},
+    {"provenance.bytes", "provenance_bytes", "chase.provenance.bytes",
+     kIfNonzero},
+};
+
+constexpr Block kForesightBlocks[] = {{kForesight}};
+constexpr Block kStorageBlocks[] = {{kStorage},
+                                    {kSegments, Guard::kTextAndJson}};
+constexpr Block kValuesBlocks[] = {{kValues}};
+constexpr Block kIncrementalBlocks[] = {{kMaintains, Guard::kText},
+                                        {kProvenance, Guard::kText}};
+
+constexpr Section kForesightSection = {"foresight", nullptr,
+                                       kForesightBlocks};
+// After the phases in the JSON, before them in the text.
+constexpr Section kStoreSections[] = {
+    {"storage", "(no index activity recorded)", kStorageBlocks},
+    {"values", nullptr, kValuesBlocks},
+    {"incremental", nullptr, kIncrementalBlocks},
+};
+
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+
+// Reads a row's metric into `*value`: counters as counted, gauges clamped
+// at zero. False when the snapshot holds neither.
+bool Read(const MetricsSnapshot& metrics, const char* name,
+          std::uint64_t* value) {
+  const CounterSnapshot* c = metrics.FindCounter(name);
+  const GaugeSnapshot* g = c == nullptr ? metrics.FindGauge(name) : nullptr;
+  if (c != nullptr) *value = c->value;
+  if (g != nullptr) {
+    *value = static_cast<std::uint64_t>(std::max<std::int64_t>(g->value, 0));
+  }
+  return c != nullptr || g != nullptr;
+}
+
+std::string Fixed1(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", v);
+  return buf;
+}
+
+std::string Percent(double share) { return Fixed1(share * 100.0) + "%"; }
+
+double Ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0
+                  : static_cast<double>(num) / static_cast<double>(den);
+}
+
+// Row `r` of a block as text or as a JSON value. A derived row reads rows
+// `a` and `b` of the block's `values`.
+std::string Render(const Row& row, const std::vector<std::uint64_t>& values,
+                   std::size_t r, bool json, bool section_shows) {
+  const std::uint64_t v = row.form == kShown       ? section_shows
+                          : row.metric != nullptr ? values[r]
+                                                  : values[row.a];
+  const std::uint64_t b = values[row.b];
+  if (json) {
+    const bool flag =
+        row.form == kVerdict || row.form == kYesNo || row.form == kShown;
+    return !flag ? std::to_string(v) : v != 0 ? "true" : "false";
+  }
+  switch (row.form) {
+    case kBound: return v == kSaturated ? "unbounded" : std::to_string(v);
+    case kVerdict:
+      return v != 0 ? "terminating" : "potentially non-terminating";
+    case kYesNo: return v != 0 ? "yes" : "no";
+    case kRatio: return Fixed1(Ratio(v, b));
+    case kRate: return Percent(Ratio(v, v + b));
+    case kPair: return std::to_string(v) + " / " + std::to_string(b);
+    case kCount:
+    case kShown: break;
+  }
+  return std::to_string(v);
+}
+
+// The rows of `section` that render in the text (as label and text) or in
+// the JSON (as key and value).
+std::vector<std::vector<std::string>> Cells(const Section& section,
+                                            const MetricsSnapshot& metrics,
+                                            bool json) {
+  std::vector<std::vector<std::uint64_t>> values;
+  std::vector<bool> block_shows;
+  bool shows = false;
+  for (const Block& block : section.blocks) {
+    values.emplace_back();
+    bool any = false;
+    for (const Row& row : block.rows) {
+      std::uint64_t v = 0;
+      const bool present =
+          row.metric != nullptr && Read(metrics, row.metric, &v);
+      values.back().push_back(v);
+      any = any || (row.shows == kIfPresent && present) ||
+            (row.shows == kIfNonzero && v != 0);
+    }
+    block_shows.push_back(any);
+    shows = shows || any;
+  }
+  std::vector<std::vector<std::string>> cells;
+  for (std::size_t i = 0; i < section.blocks.size(); ++i) {
+    const Guard guard = section.blocks[i].guard;
+    const bool visible = guard == Guard::kSection ? json || shows
+                         : guard == Guard::kText  ? json || block_shows[i]
+                                                  : block_shows[i];
+    if (!visible) continue;
+    const std::span<const Row> rows = section.blocks[i].rows;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const char* name = json ? rows[r].key : rows[r].label;
+      if (name == nullptr) continue;
+      cells.push_back({name, Render(rows[r], values[i], r, json, shows)});
+    }
+  }
+  return cells;
+}
+
+std::string SectionJson(const Section& section,
+                        const MetricsSnapshot& metrics) {
+  std::string out = "\"" + std::string(section.name) + "\": {";
+  for (const std::vector<std::string>& cell : Cells(section, metrics, true)) {
+    if (out.back() != '{') out += ", ";
+    out += "\"" + cell[0] + "\": " + cell[1];
+  }
+  return out + "}";
+}
+
+// Splits a family member's metric name, "<prefix><member>.<field>", at its
+// last dot, so a member (a rule label) may itself hold dots. False for a
+// name outside the family.
+bool SplitMember(const std::string& name, std::string_view prefix,
+                 std::string* member, std::string* field) {
+  const std::size_t dot = name.rfind('.');
+  if (!name.starts_with(prefix) || dot == std::string::npos ||
+      dot < prefix.size() || dot + 1 == name.size()) {
     return false;
   }
-  *head = name.substr(0, dot);
-  *tail = name.substr(dot + 1);
+  *member = name.substr(prefix.size(), dot - prefix.size());
+  *field = name.substr(dot + 1);
   return true;
+}
+
+// Moves `costs` into `out` most expensive first (ties by name), naming each
+// entry after its key and stamping its share of the summed cost; returns
+// that sum.
+template <typename Cost, typename T>
+T Rank(std::map<std::string, Cost>& costs, std::string Cost::*name,
+       T Cost::*cost, std::vector<Cost>* out) {
+  T total = 0;
+  for (auto& [key, c] : costs) {
+    c.*name = key;
+    total += c.*cost;
+    out->push_back(std::move(c));
+  }
+  for (Cost& c : *out) {
+    c.share = total == 0 ? 0
+                         : static_cast<double>(c.*cost) /
+                               static_cast<double>(total);
+  }
+  std::sort(out->begin(), out->end(), [&](const Cost& x, const Cost& y) {
+    if (x.*cost != y.*cost) return x.*cost > y.*cost;
+    return x.*name < y.*name;
+  });
+  return total;
 }
 
 std::string RuleKind(const std::string& label) {
@@ -41,25 +313,18 @@ std::string RuleKind(const std::string& label) {
 
 void BuildOperators(const MetricsSnapshot& metrics, ProfileReport* report) {
   std::map<std::string, OperatorCost> ops;
+  std::string name;
+  std::string field;
   for (const CounterSnapshot& c : metrics.counters) {
-    if (c.name.rfind("op.", 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(c.name, &head, &field)) continue;
-    std::string name = head.substr(3);  // strip "op."
-    if (field == "calls") {
-      ops[name].calls = c.value;
-    } else if (field == "errors") {
-      ops[name].errors = c.value;
-    }
+    if (!SplitMember(c.name, "op.", &name, &field)) continue;
+    if (field == "calls") ops[name].calls = c.value;
+    if (field == "errors") ops[name].errors = c.value;
   }
   for (const HistogramSnapshot& h : metrics.histograms) {
-    if (h.name.rfind("op.", 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(h.name, &head, &field)) continue;
-    if (field != "latency_us") continue;
-    OperatorCost& op = ops[head.substr(3)];
+    if (!SplitMember(h.name, "op.", &name, &field) || field != "latency_us") {
+      continue;
+    }
+    OperatorCost& op = ops[name];
     op.total_us = h.sum;
     op.mean_us = h.mean();
     op.p50_us = h.p50();
@@ -67,172 +332,42 @@ void BuildOperators(const MetricsSnapshot& metrics, ProfileReport* report) {
     op.p99_us = h.p99();
     op.max_us = h.max;
   }
-  for (auto& [name, op] : ops) {
-    op.name = name;
-    report->operator_total_us += op.total_us;
-    report->operators.push_back(std::move(op));
-  }
-  for (OperatorCost& op : report->operators) {
-    op.share = report->operator_total_us == 0
-                   ? 0
-                   : op.total_us / report->operator_total_us;
-  }
-  std::sort(report->operators.begin(), report->operators.end(),
-            [](const OperatorCost& a, const OperatorCost& b) {
-              if (a.total_us != b.total_us) return a.total_us > b.total_us;
-              return a.name < b.name;
-            });
+  report->operator_total_us = Rank(ops, &OperatorCost::name,
+                                   &OperatorCost::total_us,
+                                   &report->operators);
 }
 
 void BuildRules(const MetricsSnapshot& metrics, ProfileReport* report) {
+  constexpr std::string_view kPrefix = "chase.rule.";
   std::map<std::string, RuleCost> rules;
+  std::string label;
+  std::string field;
   for (const CounterSnapshot& c : metrics.counters) {
-    if (c.name.rfind(kRulePrefix, 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(c.name, &head, &field)) continue;
-    std::string label = head.substr(sizeof(kRulePrefix) - 1);
+    if (!SplitMember(c.name, kPrefix, &label, &field)) continue;
     RuleCost& rule = rules[label];
-    if (field == "wall_us") {
-      rule.wall_us = static_cast<double>(c.value);
-    } else if (field == "triggers") {
-      rule.triggers_tested = c.value;
-    } else if (field == "firings") {
-      rule.firings = c.value;
-    } else if (field == "nulls") {
-      rule.nulls_created = c.value;
-    } else if (field == "rounds_active") {
-      rule.rounds_active = c.value;
-    }
+    if (field == "triggers") rule.triggers_tested = c.value;
+    if (field == "firings") rule.firings = c.value;
+    if (field == "nulls") rule.nulls_created = c.value;
+    if (field == "rounds_active") rule.rounds_active = c.value;
   }
   for (const HistogramSnapshot& h : metrics.histograms) {
-    if (h.name.rfind(kRulePrefix, 0) != 0) continue;
-    std::string head;
-    std::string field;
-    if (!SplitLastDot(h.name, &head, &field)) continue;
-    if (field != "round_us") continue;
-    RuleCost& rule = rules[head.substr(sizeof(kRulePrefix) - 1)];
+    if (!SplitMember(h.name, kPrefix, &label, &field) || field != "round_us") {
+      continue;
+    }
+    RuleCost& rule = rules[label];
+    rule.wall_us = h.sum;
     rule.rounds = h.count;
     rule.round_p50_us = h.p50();
     rule.round_p95_us = h.p95();
     rule.round_max_us = h.max;
   }
-  for (auto& [label, rule] : rules) {
-    rule.label = label;
-    rule.kind = RuleKind(label);
-    report->rule_total_us += rule.wall_us;
-    report->rules.push_back(std::move(rule));
-  }
-  for (RuleCost& rule : report->rules) {
-    rule.share =
-        report->rule_total_us == 0 ? 0 : rule.wall_us / report->rule_total_us;
-  }
-  std::sort(report->rules.begin(), report->rules.end(),
-            [](const RuleCost& a, const RuleCost& b) {
-              if (a.wall_us != b.wall_us) return a.wall_us > b.wall_us;
-              return a.label < b.label;
-            });
-}
-
-void BuildForesight(const MetricsSnapshot& metrics, ProfileReport* report) {
-  ForesightCost& f = report->foresight;
-  if (const GaugeSnapshot* g =
-          metrics.FindGauge("chase.foresight.predicted_rounds")) {
-    f.analyzed = true;
-    f.predicted_rounds = g->value < 0 ? 0 : static_cast<std::uint64_t>(g->value);
-  }
-  if (const GaugeSnapshot* g =
-          metrics.FindGauge("chase.foresight.observed_rounds")) {
-    f.analyzed = true;
-    f.observed_rounds = g->value < 0 ? 0 : static_cast<std::uint64_t>(g->value);
-  }
-  if (const GaugeSnapshot* g = metrics.FindGauge("chase.foresight.terminating")) {
-    f.analyzed = true;
-    f.terminating = g->value != 0;
-  }
-  if (const CounterSnapshot* c = metrics.FindCounter("chase.foresight.armed")) {
-    f.armed = c->value != 0;
-    if (f.armed) f.analyzed = true;
-  }
-}
-
-void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
-  StorageCost& s = report->storage;
-  for (const CounterSnapshot& c : metrics.counters) {
-    if (c.name == "index.probes") {
-      s.index_probes = c.value;
-    } else if (c.name == "index.probe_hits") {
-      s.index_probe_hits = c.value;
-    } else if (c.name == "index.builds") {
-      s.index_builds = c.value;
-    } else if (c.name == "chase.delta.tuples") {
-      s.delta_tuples = c.value;
-    } else if (c.name == "chase.delta.rule_skips") {
-      s.delta_rule_skips = c.value;
-    } else if (c.name == "storage.segment.seals") {
-      s.segment_seals = c.value;
-    } else if (c.name == "storage.segment.sealed_rows") {
-      s.segment_sealed_rows = c.value;
-    } else if (c.name == "storage.segment.compares") {
-      s.segment_compares = c.value;
-    } else if (c.name == "storage.segment.probes") {
-      s.segment_probes = c.value;
-    } else if (c.name == "storage.segment.probe_hits") {
-      s.segment_probe_hits = c.value;
-    } else if (c.name == "storage.segment.skips") {
-      s.segment_skips = c.value;
-    }
-  }
-  if (const GaugeSnapshot* g =
-          metrics.FindGauge("storage.segment.live_segments")) {
-    s.segment_live_segments = static_cast<std::uint64_t>(g->value);
-  }
-}
-
-// A gauge's value, or 0 when the gauge is absent or negative.
-std::uint64_t GaugeValue(const MetricsSnapshot& metrics, const char* name) {
-  const GaugeSnapshot* g = metrics.FindGauge(name);
-  return (g == nullptr || g->value < 0) ? 0
-                                        : static_cast<std::uint64_t>(g->value);
-}
-
-void BuildValues(const MetricsSnapshot& metrics, ProfileReport* report) {
-  ValueCost& v = report->values;
-  auto gauge = [&metrics](const char* name) {
-    return GaugeValue(metrics, name);
-  };
-  v.value_bytes = gauge("value.bytes_per_value");
-  v.interned_strings = gauge("value.intern.strings");
-  v.interned_bytes = gauge("value.intern.bytes");
-  v.intern_hits = gauge("value.intern.hits");
-  v.intern_misses = gauge("value.intern.misses");
-}
-
-void BuildIncremental(const MetricsSnapshot& metrics, ProfileReport* report) {
-  IncrementalCost& i = report->incremental;
-  auto counter = [&metrics](const char* name) -> std::uint64_t {
-    const CounterSnapshot* c = metrics.FindCounter(name);
-    return c == nullptr ? 0 : c->value;
-  };
-  i.maintains = counter("chase.incremental.maintains");
-  i.fallbacks = counter("chase.incremental.fallbacks");
-  i.dred_candidates = counter("chase.incremental.dred_candidates");
-  i.dred_kept = counter("chase.incremental.dred_kept");
-  i.source_inserts = counter("chase.incremental.source_inserts");
-  i.source_deletes = counter("chase.incremental.source_deletes");
-  i.target_inserts = counter("chase.incremental.target_inserts");
-  i.target_deletes = counter("chase.incremental.target_deletes");
-  i.latency_us = counter("chase.incremental.latency_us");
-  i.provenance_facts = GaugeValue(metrics, "chase.provenance.facts");
-  i.provenance_witnesses = GaugeValue(metrics, "chase.provenance.witnesses");
-  i.provenance_support_edges =
-      GaugeValue(metrics, "chase.provenance.support_edges");
-  i.provenance_bytes = GaugeValue(metrics, "chase.provenance.bytes");
+  report->rule_total_us =
+      Rank(rules, &RuleCost::label, &RuleCost::wall_us, &report->rules);
+  for (RuleCost& rule : report->rules) rule.kind = RuleKind(rule.label);
 }
 
 void BuildPhases(const std::vector<SpanRecord>& spans,
                  ProfileReport* report) {
-  if (spans.empty()) return;
   // Self time: a span's duration minus its direct children's durations.
   std::map<std::uint64_t, std::int64_t> children_us;
   for (const SpanRecord& s : spans) {
@@ -251,41 +386,14 @@ void BuildPhases(const std::vector<SpanRecord>& spans,
     phase.self_us += std::max<std::int64_t>(self, 0);
     phase.max_us = std::max(phase.max_us, s.duration_us);
   }
-  for (auto& [name, phase] : phases) {
-    phase.name = name;
-    report->phase_total_us += phase.self_us;
-    report->phases.push_back(std::move(phase));
-  }
-  for (PhaseCost& phase : report->phases) {
-    phase.share = report->phase_total_us == 0
-                      ? 0
-                      : static_cast<double>(phase.self_us) /
-                            static_cast<double>(report->phase_total_us);
-  }
-  std::sort(report->phases.begin(), report->phases.end(),
-            [](const PhaseCost& a, const PhaseCost& b) {
-              if (a.self_us != b.self_us) return a.self_us > b.self_us;
-              return a.name < b.name;
-            });
+  report->phase_total_us = Rank(phases, &PhaseCost::name, &PhaseCost::self_us,
+                                &report->phases);
 }
 
-std::string Percent(double share) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%.1f%%", share * 100.0);
-  return buf;
-}
-
-std::string Fixed1(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
-
-// Renders rows as a padded table: column i is left-aligned when align[i]
+// Appends rows as a padded table: column i is left-aligned when align[i]
 // is 'l', right-aligned otherwise.
-std::vector<std::string> Tabulate(
-    const std::vector<std::vector<std::string>>& rows,
-    const std::string& align) {
+void Tabulate(const std::vector<std::vector<std::string>>& rows,
+              const std::string& align, std::vector<std::string>* lines) {
   std::vector<std::size_t> widths;
   for (const auto& row : rows) {
     if (widths.size() < row.size()) widths.resize(row.size(), 0);
@@ -293,7 +401,6 @@ std::vector<std::string> Tabulate(
       widths[i] = std::max(widths[i], row[i].size());
     }
   }
-  std::vector<std::string> out;
   for (const auto& row : rows) {
     std::string line = "  ";
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -307,9 +414,18 @@ std::vector<std::string> Tabulate(
         line += std::string(pad, ' ') + row[i];
       }
     }
-    out.push_back(std::move(line));
+    lines->push_back(std::move(line));
   }
-  return out;
+}
+
+void AppendSection(const Section& section, const MetricsSnapshot& metrics,
+                   std::vector<std::string>* lines) {
+  const std::vector<std::vector<std::string>> cells =
+      Cells(section, metrics, false);
+  if (cells.empty() && section.placeholder == nullptr) return;
+  lines->push_back(std::string(section.name) + ":");
+  if (cells.empty()) lines->push_back(std::string("  ") + section.placeholder);
+  Tabulate(cells, "lr", lines);
 }
 
 }  // namespace
@@ -324,26 +440,24 @@ std::vector<std::string> ProfileReport::Lines() const {
   if (operators.empty()) {
     lines.push_back("  (no operator calls recorded)");
   } else {
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"operator", "calls", "errs", "total_us", "share",
-                    "p50_us", "p95_us", "p99_us", "max_us"});
+    std::vector<std::vector<std::string>> rows = {
+        {"operator", "calls", "errs", "total_us", "share", "p50_us", "p95_us",
+         "p99_us", "max_us"}};
     for (const OperatorCost& op : operators) {
       rows.push_back({op.name, std::to_string(op.calls),
                       std::to_string(op.errors), Fixed1(op.total_us),
                       Percent(op.share), Fixed1(op.p50_us), Fixed1(op.p95_us),
                       Fixed1(op.p99_us), Fixed1(op.max_us)});
     }
-    for (std::string& line : Tabulate(rows, "lrrrrrrrr")) {
-      lines.push_back(std::move(line));
-    }
+    Tabulate(rows, "lrrrrrrrr", &lines);
   }
   lines.push_back("chase rules (" + Fixed1(rule_total_us) + "us total):");
   if (rules.empty()) {
     lines.push_back("  (no chase recorded)");
   } else {
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"rule", "kind", "wall_us", "share", "triggers", "firings",
-                    "nulls", "rounds", "rnd_p50", "rnd_p95", "rnd_max"});
+    std::vector<std::vector<std::string>> rows = {
+        {"rule", "kind", "wall_us", "share", "triggers", "firings", "nulls",
+         "rounds", "rnd_p50", "rnd_p95", "rnd_max"}};
     for (const RuleCost& rule : rules) {
       rows.push_back({rule.label, rule.kind, Fixed1(rule.wall_us),
                       Percent(rule.share),
@@ -353,161 +467,43 @@ std::vector<std::string> ProfileReport::Lines() const {
                       std::to_string(rule.rounds), Fixed1(rule.round_p50_us),
                       Fixed1(rule.round_p95_us), Fixed1(rule.round_max_us)});
     }
-    for (std::string& line : Tabulate(rows, "llrrrrrrrrr")) {
-      lines.push_back(std::move(line));
-    }
+    Tabulate(rows, "llrrrrrrrrr", &lines);
     const RuleCost* dominant = DominantRule();
     lines.push_back("dominant rule: " + dominant->label + " (" +
                     Percent(dominant->share) + " of chase rule wall time)");
   }
-  if (foresight.any()) {
-    lines.push_back("foresight:");
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"termination", foresight.terminating
-                                       ? "terminating"
-                                       : "potentially non-terminating"});
-    rows.push_back({"predicted rounds (bound)",
-                    foresight.predicted_rounds ==
-                            static_cast<std::uint64_t>(
-                                std::numeric_limits<std::int64_t>::max())
-                        ? "unbounded"
-                        : std::to_string(foresight.predicted_rounds)});
-    rows.push_back(
-        {"observed rounds", std::to_string(foresight.observed_rounds)});
-    rows.push_back({"budget auto-armed", foresight.armed ? "yes" : "no"});
-    for (std::string& line : Tabulate(rows, "lr")) {
-      lines.push_back(std::move(line));
-    }
-  }
-  lines.push_back("storage:");
-  if (!storage.any()) {
-    lines.push_back("  (no index activity recorded)");
-  } else {
-    double hit_rate = storage.index_probes == 0
-                          ? 0
-                          : static_cast<double>(storage.index_probe_hits) /
-                                static_cast<double>(storage.index_probes);
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"index.probes", std::to_string(storage.index_probes)});
-    rows.push_back(
-        {"index.probe_hits", std::to_string(storage.index_probe_hits)});
-    rows.push_back({"index.builds", std::to_string(storage.index_builds)});
-    rows.push_back(
-        {"chase.delta.tuples", std::to_string(storage.delta_tuples)});
-    rows.push_back({"chase.delta.rule_skips",
-                    std::to_string(storage.delta_rule_skips)});
-    rows.push_back({"tuples/probe", Fixed1(hit_rate)});
-    // The run block appears once a chase sealed or probed a run.
-    if (storage.segments()) {
-      rows.push_back(
-          {"segment.seals", std::to_string(storage.segment_seals)});
-      rows.push_back({"segment.sealed_rows",
-                      std::to_string(storage.segment_sealed_rows)});
-      rows.push_back(
-          {"segment.compares", std::to_string(storage.segment_compares)});
-      rows.push_back(
-          {"segment.probes", std::to_string(storage.segment_probes)});
-      rows.push_back(
-          {"segment.probe_hits", std::to_string(storage.segment_probe_hits)});
-      rows.push_back(
-          {"segment.skips", std::to_string(storage.segment_skips)});
-      rows.push_back({"segment.live_segments",
-                      std::to_string(storage.segment_live_segments)});
-    }
-    for (std::string& line : Tabulate(rows, "lr")) {
-      lines.push_back(std::move(line));
-    }
-  }
-  if (values.any()) {
-    lines.push_back("values:");
-    std::uint64_t lookups = values.intern_hits + values.intern_misses;
-    double hit_rate = lookups == 0 ? 0
-                                   : static_cast<double>(values.intern_hits) /
-                                         static_cast<double>(lookups);
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"bytes/value", std::to_string(values.value_bytes)});
-    rows.push_back(
-        {"intern.strings", std::to_string(values.interned_strings)});
-    rows.push_back({"intern.bytes", std::to_string(values.interned_bytes)});
-    rows.push_back({"intern.hits", std::to_string(values.intern_hits)});
-    rows.push_back({"intern.misses", std::to_string(values.intern_misses)});
-    rows.push_back({"intern hit rate", Percent(hit_rate)});
-    for (std::string& line : Tabulate(rows, "lr")) {
-      lines.push_back(std::move(line));
-    }
-  }
-  if (incremental.any()) {
-    lines.push_back("incremental:");
-    std::vector<std::vector<std::string>> rows;
-    if (incremental.maintains != 0) {
-      double avg_us = static_cast<double>(incremental.latency_us) /
-                      static_cast<double>(incremental.maintains);
-      rows.push_back({"maintains", std::to_string(incremental.maintains)});
-      rows.push_back({"fallbacks", std::to_string(incremental.fallbacks)});
-      rows.push_back(
-          {"dred.candidates", std::to_string(incremental.dred_candidates)});
-      rows.push_back({"dred.kept", std::to_string(incremental.dred_kept)});
-      rows.push_back({"source +/-",
-                      std::to_string(incremental.source_inserts) + " / " +
-                          std::to_string(incremental.source_deletes)});
-      rows.push_back({"target +/-",
-                      std::to_string(incremental.target_inserts) + " / " +
-                          std::to_string(incremental.target_deletes)});
-      rows.push_back({"latency_us", std::to_string(incremental.latency_us)});
-      rows.push_back({"us/maintain", Fixed1(avg_us)});
-    }
-    if (incremental.provenance_bytes != 0) {
-      rows.push_back({"provenance.facts",
-                      std::to_string(incremental.provenance_facts)});
-      rows.push_back({"provenance.witnesses",
-                      std::to_string(incremental.provenance_witnesses)});
-      rows.push_back({"provenance.support_edges",
-                      std::to_string(incremental.provenance_support_edges)});
-      rows.push_back({"provenance.bytes",
-                      std::to_string(incremental.provenance_bytes)});
-    }
-    for (std::string& line : Tabulate(rows, "lr")) {
-      lines.push_back(std::move(line));
-    }
+  AppendSection(kForesightSection, metrics, &lines);
+  for (const Section& section : kStoreSections) {
+    AppendSection(section, metrics, &lines);
   }
   lines.push_back("phases (" + std::to_string(phase_total_us) +
                   "us self-time total):");
   if (phases.empty()) {
     lines.push_back("  (no spans; run under `trace` to collect phases)");
   } else {
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back(
-        {"span", "count", "total_us", "self_us", "share", "max_us"});
+    std::vector<std::vector<std::string>> rows = {
+        {"span", "count", "total_us", "self_us", "share", "max_us"}};
     for (const PhaseCost& phase : phases) {
       rows.push_back({phase.name, std::to_string(phase.count),
                       std::to_string(phase.total_us),
                       std::to_string(phase.self_us), Percent(phase.share),
                       std::to_string(phase.max_us)});
     }
-    for (std::string& line : Tabulate(rows, "lrrrrr")) {
-      lines.push_back(std::move(line));
-    }
+    Tabulate(rows, "lrrrrr", &lines);
   }
   return lines;
 }
 
 std::string ProfileReport::ToString() const {
-  std::string out;
-  for (const std::string& line : Lines()) {
-    out += line;
-    out += '\n';
-  }
-  return out;
+  return Join(Lines(), "\n") + "\n";
 }
 
 std::string ProfileReport::ToJson() const {
   std::ostringstream os;
   os << "{\"operators\": [";
-  bool first = true;
+  const char* sep = "";
   for (const OperatorCost& op : operators) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << JsonEscape(op.name) << "\", \"calls\": "
+    os << sep << "{\"name\": \"" << json::Escape(op.name) << "\", \"calls\": "
        << op.calls << ", \"errors\": " << op.errors << ", \"total_us\": "
        << FormatDouble(op.total_us) << ", \"share\": "
        << FormatDouble(op.share) << ", \"p50_us\": "
@@ -515,14 +511,14 @@ std::string ProfileReport::ToJson() const {
        << FormatDouble(op.p95_us) << ", \"p99_us\": "
        << FormatDouble(op.p99_us) << ", \"max_us\": "
        << FormatDouble(op.max_us) << "}";
+    sep = ", ";
   }
   os << "], \"rules\": [";
-  first = true;
+  sep = "";
   for (const RuleCost& rule : rules) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"label\": \"" << JsonEscape(rule.label) << "\", \"kind\": \""
-       << rule.kind << "\", \"wall_us\": " << FormatDouble(rule.wall_us)
+    os << sep << "{\"label\": \"" << json::Escape(rule.label)
+       << "\", \"kind\": \"" << rule.kind
+       << "\", \"wall_us\": " << FormatDouble(rule.wall_us)
        << ", \"share\": " << FormatDouble(rule.share)
        << ", \"triggers_tested\": " << rule.triggers_tested
        << ", \"firings\": " << rule.firings << ", \"nulls_created\": "
@@ -531,57 +527,24 @@ std::string ProfileReport::ToJson() const {
        << FormatDouble(rule.round_p50_us) << ", \"round_p95_us\": "
        << FormatDouble(rule.round_p95_us) << ", \"round_max_us\": "
        << FormatDouble(rule.round_max_us) << "}";
+    sep = ", ";
   }
-  os << "], \"foresight\": {\"analyzed\": "
-     << (foresight.analyzed ? "true" : "false") << ", \"terminating\": "
-     << (foresight.terminating ? "true" : "false") << ", \"armed\": "
-     << (foresight.armed ? "true" : "false") << ", \"predicted_rounds\": "
-     << foresight.predicted_rounds << ", \"observed_rounds\": "
-     << foresight.observed_rounds << "}, \"phases\": [";
-  first = true;
+  os << "], " << SectionJson(kForesightSection, metrics) << ", \"phases\": [";
+  sep = "";
   for (const PhaseCost& phase : phases) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << JsonEscape(phase.name) << "\", \"count\": "
-       << phase.count << ", \"total_us\": " << phase.total_us
-       << ", \"self_us\": " << phase.self_us << ", \"share\": "
-       << FormatDouble(phase.share) << ", \"max_us\": " << phase.max_us
-       << "}";
+    os << sep << "{\"name\": \"" << json::Escape(phase.name)
+       << "\", \"count\": " << phase.count
+       << ", \"total_us\": " << phase.total_us
+       << ", \"self_us\": " << phase.self_us
+       << ", \"share\": " << FormatDouble(phase.share)
+       << ", \"max_us\": " << phase.max_us << "}";
+    sep = ", ";
   }
-  os << "], \"storage\": {\"index_probes\": " << storage.index_probes
-     << ", \"index_probe_hits\": " << storage.index_probe_hits
-     << ", \"index_builds\": " << storage.index_builds
-     << ", \"delta_tuples\": " << storage.delta_tuples
-     << ", \"delta_rule_skips\": " << storage.delta_rule_skips;
-  if (storage.segments()) {
-    os << ", \"segment_seals\": " << storage.segment_seals
-       << ", \"segment_sealed_rows\": " << storage.segment_sealed_rows
-       << ", \"segment_compares\": " << storage.segment_compares
-       << ", \"segment_probes\": " << storage.segment_probes
-       << ", \"segment_probe_hits\": " << storage.segment_probe_hits
-       << ", \"segment_skips\": " << storage.segment_skips
-       << ", \"segment_live_segments\": " << storage.segment_live_segments;
+  os << "]";
+  for (const Section& section : kStoreSections) {
+    os << ", " << SectionJson(section, metrics);
   }
-  os << "}, \"values\": {\"value_bytes\": " << values.value_bytes
-     << ", \"interned_strings\": " << values.interned_strings
-     << ", \"interned_bytes\": " << values.interned_bytes
-     << ", \"intern_hits\": " << values.intern_hits
-     << ", \"intern_misses\": " << values.intern_misses
-     << "}, \"incremental\": {\"maintains\": " << incremental.maintains
-     << ", \"fallbacks\": " << incremental.fallbacks
-     << ", \"dred_candidates\": " << incremental.dred_candidates
-     << ", \"dred_kept\": " << incremental.dred_kept
-     << ", \"source_inserts\": " << incremental.source_inserts
-     << ", \"source_deletes\": " << incremental.source_deletes
-     << ", \"target_inserts\": " << incremental.target_inserts
-     << ", \"target_deletes\": " << incremental.target_deletes
-     << ", \"latency_us\": " << incremental.latency_us
-     << ", \"provenance_facts\": " << incremental.provenance_facts
-     << ", \"provenance_witnesses\": " << incremental.provenance_witnesses
-     << ", \"provenance_support_edges\": "
-     << incremental.provenance_support_edges
-     << ", \"provenance_bytes\": " << incremental.provenance_bytes
-     << "}, \"totals\": {\"operator_total_us\": "
+  os << ", \"totals\": {\"operator_total_us\": "
      << FormatDouble(operator_total_us)
      << ", \"rule_total_us\": " << FormatDouble(rule_total_us)
      << ", \"phase_total_us\": " << phase_total_us << "}}";
@@ -593,11 +556,8 @@ ProfileReport Profiler::Build(const MetricsSnapshot& metrics,
   ProfileReport report;
   BuildOperators(metrics, &report);
   BuildRules(metrics, &report);
-  BuildForesight(metrics, &report);
-  BuildStorage(metrics, &report);
-  BuildValues(metrics, &report);
-  BuildIncremental(metrics, &report);
   BuildPhases(spans, &report);
+  report.metrics = metrics;
   return report;
 }
 

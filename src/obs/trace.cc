@@ -1,38 +1,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace mm2::obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint32_t Tracer::ThreadIndexLocked(std::thread::id id) {
   auto it = thread_index_.find(id);
@@ -136,7 +110,7 @@ std::string Tracer::ToChromeJson() const {
   for (const SpanRecord& s : spans) {
     if (!first) os << ",";
     first = false;
-    os << "\n  {\"name\": \"" << JsonEscape(s.name)
+    os << "\n  {\"name\": \"" << json::Escape(s.name)
        << "\", \"cat\": \"mm2\", \"ph\": \"X\", \"ts\": " << s.start_us
        << ", \"dur\": " << s.duration_us << ", \"pid\": 1, \"tid\": " << s.tid
        << ", \"args\": {";
@@ -144,7 +118,7 @@ std::string Tracer::ToChromeJson() const {
     for (const auto& [k, v] : s.attributes) {
       if (!first_arg) os << ", ";
       first_arg = false;
-      os << "\"" << JsonEscape(k) << "\": \"" << JsonEscape(v) << "\"";
+      os << "\"" << json::Escape(k) << "\": \"" << json::Escape(v) << "\"";
     }
     os << "}}";
   }

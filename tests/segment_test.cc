@@ -1,5 +1,5 @@
 // Unit tests for the sealed run (instance/segment.h) and the run-backed
-// paths on RelationInstance: seal-time sort+dedup, min/max probe skipping,
+// paths on RelationInstance: the set-order seal, min/max probe skipping,
 // shared-on-copy immutability, the single-range prefix probe, and the rule
 // that the first successful mutation drops the run. The chase-level seal
 // points and read agreement sweeps live in chase_diff_test.cc and
@@ -23,39 +23,6 @@ Tuple Row(std::int64_t a, std::int64_t b) {
   return {Value::Int64(a), Value::Int64(b)};
 }
 
-TEST(SegmentInserterTest, SealSortsAndDeduplicates) {
-  SegmentOpStats stats;
-  SegmentInserter inserter(2);
-  inserter.Add(Row(3, 1));
-  inserter.Add(Row(1, 2));
-  inserter.Add(Row(3, 1));  // duplicate
-  inserter.Add(Row(1, 1));
-  inserter.Add(Row(2, 9));
-  EXPECT_EQ(inserter.pending_rows(), 5u);
-
-  SegmentPtr seg = inserter.Seal(&stats);
-  ASSERT_NE(seg, nullptr);
-  EXPECT_EQ(inserter.pending_rows(), 0u);  // reusable after seal
-  EXPECT_EQ(seg->arity(), 2u);
-  EXPECT_EQ(seg->rows(), 4u);
-
-  std::vector<Tuple> expect = {Row(1, 1), Row(1, 2), Row(2, 9), Row(3, 1)};
-  for (std::size_t r = 0; r < seg->rows(); ++r) {
-    Tuple got;
-    seg->CopyRow(r, &got);
-    EXPECT_EQ(got, expect[r]) << "row " << r;
-  }
-  // Per-column bounds recorded at seal time.
-  EXPECT_EQ(seg->col_min(0), Value::Int64(1));
-  EXPECT_EQ(seg->col_max(0), Value::Int64(3));
-  EXPECT_EQ(seg->col_min(1), Value::Int64(1));
-  EXPECT_EQ(seg->col_max(1), Value::Int64(9));
-  // Telemetry: one seal, the surviving rows, and sort work recorded.
-  EXPECT_EQ(stats.seals, 1u);
-  EXPECT_EQ(stats.sealed_rows, 4u);
-  EXPECT_GT(stats.compares, 0u);
-}
-
 TEST(SegmentInserterTest, FromSortedCopiesSetOrderWithoutCompares) {
   std::set<Tuple> rows = {Row(2, 2), Row(1, 5), Row(2, 1)};
   SegmentOpStats stats;
@@ -68,6 +35,11 @@ TEST(SegmentInserterTest, FromSortedCopiesSetOrderWithoutCompares) {
     seg->CopyRow(r++, &got);
     EXPECT_EQ(got, t);
   }
+  // Per-column bounds recorded at seal time; column 1 is not sorted.
+  EXPECT_EQ(seg->col_min(0), Value::Int64(1));
+  EXPECT_EQ(seg->col_max(0), Value::Int64(2));
+  EXPECT_EQ(seg->col_min(1), Value::Int64(1));
+  EXPECT_EQ(seg->col_max(1), Value::Int64(5));
   // Set iteration is already sorted and unique: no comparison work.
   EXPECT_EQ(stats.compares, 0u);
   EXPECT_EQ(stats.seals, 1u);
@@ -76,12 +48,12 @@ TEST(SegmentInserterTest, FromSortedCopiesSetOrderWithoutCompares) {
 
 TEST(SegmentProbeTest, EqualRangeFindsPrefixAndMinMaxSkips) {
   SegmentOpStats stats;
-  SegmentInserter ins(2);
+  std::set<Tuple> rows;
   for (std::int64_t x : {2, 2, 3, 5}) {
-    ins.Add(Row(x, x * 10));
-    ins.Add(Row(x, x * 10 + 1));
+    rows.insert(Row(x, x * 10));
+    rows.insert(Row(x, x * 10 + 1));
   }
-  SegmentPtr seg = ins.Seal(&stats);
+  SegmentPtr seg = SegmentInserter::FromSorted(2, rows, &stats);
 
   // Prefix probe on column 0.
   Value key2[] = {Value::Int64(2)};
@@ -106,17 +78,6 @@ TEST(SegmentProbeTest, EqualRangeFindsPrefixAndMinMaxSkips) {
   SegmentOpStats member;
   EXPECT_FALSE(seg->EqualRange(Row(3, 30).data(), 2, &member).empty());
   EXPECT_TRUE(seg->EqualRange(Row(3, 35).data(), 2, &member).empty());
-}
-
-TEST(SortedHelperTest, CountedSortAndSortedContains) {
-  std::vector<Tuple> rows = {Row(3, 0), Row(1, 0), Row(2, 0)};
-  SegmentOpStats stats;
-  CountedSort(&rows, &stats);
-  EXPECT_EQ(rows.front(), Row(1, 0));
-  EXPECT_EQ(rows.back(), Row(3, 0));
-  EXPECT_GT(stats.compares, 0u);
-  EXPECT_TRUE(SortedContains(rows, Row(2, 0), &stats));
-  EXPECT_FALSE(SortedContains(rows, Row(4, 0), &stats));
 }
 
 TEST(RelationSegmentTest, PrepareSealsAndTracksCurrency) {
