@@ -246,7 +246,7 @@ keys = {
                 "segment_probe_hits", "segment_skips",
                 "segment_live_segments"],
     "values": ["value_bytes", "interned_strings", "interned_bytes",
-               "intern_hits", "intern_misses"],
+               "intern_hits", "intern_misses", "peak_rss_kb"],
     "incremental": ["maintains", "fallbacks", "dred_candidates", "dred_kept",
                     "source_inserts", "source_deletes", "target_inserts",
                     "target_deletes", "latency_us", "provenance_facts",

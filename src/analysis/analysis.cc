@@ -32,30 +32,6 @@ std::uint64_t SatPow(std::uint64_t base, std::uint64_t exp) {
   return out;
 }
 
-std::string JoinRelations(const std::vector<logic::Atom>& atoms) {
-  std::vector<std::string> names;
-  names.reserve(atoms.size());
-  for (const logic::Atom& atom : atoms) names.push_back(atom.relation);
-  return Join(names, "+");
-}
-
-// Labels mirror chase.cc's RuleLabel so `explain mapping` rows line up
-// with the RuleStats / chase.rule.* rows of the same slot.
-std::string TgdLabel(const logic::Tgd& tgd, std::size_t index) {
-  return "tgd" + std::to_string(index) + ":" + JoinRelations(tgd.body) +
-         "->" + JoinRelations(tgd.head);
-}
-
-std::string SoLabel(const logic::SoTgdClause& clause, std::size_t index) {
-  return "so" + std::to_string(index) + ":" + JoinRelations(clause.body) +
-         "->" + JoinRelations(clause.head);
-}
-
-std::string EgdLabel(const logic::Egd& egd, std::size_t index) {
-  return "egd" + std::to_string(index) + ":" + JoinRelations(egd.body) +
-         ":" + egd.left + "=" + egd.right;
-}
-
 void CollectConstants(const logic::Term& term, std::set<std::string>* out) {
   if (term.is_constant()) {
     out->insert(term.value().ToString());
@@ -160,7 +136,7 @@ class Builder {
 
   void AddTgd(const logic::Tgd& tgd, std::size_t index) {
     RuleNode rule;
-    rule.label = TgdLabel(tgd, index);
+    rule.label = logic::RuleLabel(tgd, index);
     rule.kind = "tgd";
     std::set<std::string> existentials = tgd.ExistentialVariables();
     std::set<std::string> head_vars = tgd.HeadVariables();
@@ -206,7 +182,7 @@ class Builder {
 
   void AddSoClause(const logic::SoTgdClause& clause, std::size_t index) {
     RuleNode rule;
-    rule.label = SoLabel(clause, index);
+    rule.label = logic::RuleLabel(clause, index);
     rule.kind = "so";
     rule.creates_values = false;
     out_.max_body_vars =
@@ -271,7 +247,7 @@ class Builder {
 
   void AddEgd(const logic::Egd& egd, std::size_t index) {
     RuleNode rule;
-    rule.label = EgdLabel(egd, index);
+    rule.label = logic::RuleLabel(egd, index);
     rule.kind = "egd";
     std::set<std::string> reads;
     for (const logic::Atom& atom : egd.body) {

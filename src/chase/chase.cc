@@ -128,34 +128,31 @@ std::vector<Assignment> MatchAtomsNaive(const std::vector<Atom>& atoms,
   return out;
 }
 
-namespace {
-
-// Compact, metric-name-safe rule labels: "<kind><index>:<body>-><head>"
-// with relation lists joined by '+'. These key both ChaseStats::rules and
-// the mirrored `chase.rule.<label>.*` metric family.
-std::string JoinRelations(const std::vector<Atom>& atoms) {
-  std::string out;
-  for (const Atom& atom : atoms) {
-    if (!out.empty()) out += '+';
-    out += atom.relation;
+std::optional<logic::Term> GroundTerm(const logic::Term& term,
+                                      const Assignment& assignment) {
+  switch (term.kind()) {
+    case logic::Term::Kind::kConstant:
+      return term;
+    case logic::Term::Kind::kVariable: {
+      auto it = assignment.find(term.name());
+      if (it == assignment.end()) return std::nullopt;
+      return logic::Term::Const(it->second);
+    }
+    case logic::Term::Kind::kFunction: {
+      std::vector<logic::Term> args;
+      args.reserve(term.args().size());
+      for (const logic::Term& arg : term.args()) {
+        std::optional<logic::Term> g = GroundTerm(arg, assignment);
+        if (!g.has_value()) return std::nullopt;
+        args.push_back(std::move(*g));
+      }
+      return logic::Term::Func(term.name(), std::move(args));
+    }
   }
-  return out;
+  return std::nullopt;
 }
 
-std::string RuleLabel(const logic::Tgd& tgd, std::size_t index) {
-  return "tgd" + std::to_string(index) + ":" + JoinRelations(tgd.body) +
-         "->" + JoinRelations(tgd.head);
-}
-
-std::string RuleLabel(const logic::SoTgdClause& clause, std::size_t index) {
-  return "so" + std::to_string(index) + ":" + JoinRelations(clause.body) +
-         "->" + JoinRelations(clause.head);
-}
-
-std::string RuleLabel(const logic::Egd& egd, std::size_t index) {
-  return "egd" + std::to_string(index) + ":" + JoinRelations(egd.body) + ":" +
-         egd.left + "=" + egd.right;
-}
+namespace {
 
 // Shared machinery for first- and second-order chases over a combined
 // (source + target) instance.
@@ -274,13 +271,13 @@ class ChaseRun {
     {
       std::size_t slot = 0;
       for (std::size_t i = 0; i < clauses.size(); ++i) {
-        stats_.rules[slot++].label = RuleLabel(clauses[i], i);
+        stats_.rules[slot++].label = logic::RuleLabel(clauses[i], i);
       }
       for (std::size_t i = 0; i < fo_tgds.size(); ++i) {
-        stats_.rules[slot++].label = RuleLabel(fo_tgds[i], i);
+        stats_.rules[slot++].label = logic::RuleLabel(fo_tgds[i], i);
       }
       for (std::size_t i = 0; i < egds.size(); ++i) {
-        stats_.rules[slot++].label = RuleLabel(egds[i], i);
+        stats_.rules[slot++].label = logic::RuleLabel(egds[i], i);
       }
     }
     // Compile every constraint once for the whole run, in slot order.

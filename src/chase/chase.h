@@ -52,6 +52,12 @@ std::vector<Assignment> MatchAtomsNaive(const std::vector<logic::Atom>& atoms,
                                         const instance::Instance& database,
                                         std::size_t limit = 0);
 
+// A term under an assignment: a value, or a ground Skolem term (an
+// unknown existential; ground Skolem terms compare structurally). Nullopt
+// when a variable is unassigned.
+std::optional<logic::Term> GroundTerm(const logic::Term& term,
+                                      const Assignment& assignment);
+
 struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
   // engine generates are weakly acyclic, so this is a safety net).

@@ -3,12 +3,14 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "analysis/analysis.h"
 #include "chase/chase.h"
 #include "common/strings.h"
 #include "obs/profile.h"
+#include "text/query.h"
 #include "transgen/relational.h"
 
 namespace mm2::engine {
@@ -399,105 +401,6 @@ Result<modelgen::InheritanceStrategy> ParseStrategy(const std::string& word) {
                                  "' (want tph|tpt|tpc)");
 }
 
-// One value literal for the `why` command, mirroring the instance text
-// syntax: 42, 4.5, "s" (with \" and \\ escapes), #t/#f, null, N<label>,
-// d:<days>.
-Result<instance::Value> ParseValueLiteral(const std::string& token) {
-  if (token.empty()) {
-    return Status::InvalidArgument("empty value literal");
-  }
-  if (token == "null") return instance::Value::Null();
-  if (token == "#t") return instance::Value::Bool(true);
-  if (token == "#f") return instance::Value::Bool(false);
-  if (token.front() == '"') {
-    if (token.size() < 2 || token.back() != '"') {
-      return Status::InvalidArgument("unterminated string literal: " + token);
-    }
-    std::string s;
-    for (std::size_t i = 1; i + 1 < token.size(); ++i) {
-      if (token[i] == '\\' && i + 2 < token.size()) ++i;
-      s += token[i];
-    }
-    return instance::Value::String(s);
-  }
-  char* end = nullptr;
-  if (token.size() > 1 && token.front() == 'N') {
-    long long label = std::strtoll(token.c_str() + 1, &end, 10);
-    if (end != nullptr && *end == '\0') {
-      return instance::Value::LabeledNull(label);
-    }
-  }
-  if (token.rfind("d:", 0) == 0) {
-    long long days = std::strtoll(token.c_str() + 2, &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad date literal: " + token);
-    }
-    return instance::Value::Date(days);
-  }
-  long long i = std::strtoll(token.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && end != token.c_str()) {
-    return instance::Value::Int64(i);
-  }
-  double d = std::strtod(token.c_str(), &end);
-  if (end != nullptr && *end == '\0' && end != token.c_str()) {
-    return instance::Value::Double(d);
-  }
-  return Status::InvalidArgument("cannot parse value literal '" + token +
-                                 "' (want 42, 4.5, \"s\", #t, null, N7, or "
-                                 "d:123)");
-}
-
-// Parses `Rel(v1,v2,...)` into a Fact. Commas inside quoted strings are
-// respected; whitespace around arguments is trimmed (the script tokenizer
-// splits on spaces, so callers re-join the tail tokens first).
-Result<chase::Fact> ParseFactLiteral(const std::string& text) {
-  std::size_t open = text.find('(');
-  if (open == std::string::npos || text.empty() || text.back() != ')') {
-    return Status::InvalidArgument("expected Rel(v1,v2,...), got '" + text +
-                                   "'");
-  }
-  chase::Fact fact;
-  fact.relation = text.substr(0, open);
-  if (fact.relation.empty()) {
-    return Status::InvalidArgument("fact needs a relation name: " + text);
-  }
-  std::string body = text.substr(open + 1, text.size() - open - 2);
-  std::vector<std::string> args;
-  std::string current;
-  bool in_string = false;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    char c = body[i];
-    if (in_string) {
-      current += c;
-      if (c == '\\' && i + 1 < body.size()) {
-        current += body[++i];
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      current += c;
-      in_string = true;
-    } else if (c == ',') {
-      args.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty() || !args.empty()) args.push_back(std::move(current));
-  for (std::string& arg : args) {
-    std::size_t b = arg.find_first_not_of(" \t");
-    std::size_t e = arg.find_last_not_of(" \t");
-    if (b == std::string::npos) {
-      return Status::InvalidArgument("empty argument in fact: " + text);
-    }
-    MM2_ASSIGN_OR_RETURN(instance::Value v,
-                         ParseValueLiteral(arg.substr(b, e - b + 1)));
-    fact.tuple.push_back(std::move(v));
-  }
-  return fact;
-}
-
 }  // namespace
 
 Status Engine::ApplyDeltaFact(const std::string& literal) {
@@ -505,7 +408,8 @@ Status Engine::ApplyDeltaFact(const std::string& literal) {
     return Status::InvalidArgument(
         "apply wants +Rel(...) or -Rel(...), got '" + literal + "'");
   }
-  MM2_ASSIGN_OR_RETURN(chase::Fact fact, ParseFactLiteral(literal.substr(1)));
+  MM2_ASSIGN_OR_RETURN(text::GroundFact fact,
+                       text::ParseFact(std::string_view(literal).substr(1)));
   instance::Instance& side =
       literal[0] == '+' ? pending_delta_.inserts : pending_delta_.deletes;
   if (!side.HasRelation(fact.relation)) {
@@ -627,6 +531,17 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
     };
 
     const std::string& op = tokens[0];
+    // The rest of the line after the command word, trimmed but otherwise
+    // as typed: `apply` and `why` read their fact literal from it, so runs
+    // of spaces inside strings survive.
+    constexpr const char* kSpace = " \t\n\v\f\r";
+    const std::size_t from =
+        line.find_first_not_of(kSpace, line.find(op) + op.size());
+    const std::string_view rest =
+        from == std::string::npos
+            ? std::string_view()
+            : std::string_view(line).substr(
+                  from, line.find_last_not_of(kSpace) + 1 - from);
     if (op == "compose") {
       MM2_RETURN_IF_ERROR(need(3));
       MM2_RETURN_IF_ERROR(Compose(tokens[1], tokens[2], tokens[3]));
@@ -817,15 +732,10 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
         return fail("why needs a prior exchange in this engine (provenance "
                     "is recorded per exchange)");
       }
-      // The tokenizer split on spaces; stitch the fact literal back
-      // together so `why Flat(1, "a b")` works.
-      std::string literal = tokens[1];
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        literal += " " + tokens[i];
-      }
-      auto fact_result = ParseFactLiteral(literal);
-      if (!fact_result.ok()) return fail(fact_result.status().message());
-      const chase::Fact& fact = fact_result.value();
+      auto parsed = text::ParseFact(rest);
+      if (!parsed.ok()) return fail(parsed.status().message());
+      const chase::Fact fact{std::move(parsed->relation),
+                             std::move(parsed->tuple)};
       const chase::Provenance& provenance = why_session_->provenance;
       std::istringstream explain_lines(runtime::ExplainFact(provenance, fact));
       std::string explain_line;
@@ -840,12 +750,7 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
       }
     } else if (op == "apply") {
       MM2_RETURN_IF_ERROR(need(1));
-      // Stitch the signed fact literal back together (the tokenizer split
-      // on spaces), as `why` does.
-      std::string literal = tokens[1];
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        literal += " " + tokens[i];
-      }
+      const std::string literal(rest);
       Status applied = ApplyDeltaFact(literal);
       if (!applied.ok()) return fail(applied.message());
       log.push_back("queued " + literal + " (pending " +

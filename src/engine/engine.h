@@ -134,7 +134,8 @@ class Engine {
   Status Exchange(const std::string& out_instance, const std::string& mapping,
                   const std::string& source_instance);
   // Queues one signed fact for the next Maintain: "+Rel(...)" inserts,
-  // "-Rel(...)" deletes. The literal uses the same value syntax as `why`.
+  // "-Rel(...)" deletes. The fact is a text::ParseFact literal, in the
+  // instance value syntax, as `why` takes it.
   Status ApplyDeltaFact(const std::string& literal);
   // Propagates the queued delta through the mapping's incremental session:
   // mutates the session's source, maintains its target in place (DRed +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -470,27 +469,46 @@ bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
   // pre-partitioning keeps candidate lists small for chase-shaped
   // instances (nulls mostly distinct per tuple pattern); the step budget
   // bounds pathological automorphism-heavy inputs, which conservatively
-  // report "not equal".
+  // report "not equal". The search keeps its own stack, frame d matching
+  // left tuple `slots[d]`, so large instances cannot exhaust the call
+  // stack; `trail` logs the label pairs each frame's choice added.
+  std::vector<std::pair<std::size_t, const Tuple*>> slots;  // group, tuple
+  std::vector<std::vector<char>> used(order.size());
+  for (std::size_t g = 0; g < order.size(); ++g) {
+    for (const Tuple* t : order[g]->left) slots.emplace_back(g, t);
+    used[g].assign(order[g]->right.size(), 0);
+  }
+  if (slots.empty()) return true;
+  struct Frame {
+    std::size_t mark;      // trail size before this frame's choice
+    std::size_t next = 0;  // the right candidate to try next
+    bool holds = false;    // candidate next - 1 is chosen
+  };
+  std::vector<Frame> stack = {{0}};
+  std::vector<std::pair<std::int64_t, std::int64_t>> trail;
   std::map<std::int64_t, std::int64_t> fwd;
   std::map<std::int64_t, std::int64_t> rev;
   std::size_t steps = 0;
   constexpr std::size_t kMaxSteps = 1u << 22;
-  std::vector<std::vector<char>> used(order.size());
-  for (std::size_t g = 0; g < order.size(); ++g) {
-    used[g].assign(order[g]->right.size(), 0);
-  }
-  std::function<bool(std::size_t, std::size_t)> solve =
-      [&](std::size_t g, std::size_t i) -> bool {
-    if (g == order.size()) return true;
-    if (i == order[g]->left.size()) return solve(g + 1, 0);
-    const Tuple& lt = *order[g]->left[i];
-    for (std::size_t c = 0; c < order[g]->right.size(); ++c) {
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const auto [g, left] = slots[stack.size() - 1];
+    const Tuple& lt = *left;
+    const std::vector<const Tuple*>& right = order[g]->right;
+    if (f.holds) used[g][f.next - 1] = 0;
+    f.holds = false;
+    while (!f.holds && f.next < right.size()) {
+      // Drop what the previous candidate bound, here or deeper.
+      for (; trail.size() > f.mark; trail.pop_back()) {
+        fwd.erase(trail.back().first);
+        rev.erase(trail.back().second);
+      }
+      const std::size_t c = f.next++;
       if (used[g][c] != 0) continue;
       if (++steps > kMaxSteps) return false;
-      const Tuple& rt = *order[g]->right[c];
+      const Tuple& rt = *right[c];
       // Tentatively extend the bijection; identical skeletons guarantee
       // constants already agree and null positions line up.
-      std::vector<std::pair<std::int64_t, std::int64_t>> added;
       bool ok = true;
       for (std::size_t k = 0; k < lt.size() && ok; ++k) {
         if (!lt[k].is_labeled_null()) continue;
@@ -505,21 +523,20 @@ bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
         }
         fwd.emplace(l, r);
         rev.emplace(r, l);
-        added.emplace_back(l, r);
+        trail.emplace_back(l, r);
       }
-      if (ok) {
-        used[g][c] = 1;
-        if (solve(g, i + 1)) return true;
-        used[g][c] = 0;
-      }
-      for (const auto& [l, r] : added) {
-        fwd.erase(l);
-        rev.erase(r);
-      }
+      if (ok) used[g][c] = 1;
+      f.holds = ok;
     }
-    return false;
-  };
-  return solve(0, 0);
+    if (!f.holds) {
+      stack.pop_back();  // no candidate left: backtrack
+    } else if (stack.size() == slots.size()) {
+      return true;
+    } else {
+      stack.push_back({trail.size()});
+    }
+  }
+  return false;
 }
 
 Instance Instance::Minus(const Instance& other) const {

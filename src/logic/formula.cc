@@ -169,6 +169,34 @@ std::string Egd::ToString() const {
   return AtomsToString(body) + " -> " + left + " = " + right;
 }
 
+namespace {
+
+std::string JoinRelations(const std::vector<Atom>& atoms) {
+  std::string out;
+  for (const Atom& atom : atoms) {
+    if (!out.empty()) out += '+';
+    out += atom.relation;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string RuleLabel(const Tgd& tgd, std::size_t index) {
+  return "tgd" + std::to_string(index) + ":" + JoinRelations(tgd.body) +
+         "->" + JoinRelations(tgd.head);
+}
+
+std::string RuleLabel(const SoTgdClause& clause, std::size_t index) {
+  return "so" + std::to_string(index) + ":" + JoinRelations(clause.body) +
+         "->" + JoinRelations(clause.head);
+}
+
+std::string RuleLabel(const Egd& egd, std::size_t index) {
+  return "egd" + std::to_string(index) + ":" + JoinRelations(egd.body) + ":" +
+         egd.left + "=" + egd.right;
+}
+
 std::set<std::string> SoTgdClause::BodyVariables() const {
   std::set<std::string> vars;
   for (const Atom& a : body) a.CollectVariables(&vars);

@@ -109,6 +109,14 @@ SoTgdClause Skolemize(const Tgd& tgd, NameGenerator* gen,
 // composition is genuinely second-order.
 std::optional<std::vector<Tgd>> Deskolemize(const SoTgd& so);
 
+// Compact, metric-name-safe labels for the rule in a given slot,
+// "<kind><index>:<body>-><head>" (egds: "egd<index>:<body>:<l>=<r>") with
+// relation lists joined by '+'. They key the chase's per-rule stats and
+// `chase.rule.<label>.*` metrics and name the rules `explain mapping` shows.
+std::string RuleLabel(const Tgd& tgd, std::size_t index);
+std::string RuleLabel(const SoTgdClause& clause, std::size_t index);
+std::string RuleLabel(const Egd& egd, std::size_t index);
+
 // A conjunctive query: head(x) :- body(x, y). The head relation is virtual.
 struct ConjunctiveQuery {
   Atom head;

@@ -40,9 +40,7 @@ bool ParseEventLevel(std::string_view name, EventLevel* out) {
 }
 
 EventField F(std::string key, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return {std::move(key), buf, true};
+  return {std::move(key), json::FormatDouble(value), true};
 }
 
 std::string Event::ToJson() const {

@@ -118,6 +118,11 @@ constexpr Row kValues[] = {
     {"intern hit rate", nullptr, nullptr, kNever, kRate, 3, 4},
 };
 
+// The process's peak resident set, which `explain` samples before reading.
+constexpr Row kMemory[] = {
+    {"peak RSS (kB)", "peak_rss_kb", "mem.peak_rss_kb", kIfPresent},
+};
+
 // Incremental maintenance, mirrored by runtime::MaintainExchange.
 constexpr Row kMaintains[] = {
     {"maintains", "maintains", "chase.incremental.maintains", kIfNonzero},
@@ -148,7 +153,8 @@ constexpr Row kProvenance[] = {
 constexpr Block kForesightBlocks[] = {{kForesight}};
 constexpr Block kStorageBlocks[] = {{kStorage},
                                     {kSegments, Guard::kTextAndJson}};
-constexpr Block kValuesBlocks[] = {{kValues}};
+constexpr Block kValuesBlocks[] = {{kValues},
+                                   {kMemory, Guard::kTextAndJson}};
 constexpr Block kIncrementalBlocks[] = {{kMaintains, Guard::kText},
                                         {kProvenance, Guard::kText}};
 

@@ -48,36 +48,6 @@ Result<RewriteResult> RewriteQuery(const Mapping& mapping,
   return result;
 }
 
-namespace {
-
-// A ground evaluation of a term: either a value or a ground Skolem term
-// (unknown existential). Ground Skolem terms compare structurally.
-std::optional<Term> GroundTerm(const Term& term,
-                               const chase::Assignment& assignment) {
-  switch (term.kind()) {
-    case Term::Kind::kConstant:
-      return term;
-    case Term::Kind::kVariable: {
-      auto it = assignment.find(term.name());
-      if (it == assignment.end()) return std::nullopt;
-      return Term::Const(it->second);
-    }
-    case Term::Kind::kFunction: {
-      std::vector<Term> args;
-      args.reserve(term.args().size());
-      for (const Term& arg : term.args()) {
-        std::optional<Term> g = GroundTerm(arg, assignment);
-        if (!g.has_value()) return std::nullopt;
-        args.push_back(std::move(*g));
-      }
-      return Term::Func(term.name(), std::move(args));
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 Result<std::vector<Tuple>> EvaluateRewriting(const RewriteResult& rewriting,
                                              const Instance& source) {
   std::set<Tuple> answers;
@@ -88,8 +58,8 @@ Result<std::vector<Tuple>> EvaluateRewriting(const RewriteResult& rewriting,
       // (two equal constants, or structurally identical Skolem terms).
       bool certain = true;
       for (const auto& [l, r] : clause.equalities) {
-        std::optional<Term> gl = GroundTerm(l, assignment);
-        std::optional<Term> gr = GroundTerm(r, assignment);
+        std::optional<Term> gl = chase::GroundTerm(l, assignment);
+        std::optional<Term> gr = chase::GroundTerm(r, assignment);
         if (!gl.has_value() || !gr.has_value() || !(*gl == *gr)) {
           certain = false;
           break;
@@ -101,7 +71,7 @@ Result<std::vector<Tuple>> EvaluateRewriting(const RewriteResult& rewriting,
         row.reserve(head.terms.size());
         bool ground_constants = true;
         for (const Term& t : head.terms) {
-          std::optional<Term> g = GroundTerm(t, assignment);
+          std::optional<Term> g = chase::GroundTerm(t, assignment);
           if (!g.has_value() || !g->is_constant() ||
               g->value().is_labeled_null()) {
             ground_constants = false;

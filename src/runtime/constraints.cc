@@ -60,33 +60,6 @@ std::vector<EgdViolation> CheckEgds(const Instance& database,
   return violations;
 }
 
-namespace {
-
-std::optional<Term> GroundTerm(const Term& term,
-                               const chase::Assignment& assignment) {
-  switch (term.kind()) {
-    case Term::Kind::kConstant:
-      return term;
-    case Term::Kind::kVariable: {
-      auto it = assignment.find(term.name());
-      if (it == assignment.end()) return std::nullopt;
-      return Term::Const(it->second);
-    }
-    case Term::Kind::kFunction: {
-      std::vector<Term> args;
-      for (const Term& arg : term.args()) {
-        std::optional<Term> g = GroundTerm(arg, assignment);
-        if (!g.has_value()) return std::nullopt;
-        args.push_back(std::move(*g));
-      }
-      return Term::Func(term.name(), std::move(args));
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 Result<bool> ImpliesTargetEgd(const Mapping& mapping,
                               const std::vector<Egd>& source_egds,
                               const Egd& target_egd,
@@ -148,8 +121,8 @@ Result<bool> ImpliesTargetEgd(const Mapping& mapping,
          chase::MatchAtoms(clause.body, closed->target)) {
       bool premise_holds = true;
       for (const auto& [l, r] : clause.equalities) {
-        std::optional<Term> gl = GroundTerm(l, assignment);
-        std::optional<Term> gr = GroundTerm(r, assignment);
+        std::optional<Term> gl = chase::GroundTerm(l, assignment);
+        std::optional<Term> gr = chase::GroundTerm(r, assignment);
         // Structurally distinct ground Skolem terms denote independent
         // invented values on the canonical target; the premise equality
         // then fails there. (Conservative: see header.)
@@ -160,8 +133,9 @@ Result<bool> ImpliesTargetEgd(const Mapping& mapping,
       }
       if (!premise_holds) continue;
       if (clause.head.empty() || clause.head[0].terms.size() != 2) continue;
-      std::optional<Term> gl = GroundTerm(clause.head[0].terms[0], assignment);
-      std::optional<Term> gr = GroundTerm(clause.head[0].terms[1], assignment);
+      const std::vector<Term>& equated = clause.head[0].terms;
+      std::optional<Term> gl = chase::GroundTerm(equated[0], assignment);
+      std::optional<Term> gr = chase::GroundTerm(equated[1], assignment);
       if (!gl.has_value() || !gr.has_value()) continue;
       if (!(*gl == *gr)) {
         // The equated positions can carry distinct values: counterexample.

@@ -1,11 +1,10 @@
 #include "text/query.h"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <cstdlib>
-#include <vector>
+#include <utility>
 
-#include "instance/value.h"
+#include "text/sexpr.h"
 
 namespace mm2::text {
 
@@ -16,9 +15,15 @@ using logic::Term;
 
 namespace {
 
+// The characters of identifiers: relation names and variables.
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+}
+
 class QueryParser {
  public:
-  explicit QueryParser(std::string_view text) : text_(text) {}
+  QueryParser(std::string_view text, bool ground)
+      : text_(text), ground_(ground) {}
 
   Result<ConjunctiveQuery> Parse() {
     ConjunctiveQuery query;
@@ -39,6 +44,16 @@ class QueryParser {
     }
     MM2_RETURN_IF_ERROR(query.Validate());
     return query;
+  }
+
+  Result<GroundFact> ParseFact() {
+    MM2_ASSIGN_OR_RETURN(Atom atom, ParseAtom());
+    SkipSpace();
+    if (pos_ != text_.size()) return Error("trailing input after fact");
+    GroundFact fact{std::move(atom.relation), {}};
+    fact.tuple.reserve(atom.terms.size());
+    for (const Term& term : atom.terms) fact.tuple.push_back(term.value());
+    return fact;
   }
 
  private:
@@ -66,11 +81,7 @@ class QueryParser {
   Result<std::string> ParseIdentifier() {
     SkipSpace();
     std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' || text_[pos_] == '$')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsWordChar(text_[pos_])) ++pos_;
     if (pos_ == start) return Error("expected an identifier");
     return std::string(text_.substr(start, pos_ - start));
   }
@@ -89,72 +100,45 @@ class QueryParser {
     }
   }
 
+  // A bare identifier is a variable; every other term, `null` included,
+  // is a value token that ParseValue reads. A ground atom reads them all.
   Result<Term> ParseTerm() {
     SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of query");
-    char c = text_[pos_];
-    if (c == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < text_.size() && text_[pos_] != '"') {
-        if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-        s += text_[pos_++];
-      }
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      ++pos_;
-      return Term::Const(Value::String(std::move(s)));
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+      pos_ += QuotedLength(text_.substr(pos_));
+      if (pos_ == start) return Error("unterminated string");
+    } else {
+      pos_ = std::min(text_.find_first_of(", ()\t\n\v\f\r", pos_),
+                      text_.size());
     }
-    if (c == '#') {
-      if (Consume("#t")) return Term::Const(Value::Bool(true));
-      if (Consume("#f")) return Term::Const(Value::Bool(false));
-      return Error("expected #t or #f");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    if (!ground_ && token != "null" && !token.empty() &&
+        !std::isdigit(static_cast<unsigned char>(token[0])) &&
+        std::all_of(token.begin(), token.end(), IsWordChar)) {
+      return Term::Var(std::string(token));
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-        c == '+') {
-      std::size_t start = pos_;
-      if (c == '-' || c == '+') ++pos_;
-      bool floating = false;
-      while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '.' || text_[pos_] == 'e' ||
-              text_[pos_] == 'E')) {
-        if (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E') {
-          floating = true;
-        }
-        ++pos_;
-      }
-      std::string token(text_.substr(start, pos_ - start));
-      if (floating) {
-        char* end = nullptr;
-        double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-          return Error("unparsable number '" + token + "'");
-        }
-        return Term::Const(Value::Double(d));
-      }
-      std::string_view digits = token;
-      if (!digits.empty() && digits[0] == '+') digits.remove_prefix(1);
-      std::int64_t i = 0;
-      auto [ptr, ec] =
-          std::from_chars(digits.data(), digits.data() + digits.size(), i);
-      if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-        return Error("unparsable integer '" + token + "'");
-      }
-      return Term::Const(Value::Int64(i));
+    Result<Value> value = ParseValue(token);
+    if (!value.ok()) {
+      return Status::InvalidArgument(value.status().message() +
+                                     " at offset " + std::to_string(start));
     }
-    MM2_ASSIGN_OR_RETURN(std::string name, ParseIdentifier());
-    if (name == "null") return Term::Const(Value::Null());
-    return Term::Var(std::move(name));
+    return Term::Const(std::move(*value));
   }
 
   std::string_view text_;
+  bool ground_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 Result<ConjunctiveQuery> ParseQuery(std::string_view text) {
-  return QueryParser(text).Parse();
+  return QueryParser(text, /*ground=*/false).Parse();
+}
+
+Result<GroundFact> ParseFact(std::string_view text) {
+  return QueryParser(text, /*ground=*/true).ParseFact();
 }
 
 std::string QueryToText(const ConjunctiveQuery& query) {

@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -147,6 +147,70 @@ std::string InstanceToText(const Instance& database) {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Values
+// ---------------------------------------------------------------------------
+
+// Reads all of `t` as a finite number. std::from_chars takes no '+' sign;
+// its "inf" and "nan" spellings fail the finiteness check.
+template <typename T>
+bool ReadNumber(std::string_view t, T* out) {
+  if (t.size() > 1 && t[0] == '+' && t[1] != '-') t.remove_prefix(1);
+  auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), *out);
+  return ec == std::errc() && end == t.data() + t.size() &&
+         std::isfinite(static_cast<double>(*out));
+}
+
+}  // namespace
+
+std::size_t QuotedLength(std::string_view text) {
+  for (std::size_t i = 1; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;
+    } else if (text[i] == '"') {
+      return i + 1;
+    }
+  }
+  return 0;
+}
+
+Result<Value> ParseValue(std::string_view token) {
+  std::int64_t i = 0;
+  double d = 0;
+  if (token.starts_with('"') && QuotedLength(token) == token.size()) {
+    const std::string_view body = token.substr(1, token.size() - 2);
+    if (body.find('\\') == std::string_view::npos) return Value::String(body);
+    std::string s;
+    for (std::size_t k = 0; k < body.size(); ++k) {
+      if (body[k] == '\\') ++k;  // never the last: it would escape the quote
+      s += body[k];
+    }
+    return Value::String(s);
+  }
+  if (token == "null") return Value::Null();
+  if (token == "#t") return Value::Bool(true);
+  if (token == "#f") return Value::Bool(false);
+  if (token.size() > 1 && token[0] == 'N' &&
+      std::isdigit(static_cast<unsigned char>(token[1])) &&
+      ReadNumber(token.substr(1), &i)) {
+    return Value::LabeledNull(i);
+  }
+  if (token.starts_with("d:") && ReadNumber(token.substr(2), &i)) {
+    return Value::Date(i);
+  }
+  if (ReadNumber(token, &i)) return Value::Int64(i);
+  // A double has a fraction or an exponent; an int64 overflow is no double.
+  if (token.find_first_of(".eE") != std::string_view::npos &&
+      ReadNumber(token, &d)) {
+    return Value::Double(d);
+  }
+  return Status::InvalidArgument(
+      token.empty() ? "empty value"
+                    : "unparsable value '" + std::string(token) + "'");
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
 
@@ -193,15 +257,11 @@ class Parser {
     atom.is_atom = true;
     atom.offset = pos_;
     if (text_[pos_] == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < text_.size() && text_[pos_] != '"') {
-        if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-        s += text_[pos_++];
-      }
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      ++pos_;
-      atom.atom = "\"" + s;  // leading quote marks string atoms
+      // A string atom keeps its quotes and escapes; ParseValue reads it.
+      const std::size_t length = QuotedLength(text_.substr(pos_));
+      if (length == 0) return Error("unterminated string");
+      atom.atom = text_.substr(pos_, length);
+      pos_ += length;
       return atom;
     }
     while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(
@@ -289,65 +349,11 @@ Result<std::vector<std::string>> ParseNameList(const Node& node) {
   return names;
 }
 
-Result<Value> ParseValue(const Node& node) {
+Result<Value> ValueFromNode(const Node& node) {
   if (!node.is_atom) return NodeError(node, "expected a value");
-  const std::string& t = node.atom;
-  if (t.empty()) return NodeError(node, "empty value");
-  if (t[0] == '"') return Value::String(t.substr(1));
-  if (t == "null") return Value::Null();
-  if (t == "#t") return Value::Bool(true);
-  if (t == "#f") return Value::Bool(false);
-  auto parse_int = [&](std::string_view digits,
-                       std::int64_t* out) -> bool {
-    auto [ptr, ec] = std::from_chars(digits.data(),
-                                     digits.data() + digits.size(), *out);
-    return ec == std::errc() && ptr == digits.data() + digits.size();
-  };
-  if (t.size() > 1 && t[0] == 'N' &&
-      std::isdigit(static_cast<unsigned char>(t[1]))) {
-    std::int64_t label = 0;
-    if (parse_int(std::string_view(t).substr(1), &label)) {
-      return Value::LabeledNull(label);
-    }
-  }
-  if (t.size() > 2 && t[0] == 'd' && t[1] == ':') {
-    std::int64_t days = 0;
-    if (parse_int(std::string_view(t).substr(2), &days)) {
-      return Value::Date(days);
-    }
-  }
-  // Numeric: int64 unless it contains '.' or 'e'.
-  bool numeric = true;
-  bool floating = false;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    char c = t[i];
-    if (c == '.' || c == 'e' || c == 'E') {
-      floating = true;
-    } else if (!std::isdigit(static_cast<unsigned char>(c)) &&
-               !(i == 0 && (c == '-' || c == '+'))) {
-      numeric = false;
-      break;
-    }
-  }
-  if (!numeric) return NodeError(node, "unparsable value '" + t + "'");
-  if (floating) {
-    char* end = nullptr;
-    double d = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size()) {
-      return NodeError(node, "unparsable double '" + t + "'");
-    }
-    return Value::Double(d);
-  }
-  // std::from_chars rejects an explicit '+' sign; strip it.
-  std::string_view digits = t;
-  if (!digits.empty() && digits[0] == '+') digits.remove_prefix(1);
-  std::int64_t i = 0;
-  auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), i);
-  if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-    return NodeError(node, "unparsable integer '" + t + "'");
-  }
-  return Value::Int64(i);
+  Result<Value> value = ParseValue(node.atom);
+  if (!value.ok()) return NodeError(node, value.status().message());
+  return value;
 }
 
 }  // namespace
@@ -473,7 +479,7 @@ Result<Instance> ParseInstance(std::string_view text) {
       if (row.is_atom) return NodeError(row, "expected a row list");
       Tuple tuple;
       for (const Node& v : row.items) {
-        MM2_ASSIGN_OR_RETURN(Value value, ParseValue(v));
+        MM2_ASSIGN_OR_RETURN(Value value, ValueFromNode(v));
         tuple.push_back(std::move(value));
       }
       if (!db.HasRelation(name)) db.DeclareRelation(name, tuple.size());
@@ -522,7 +528,7 @@ Result<logic::Term> TermFromNode(const Node& node) {
   // Literal forms win; "null", "N7", numbers etc. parse as constants even
   // though they are identifier-shaped, so variables should avoid those
   // spellings.
-  Result<Value> value = ParseValue(node);
+  Result<Value> value = ValueFromNode(node);
   if (value.ok()) return logic::Term::Const(std::move(*value));
   if (identifier && !std::isdigit(static_cast<unsigned char>(t[0]))) {
     return logic::Term::Var(t);

@@ -31,8 +31,8 @@ namespace mm2::text {
 //   (instance
 //     (R (v1 v2 ...) (v1 v2 ...))
 //     ...)
-// Values: 42 -> int64; 4.5 -> double; "s" -> string; #t/#f -> bool;
-// null -> NULL; N7 -> labeled null 7; d:123 -> date.
+// Values: 42 -> int64; 4.5, -1e-05 -> double; "s" -> string; #t/#f ->
+// bool; null -> NULL; N7 -> labeled null 7; d:123 -> date.
 
 // Mapping syntax (first-order mappings only; schemas are embedded):
 //   (mapping NAME
@@ -54,6 +54,19 @@ std::string MappingToText(const logic::Mapping& mapping);
 // of exhausting the stack; the bound leaves room for sanitizer builds'
 // larger frames. Real schemas, instances and mappings nest a handful deep.
 inline constexpr std::size_t kMaxNestingDepth = 1000;
+
+// One value token of the instance syntax, the single value grammar of the
+// text surface: instance rows, mapping and query constants and fact
+// literals (query.h) all read values here. Ints are an optional sign and
+// decimal digits; doubles are finite, with a fraction or an exponent
+// (1.5, -2e+23, 1e-05); strings are double-quoted, a backslash escaping
+// the next character (`\"`, `\\`). The whole token must be one value, else
+// InvalidArgument.
+Result<instance::Value> ParseValue(std::string_view token);
+
+// The length of the quoted string opening `text` (text[0] == '"'), through
+// its closing quote; 0 when no unescaped quote closes it.
+std::size_t QuotedLength(std::string_view text);
 
 // Parsing. Errors carry a character offset.
 Result<model::Schema> ParseSchema(std::string_view text);

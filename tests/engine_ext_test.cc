@@ -614,5 +614,48 @@ why Flat(1,"widget",3)
   EXPECT_EQ(engine_.repo().GetInstance("Dk")->Find("Flat")->size(), 1u);
 }
 
+TEST_F(EngineExtTest, ApplyRejectsValuesOutsideTheInstanceGrammar) {
+  auto queued = engine_.RunScript("apply +Orders(1.5, \"Same\")");
+  ASSERT_TRUE(queued.ok()) << queued.status();
+  EXPECT_EQ(queued->back(), "queued +Orders(1.5, \"Same\") (pending 1)");
+  for (const char* bad : {"nan", "inf", "-inf", "0x10", "1e999", "N-3"}) {
+    const std::string literal = "+Orders(" + std::string(bad) + ", \"Same\")";
+    EXPECT_EQ(engine_.ApplyDeltaFact(literal).code(),
+              StatusCode::kInvalidArgument)
+        << literal;
+    auto log = engine_.RunScript("apply " + literal);
+    ASSERT_FALSE(log.ok()) << literal;
+    EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument) << literal;
+  }
+  // Nothing was queued, and a NaN never broke the queue's order: the next
+  // fact is still counted.
+  auto next = engine_.RunScript("apply +Orders(2.5, \"Same\")");
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->back(), "queued +Orders(2.5, \"Same\") (pending 2)");
+}
+
+TEST_F(EngineExtTest, WhyAndApplyKeepRunsOfSpacesInStrings) {
+  Instance db = *engine_.repo().GetInstance("D");
+  ASSERT_TRUE(
+      db.Insert("Orders", {Value::Int64(2), Value::String("Ada  Lovelace")})
+          .ok());
+  ASSERT_TRUE(db.Insert("Lines", {Value::Int64(2), Value::Int64(4)}).ok());
+  ASSERT_TRUE(engine_.repo().PutInstance("D2", std::move(db)).ok());
+  auto why = engine_.RunScript(
+      "exchange Dout flatten D2\n"
+      "why   Flat(2, \"Ada  Lovelace\", 4)  ");
+  ASSERT_TRUE(why.ok()) << why.status();
+  EXPECT_NE(Joined(*why).find("because:"), std::string::npos) << Joined(*why);
+
+  auto applied = engine_.RunScript(
+      "apply +Orders(3, \"Cy  Young\")\n"
+      "apply +Lines(3, 1)\n"
+      "maintain flatten");
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->front(), "queued +Orders(3, \"Cy  Young\") (pending 1)");
+  EXPECT_TRUE(engine_.repo().GetInstance("Dout")->Find("Flat")->Contains(
+      {Value::Int64(3), Value::String("Cy  Young"), Value::Int64(1)}));
+}
+
 }  // namespace
 }  // namespace mm2::engine

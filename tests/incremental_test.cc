@@ -119,6 +119,28 @@ TEST(EqualsUpToNullsTest, EmptyRelationsAreIgnored) {
   EXPECT_TRUE(InstanceEqualsUpToNulls(a, b));
 }
 
+TEST(EqualsUpToNullsTest, LargeRelabellingsCompareWithoutDeepRecursion) {
+  // One null-carrying tuple per skeleton group: the search goes 100,000
+  // frames deep, past what a call-stack recursion survives.
+  constexpr std::int64_t kTuples = 100000;
+  constexpr std::int64_t kShift = 5000000;
+  Instance a;
+  Instance b;
+  Instance swapped;
+  for (Instance* db : {&a, &b, &swapped}) db->DeclareRelation("R", 2);
+  for (std::int64_t k = 0; k < kTuples; ++k) {
+    a.InsertUnchecked("R", {Value::Int64(k), Value::LabeledNull(k)});
+    b.InsertUnchecked("R", {Value::Int64(k), Value::LabeledNull(k + kShift)});
+    // Row 0 takes row 1's label, so two rows share one null.
+    const std::int64_t label = k == 0 ? 1 + kShift : k + kShift;
+    swapped.InsertUnchecked("R",
+                            {Value::Int64(k), Value::LabeledNull(label)});
+  }
+  EXPECT_TRUE(InstanceEqualsUpToNulls(a, b));
+  EXPECT_FALSE(InstanceEqualsUpToNulls(a, swapped));
+  EXPECT_FALSE(InstanceEqualsUpToNulls(swapped, a));
+}
+
 // ---------------------------------------------------------------------------
 // Tombstone-aware DeltaSince
 // ---------------------------------------------------------------------------

@@ -353,7 +353,6 @@ TEST(ProfilerTest, JsonReportIsWellFormed) {
   }
   ctx.metrics.GetCounter("op.exchange.calls").Increment();
   ctx.metrics.GetHistogram("op.exchange.latency_us").Record(12.5);
-  ctx.metrics.GetCounter("chase.rule.tgd0:R->T.wall_us").Increment(100);
   ctx.metrics.GetCounter("chase.rule.tgd0:R->T.firings").Increment(3);
   std::string json = Profiler::Build(ctx).ToJson();
   EXPECT_TRUE(JsonWellFormed(json)) << json;

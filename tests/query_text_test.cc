@@ -67,5 +67,55 @@ TEST(QueryParserTest, RoundTripThroughToString) {
   EXPECT_EQ(again->ToString(), q->ToString());
 }
 
+TEST(QueryParserTest, ConstantsUseTheInstanceValueGrammar) {
+  auto q = ParseQuery("Q(x) :- R(x, 1e-05)");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->body[0].terms[1], Term::Const(Value::Double(1e-05)));
+  // Dates read as constants; N7 is a bare identifier, so a variable.
+  q = ParseQuery("Q(x) :- R(x, d:-3, -2E+3, N7, \"a, (b)\")");
+  ASSERT_TRUE(q.ok()) << q.status();
+  const auto& terms = q->body[0].terms;
+  EXPECT_EQ(terms[1], Term::Const(Value::Date(-3)));
+  EXPECT_EQ(terms[2], Term::Const(Value::Double(-2000.0)));
+  EXPECT_EQ(terms[3], Term::Var("N7"));
+  EXPECT_EQ(terms[4], Term::Const(Value::String("a, (b)")));
+  EXPECT_FALSE(ParseQuery("Q(x) :- R(x, 0x10)").ok());
+  EXPECT_FALSE(ParseQuery("Q(x) :- R(x, 1e999)").ok());
+  EXPECT_FALSE(ParseQuery("Q(x) :- R(x, 1abc)").ok());
+}
+
+TEST(FactLiteralTest, ReadsAGroundAtom) {
+  auto fact = ParseFact(
+      "  Flat(1, \"a, (b) \\\"c\\\"  d\", -2.5e-3, N7, null, #f, d:3)  ");
+  ASSERT_TRUE(fact.ok()) << fact.status();
+  EXPECT_EQ(fact->relation, "Flat");
+  const instance::Tuple want = {
+      Value::Int64(1),       Value::String("a, (b) \"c\"  d"),
+      Value::Double(-2.5e-3), Value::LabeledNull(7),
+      Value::Null(),          Value::Bool(false),
+      Value::Date(3)};
+  EXPECT_EQ(fact->tuple, want);
+}
+
+TEST(FactLiteralTest, NullaryFactsHaveAnEmptyTuple) {
+  for (const char* text : {"Empty()", "Empty( )", " Empty ( ) "}) {
+    auto fact = ParseFact(text);
+    ASSERT_TRUE(fact.ok()) << text << ": " << fact.status();
+    EXPECT_EQ(fact->relation, "Empty");
+    EXPECT_TRUE(fact->tuple.empty()) << text;
+  }
+}
+
+TEST(FactLiteralTest, RejectsMalformedFacts) {
+  for (const char* text :
+       {"", "R", "R(", "R(1", "(1)", "R(1) x", "R(1)(2)", "R(1,,2)", "R(,)",
+        "R(1,)", "R(,1)", "R(x)", "R(1 2)", "R(\"open)", "R(nan)", "R(inf)",
+        "R(0x10)", "R(1e999)", "R(N-3)", "R(\"a\"b)"}) {
+    auto fact = ParseFact(text);
+    ASSERT_FALSE(fact.ok()) << "'" << text << "' read as " << fact->relation;
+    EXPECT_EQ(fact.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 }  // namespace
 }  // namespace mm2::text
