@@ -233,11 +233,9 @@ int main() {
         std::cout << (mapping.ok() ? db.status() : mapping.status()) << "\n";
         continue;
       }
-      // The query is the raw remainder of the line (spacing matters for
-      // quoted strings).
-      std::size_t at = line.find(tokens[2]);
-      std::string query_text = line.substr(at + tokens[2].size());
-      auto query = mm2::text::ParseQuery(query_text);
+      // The query is the rest of the line after the third word, as typed
+      // (spacing matters for quoted strings).
+      auto query = mm2::text::ParseQuery(mm2::RestAfterWords(line, 3));
       if (!query.ok()) {
         std::cout << query.status() << "\n";
         continue;

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "algebra/eval.h"
-#include "algebra/optimize.h"
 #include "logic/formula.h"
 #include "model/schema.h"
 #include "transgen/relational.h"
@@ -100,7 +99,6 @@ int main() {
        {mm2::algebra::Expr::AggOp::kSum, "Qty", "Units"},
        {mm2::algebra::Expr::AggOp::kAvg, "Price", "AvgPrice"},
        {mm2::algebra::Expr::AggOp::kMax, "Price", "TopPrice"}});
-  cube = mm2::algebra::Simplify(cube);
   std::cout << "cube query:\n" << cube->ToSql() << "\n\n";
 
   auto catalog = mm2::algebra::Catalog::FromSchema(warehouse);

@@ -264,18 +264,7 @@ Result<Table> JoinScanProbe(const Expr& expr, const Table& left,
     return Status::InvalidArgument("equijoin requires at least one key");
   }
 
-  // A key set covering columns [0, k) in order is a prefix of the sealed
-  // run's sort order: seal the relation once and binary-search its columns
-  // per probe instead of building a hash index. Rows come back in set
-  // order — exactly the hash bucket's order — so output is identical.
-  bool segment_probe = rel != nullptr;
-  for (std::size_t i = 0; segment_probe && i < right_keys.size(); ++i) {
-    if (right_keys[i] != i) segment_probe = false;
-  }
-  if (segment_probe) rel->PrepareSegments();
-
   const std::size_t width = out.columns.size();
-  Tuple scratch;
   for (const Tuple& l : left.rows) {
     Tuple key;
     key.reserve(left_keys.size());
@@ -283,25 +272,6 @@ Result<Table> JoinScanProbe(const Expr& expr, const Table& left,
     for (std::size_t k : left_keys) {
       if (l[k].is_null()) has_null = true;
       key.push_back(l[k]);
-    }
-    if (segment_probe && !has_null) {
-      if (auto range = rel->SegmentProbePrefix(key)) {
-        for (std::size_t r = range->begin; r < range->end; ++r) {
-          range->segment->CopyRow(r, &scratch);
-          Tuple row;
-          row.reserve(width);
-          row.insert(row.end(), l.begin(), l.end());
-          row.insert(row.end(), scratch.begin(), scratch.end());
-          out.rows.push_back(std::move(row));
-        }
-        if (range->empty() &&
-            expr.join_kind() == Expr::JoinKind::kLeftOuter) {
-          Tuple row = l;
-          row.resize(width, Value::Null());
-          out.rows.push_back(std::move(row));
-        }
-        continue;
-      }
     }
     // NULL keys never join; right tuples with NULL keys live in buckets no
     // non-null probe key can reach, so the exact-match probe excludes them.

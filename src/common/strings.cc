@@ -29,6 +29,16 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   }
 }
 
+std::string_view RestAfterWords(std::string_view line, std::size_t n) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::size_t at = line.find_first_not_of(kSpace);
+  for (; n > 0 && at != std::string_view::npos; --n) {
+    at = line.find_first_not_of(kSpace, line.find_first_of(kSpace, at));
+  }
+  if (at == std::string_view::npos) return {};
+  return line.substr(at, line.find_last_not_of(kSpace) + 1 - at);
+}
+
 std::string ToLower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {

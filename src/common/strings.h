@@ -14,6 +14,12 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // Splits `s` on the character `sep`; empty fields are preserved.
 std::vector<std::string> Split(std::string_view s, char sep);
 
+// The rest of `line` after its first `n` whitespace-separated words,
+// trimmed, with the spacing inside it kept; empty when nothing follows.
+// Script commands read a trailing literal or query from it, so runs of
+// spaces inside quoted strings survive.
+std::string_view RestAfterWords(std::string_view line, std::size_t n);
+
 // ASCII lowercase copy.
 std::string ToLower(std::string_view s);
 

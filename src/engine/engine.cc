@@ -15,6 +15,14 @@
 
 namespace mm2::engine {
 
+namespace {
+
+Status MissingInstance(const std::string& name) {
+  return Status::NotFound("no instance '" + name + "' in repository");
+}
+
+}  // namespace
+
 Status Repository::PutSchema(model::Schema schema) {
   MM2_RETURN_IF_ERROR(schema.Validate());
   if (schema.name().empty()) {
@@ -67,9 +75,7 @@ Result<logic::Mapping> Repository::GetMapping(const std::string& name) const {
 Result<instance::Instance> Repository::GetInstance(
     const std::string& name) const {
   std::shared_ptr<const instance::Instance> db = FindInstance(name);
-  if (db == nullptr) {
-    return Status::NotFound("no instance '" + name + "' in repository");
-  }
+  if (db == nullptr) return MissingInstance(name);
   return *db;
 }
 
@@ -324,14 +330,17 @@ Status Engine::BatchLoad(const std::string& out_instance,
   obs::OpSpan op(&observability(), "batchload");
   return op.Finish([&]() -> Status {
     MM2_ASSIGN_OR_RETURN(logic::Mapping m, repo_.GetMapping(mapping));
-    MM2_ASSIGN_OR_RETURN(instance::Instance source,
-                         repo_.GetInstance(source_instance));
+    // The loader only reads its source, so it reads it in place.
+    std::shared_ptr<const instance::Instance> source =
+        repo_.FindInstance(source_instance);
+    if (source == nullptr) return MissingInstance(source_instance);
     op.SetAttribute("clauses", MappingClauses(m));
-    op.SetAttribute("source_tuples", source.TotalTuples());
+    op.SetAttribute("source_tuples", source->TotalTuples());
     MM2_ASSIGN_OR_RETURN(transgen::CompiledRelationalMapping compiled,
                          transgen::CompileRelationalMapping(m));
-    MM2_ASSIGN_OR_RETURN(instance::Instance target,
-                         transgen::ExecuteCompiledMapping(compiled, m, source));
+    MM2_ASSIGN_OR_RETURN(
+        instance::Instance target,
+        transgen::ExecuteCompiledMapping(compiled, m, *source));
     op.SetAttribute("target_tuples", target.TotalTuples());
     return repo_.PutInstance(out_instance, std::move(target));
   }());
@@ -465,8 +474,7 @@ Result<std::string> Engine::EqCheck(const std::string& a,
   std::shared_ptr<const instance::Instance> left = repo_.FindInstance(a);
   std::shared_ptr<const instance::Instance> right = repo_.FindInstance(b);
   if (left == nullptr || right == nullptr) {
-    return Status::NotFound("no instance '" + (left == nullptr ? a : b) +
-                            "' in repository");
+    return MissingInstance(left == nullptr ? a : b);
   }
   if (left->Equals(*right)) return std::string("equal");
   if (instance::InstanceEqualsUpToNulls(*left, *right)) {
@@ -531,17 +539,8 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
     };
 
     const std::string& op = tokens[0];
-    // The rest of the line after the command word, trimmed but otherwise
-    // as typed: `apply` and `why` read their fact literal from it, so runs
-    // of spaces inside strings survive.
-    constexpr const char* kSpace = " \t\n\v\f\r";
-    const std::size_t from =
-        line.find_first_not_of(kSpace, line.find(op) + op.size());
-    const std::string_view rest =
-        from == std::string::npos
-            ? std::string_view()
-            : std::string_view(line).substr(
-                  from, line.find_last_not_of(kSpace) + 1 - from);
+    // `apply` and `why` read their fact literal from the rest of the line.
+    const std::string_view rest = RestAfterWords(line, 1);
     if (op == "compose") {
       MM2_RETURN_IF_ERROR(need(3));
       MM2_RETURN_IF_ERROR(Compose(tokens[1], tokens[2], tokens[3]));

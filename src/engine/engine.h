@@ -150,9 +150,12 @@ class Engine {
   // "equal-up-to-nulls" (isomorphic modulo a labeled-null bijection), or
   // "different".
   Result<std::string> EqCheck(const std::string& a, const std::string& b);
-  // batchload: like Exchange but through the compiled set-oriented loader
-  // (Section 5 batch loading); fails for mappings outside the compilable
-  // fragment (target egds, second order).
+  // batchload (Section 5 batch loading): like Exchange, but loads plain
+  // NULL at existential positions and opens no session. It compiles the
+  // mapping first, so it fails for mappings outside the compilable fragment
+  // (target egds, second order), then runs the tgds through the chase's
+  // match plans (transgen::ExecuteCompiledMapping) over the stored source,
+  // which it reads in place.
   Status BatchLoad(const std::string& out_instance,
                    const std::string& mapping,
                    const std::string& source_instance);

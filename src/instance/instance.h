@@ -56,8 +56,7 @@ struct IndexStats {
 //  - At most one sealed run (segment.h): an immutable column-major copy of
 //    the extension in set order. PrepareSegments() builds it; the first
 //    successful mutation drops it, so a run that exists is always current.
-//    A chase seals its result once on publish, and the algebra's prefix
-//    join seals a base relation on first use; nothing else does.
+//    A chase seals its result once on publish; nothing else does.
 //
 // Thread safety: mm2 spawns no threads, so these guarantees serve callers
 // that share one relation across their own threads. Concurrent const access

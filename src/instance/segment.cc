@@ -10,13 +10,6 @@ const char* StorageModeName(StorageMode) { return "default"; }
 // Segment
 // ---------------------------------------------------------------------------
 
-void Segment::CopyRow(std::size_t row, Tuple* out) const {
-  out->resize(arity_);
-  for (std::size_t c = 0; c < arity_; ++c) {
-    (*out)[c] = columns_[c][row];
-  }
-}
-
 int Segment::CompareRowPrefix(std::size_t row, const Value* key,
                               std::size_t len,
                               std::uint64_t* compares) const {
@@ -38,9 +31,9 @@ Segment::RowRange Segment::EqualRange(const Value* key,
     range.end = prefix_len == 0 ? rows_ : 0;
     return range;
   }
-  // Column-0 bounds make most misses free: sorted rows mean min/max of the
-  // leading column bracket every stored prefix.
-  if (key[0] < min_[0] || max_[0] < key[0]) {
+  // Column-0 bounds make most misses free: rows are sorted, so the first
+  // and the last row's leading values bracket every stored prefix.
+  if (key[0] < at(0, 0) || at(rows_ - 1, 0) < key[0]) {
     if (stats != nullptr) ++stats->skips;
     return range;
   }
@@ -70,23 +63,6 @@ Segment::RowRange Segment::EqualRange(const Value* key,
   return range;
 }
 
-void Segment::FinalizeBounds() {
-  min_.assign(arity_, Value());
-  max_.assign(arity_, Value());
-  if (rows_ == 0) return;
-  for (std::size_t c = 0; c < arity_; ++c) {
-    const std::vector<Value>& col = columns_[c];
-    Value lo = col[0];
-    Value hi = col[0];
-    for (std::size_t r = 1; r < rows_; ++r) {
-      if (col[r] < lo) lo = col[r];
-      if (hi < col[r]) hi = col[r];
-    }
-    min_[c] = lo;
-    max_[c] = hi;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SegmentInserter
 // ---------------------------------------------------------------------------
@@ -106,7 +82,6 @@ SegmentPtr SegmentInserter::FromSorted(std::size_t arity,
       segment->columns_[c].push_back(row[c]);
     }
   }
-  segment->FinalizeBounds();
   if (stats != nullptr) {
     ++stats->seals;
     stats->sealed_rows += segment->rows_;

@@ -30,7 +30,7 @@ struct SegmentOpStats {
   std::uint64_t compares = 0;     // tuple comparisons (prefix search)
   std::uint64_t probes = 0;       // sorted-prefix probes served
   std::uint64_t probe_hits = 0;   // rows yielded by served probes
-  std::uint64_t skips = 0;        // probes cut short by min/max bounds
+  std::uint64_t skips = 0;        // probes cut short by column-0 bounds
   // Always 0: the mechanisms behind them (compaction, k-way merges,
   // batched retain, declined stale-view probes, deferred reseals) are
   // gone. Benchmark harnesses still read them.
@@ -94,21 +94,15 @@ class Segment {
     return columns_[col][row];
   }
 
-  // Per-column bounds, filled at seal time; meaningless when empty().
-  const Value& col_min(std::size_t col) const { return min_[col]; }
-  const Value& col_max(std::size_t col) const { return max_[col]; }
-
-  // Materializes row `row` into `out` (resized to arity).
-  void CopyRow(std::size_t row, Tuple* out) const;
-
   // Three-way compare of row `row` against the first `len` values of `key`,
   // column by column. Counts one compare into `*compares` when non-null.
   int CompareRowPrefix(std::size_t row, const Value* key, std::size_t len,
                        std::uint64_t* compares) const;
 
   // Row range [begin, end) whose first `prefix_len` columns equal the key
-  // prefix, via binary search. A key outside the column-0 [min,max] bounds
-  // answers empty without searching and bumps `stats->skips`.
+  // prefix, via binary search. A key outside column 0's bounds (the first
+  // and the last row, as rows are sorted) answers empty without searching
+  // and bumps `stats->skips`.
   struct RowRange {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -120,13 +114,9 @@ class Segment {
  private:
   friend class SegmentInserter;
 
-  void FinalizeBounds();
-
   std::size_t arity_ = 0;
   std::size_t rows_ = 0;
   std::vector<std::vector<Value>> columns_;
-  std::vector<Value> min_;
-  std::vector<Value> max_;
 };
 
 using SegmentPtr = std::shared_ptr<const Segment>;
@@ -145,7 +135,7 @@ struct SegmentRange {
 class SegmentInserter {
  public:
   // Set iteration is already sorted and unique, so this is a straight
-  // column-major copy (no compares) plus the per-column min/max.
+  // column-major copy (no compares).
   static SegmentPtr FromSorted(std::size_t arity, const std::set<Tuple>& rows,
                                SegmentOpStats* stats);
 };

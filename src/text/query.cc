@@ -141,11 +141,25 @@ Result<GroundFact> ParseFact(std::string_view text) {
   return QueryParser(text, /*ground=*/true).ParseFact();
 }
 
+namespace {
+
+std::string AtomToText(const Atom& atom) {
+  std::string out = atom.relation + "(";
+  for (std::size_t i = 0; i < atom.terms.size(); ++i) {
+    if (i > 0) out += ", ";
+    const Term& t = atom.terms[i];
+    out += t.is_constant() ? ValueToken(t.value()) : t.ToString();
+  }
+  return out + ")";
+}
+
+}  // namespace
+
 std::string QueryToText(const ConjunctiveQuery& query) {
-  std::string out = query.head.ToString() + " :- ";
+  std::string out = AtomToText(query.head) + " :- ";
   for (std::size_t i = 0; i < query.body.size(); ++i) {
     if (i > 0) out += ", ";
-    out += query.body[i].ToString();
+    out += AtomToText(query.body[i]);
   }
   return out;
 }

@@ -16,7 +16,9 @@ namespace mm2::text {
 //
 // Terms: bare identifiers are variables; every other term, `null`
 // included, is a constant in the instance value syntax (ParseValue in
-// sexpr.h). The head relation name is arbitrary (it names the answer).
+// sexpr.h). A labeled-null constant cannot be written in a query: `N7` is
+// an identifier, so a variable. The head relation name is arbitrary (it
+// names the answer).
 Result<logic::ConjunctiveQuery> ParseQuery(std::string_view text);
 
 // A ground atom of the same syntax, `Rel(v1, ..., vn)`, every term a value
@@ -27,7 +29,9 @@ struct GroundFact {
 };
 Result<GroundFact> ParseFact(std::string_view text);
 
-// Renders a query back to the same syntax (modulo whitespace).
+// Renders a query back to the same syntax (modulo whitespace), constants
+// through ValueToken, so ParseQuery reads it back to an equal query unless
+// it holds a labeled-null constant.
 std::string QueryToText(const logic::ConjunctiveQuery& query);
 
 }  // namespace mm2::text

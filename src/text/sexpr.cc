@@ -56,6 +56,8 @@ std::string QuoteString(const std::string& s) {
   return out;
 }
 
+}  // namespace
+
 std::string ValueToken(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kNull:
@@ -86,8 +88,6 @@ std::string ValueToken(const Value& v) {
   }
   return "null";
 }
-
-}  // namespace
 
 std::string SchemaToText(const Schema& schema) {
   std::string out = "(schema " + schema.name() + " " +

@@ -64,6 +64,11 @@ inline constexpr std::size_t kMaxNestingDepth = 1000;
 // InvalidArgument.
 Result<instance::Value> ParseValue(std::string_view token);
 
+// Renders a value as the token ParseValue reads back to an equal value:
+// `42`, `1.0000000000000001e-05` (doubles as %.17g, with `.0` added when
+// they would read as ints), `"a \"b\""`, `#t`, `null`, `N7`, `d:3`.
+std::string ValueToken(const instance::Value& v);
+
 // The length of the quoted string opening `text` (text[0] == '"'), through
 // its closing quote; 0 when no unescaped quote closes it.
 std::size_t QuotedLength(std::string_view text);

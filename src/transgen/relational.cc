@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "chase/chase.h"
 #include "instance/value.h"
 
 namespace mm2::transgen {
@@ -170,15 +171,24 @@ Result<CompiledRelationalMapping> CompileRelationalMapping(
 }
 
 Result<instance::Instance> ExecuteCompiledMapping(
-    const CompiledRelationalMapping& compiled, const logic::Mapping& mapping,
+    const CompiledRelationalMapping&, const logic::Mapping& mapping,
     const instance::Instance& source) {
-  MM2_ASSIGN_OR_RETURN(algebra::Catalog catalog,
-                       algebra::Catalog::FromSchema(mapping.source()));
   instance::Instance target = instance::Instance::EmptyFor(mapping.target());
-  for (const auto& [relation, plan] : compiled.loaders) {
-    MM2_ASSIGN_OR_RETURN(algebra::Table table,
-                         algebra::Evaluate(*plan, catalog, source));
-    algebra::Materialize(table, relation, &target);
+  for (const Tgd& tgd : mapping.tgds()) {
+    const std::set<std::string> bound = tgd.BodyVariables();
+    for (const Atom& head : tgd.head) {
+      logic::ConjunctiveQuery query{head, tgd.body};
+      for (Term& t : query.head.terms) {
+        if (t.is_variable() && bound.count(t.name()) == 0) {
+          t = Term::Const(Value::Null());
+        }
+      }
+      MM2_ASSIGN_OR_RETURN(std::vector<instance::Tuple> rows,
+                           chase::AllAnswers(query, source));
+      for (instance::Tuple& row : rows) {
+        MM2_RETURN_IF_ERROR(target.Insert(head.relation, std::move(row)));
+      }
+    }
   }
   return target;
 }

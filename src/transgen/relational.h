@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 
-#include "algebra/eval.h"
 #include "algebra/expr.h"
 #include "common/result.h"
 #include "instance/instance.h"
@@ -14,9 +13,8 @@
 namespace mm2::transgen {
 
 // TransGen for flat relational mappings: compiles a first-order (s-t tgd)
-// mapping into one algebra expression per target relation. This is the
-// "batch loading" fast path of Section 5 — instead of chasing tuple by
-// tuple, the whole load becomes a set-oriented query plan:
+// mapping into one algebra expression per target relation, the loader a
+// DBMS would run for the "batch loading" of Section 5 (`sql` prints it):
 //
 //   - a conjunctive body compiles to a join tree (shared variables become
 //     equijoin keys, repeated variables within an atom and constants
@@ -24,11 +22,10 @@ namespace mm2::transgen {
 //   - each head atom becomes a projection of that tree;
 //   - multiple tgds deriving the same relation union together (dedup'd).
 //
-// Existential head variables compile to SQL NULL columns — the flat
-// approximation of labeled nulls. It is exact for queries that never
-// inspect those columns; callers needing genuine labeled-null semantics
-// (certain answers over invented values, egd unification) use the chase.
-// Mappings with target egds are rejected: keys require the chase.
+// The rendered plan keeps SQL's semantics: NULL keys never join and `1`
+// equals `1.0`. Existential head variables compile to SQL NULL columns —
+// the flat approximation of labeled nulls. Mappings with target egds and
+// second-order mappings are rejected: keys and Skolem terms need the chase.
 //
 // A body compiles to a left-deep join tree one level per atom, and the
 // algebra's passes (SQL rendering, evaluation) recurse over it, so a tgd
@@ -49,7 +46,14 @@ struct CompiledRelationalMapping {
 Result<CompiledRelationalMapping> CompileRelationalMapping(
     const logic::Mapping& mapping);
 
-// Evaluates every loader over `source`, materializing the target instance.
+// Loads the target of `mapping` from `source` (`batchload`): each head atom
+// of each tgd is answered over its body by the chase's match plans
+// (chase::AllAnswers), every existential head variable reading plain NULL.
+// Values compare as the chase compares them (NULL equals NULL, `1` does not
+// equal `1.0`), so the result equals `exchange`'s on every relation the
+// chase fills without labeled nulls. A tgd with k head atoms matches its
+// body k times. `compiled` is not read; callers compile first so that
+// mappings the loader cannot express are refused.
 Result<instance::Instance> ExecuteCompiledMapping(
     const CompiledRelationalMapping& compiled, const logic::Mapping& mapping,
     const instance::Instance& source);

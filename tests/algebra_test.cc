@@ -311,12 +311,12 @@ TEST(EvalIndexTest, JoinWithScanRightSideProbesIndexes) {
                     cat, db);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->rows.size(), 2u);
-  // One probe per left row against the Addresses key. The key is the
-  // relation's leading column, so the join seals Addresses once and the
-  // probes binary-search its run; no hash index is built.
-  EXPECT_EQ(db.SegmentStatsTotal().probes, 3u);
-  EXPECT_EQ(db.SegmentStatsTotal().seals, 1u);
-  EXPECT_EQ(db.IndexStatsTotal().builds, before.builds);
+  // One probe per left row against the Addresses key, served by the hash
+  // index; the join seals nothing.
+  instance::IndexStats after = db.IndexStatsTotal();
+  EXPECT_EQ(after.probes - before.probes, 3u);
+  EXPECT_GE(after.builds - before.builds, 1u);
+  EXPECT_EQ(db.SegmentStatsTotal().seals, 0u);
 }
 
 TEST(EvalIndexTest, ProbeJoinAgreesWithGenericHashJoin) {

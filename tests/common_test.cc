@@ -89,6 +89,22 @@ TEST(StringsTest, CaseAndAffixes) {
   EXPECT_FALSE(EndsWith("ar", "bar"));
 }
 
+// The rest starts after the n-th word even when that word occurs again
+// later in the line, and keeps the spacing inside it.
+TEST(StringsTest, RestAfterWords) {
+  const std::string line =
+      "  answer mapSSp S\tQ(n, a) :- NamesP(s, n),  S(s, \"a  b\")  ";
+  EXPECT_EQ(RestAfterWords(line, 3),
+            "Q(n, a) :- NamesP(s, n),  S(s, \"a  b\")");
+  EXPECT_EQ(RestAfterWords(line, 1),
+            "mapSSp S\tQ(n, a) :- NamesP(s, n),  S(s, \"a  b\")");
+  EXPECT_EQ(RestAfterWords("why", 1), "");
+  EXPECT_EQ(RestAfterWords("why   ", 1), "");
+  EXPECT_EQ(RestAfterWords("a b", 5), "");
+  EXPECT_EQ(RestAfterWords(" a  b ", 0), "a  b");
+  EXPECT_EQ(RestAfterWords("", 0), "");
+}
+
 TEST(StringsTest, TokenizeSnakeAndCamel) {
   EXPECT_EQ(TokenizeIdentifier("billing_addr"),
             (std::vector<std::string>{"billing", "addr"}));

@@ -11,6 +11,7 @@
 #include "engine/engine.h"
 #include "logic/formula.h"
 #include "model/schema.h"
+#include "text/sexpr.h"
 
 namespace mm2::engine {
 namespace {
@@ -78,6 +79,42 @@ batchload Dfast flatten D
   ASSERT_TRUE(chase.ok() && fast.ok());
   EXPECT_TRUE(fast->Equals(*chase));
   EXPECT_EQ(fast->Find("Flat")->size(), 1u);
+}
+
+// batchload runs the chase's match plans, so it compares values as
+// exchange does: NULL joins NULL, and the constant 1 selects the int 1 but
+// not the double 1.0. On an existential-free mapping the targets are equal.
+TEST_F(EngineExtTest, BatchLoadComparesValuesAsTheChaseDoes) {
+  auto mapping = text::ParseMapping(R"(
+(mapping probe
+  (source (schema PS relational
+    (relation R (attr a int64) (attr b int64))
+    (relation Q (attr b int64) (attr c int64))))
+  (target (schema PT relational
+    (relation J (attr a int64) (attr c int64))
+    (relation K (attr a int64))))
+  (tgd (body (R x y) (Q y z)) (head (J x z)))
+  (tgd (body (R x 1)) (head (K x)))))");
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+  auto source = text::ParseInstance(R"(
+(instance
+  (R (1 null) (2 5) (3 1.0) (4 1))
+  (Q (null 7) (5 8))))");
+  ASSERT_TRUE(source.ok()) << source.status();
+  ASSERT_TRUE(engine_.repo().PutMapping(*mapping).ok());
+  ASSERT_TRUE(engine_.repo().PutInstance("P", *source).ok());
+
+  auto log = engine_.RunScript("exchange T probe P\nbatchload L probe P");
+  ASSERT_TRUE(log.ok()) << log.status();
+  auto chased = engine_.repo().GetInstance("T");
+  auto loaded = engine_.repo().GetInstance("L");
+  ASSERT_TRUE(chased.ok() && loaded.ok());
+  EXPECT_TRUE(loaded->Equals(*chased))
+      << "batchload:\n" << loaded->ToString() << "exchange:\n"
+      << chased->ToString();
+  EXPECT_TRUE(loaded->Find("J")->Contains({Value::Int64(1), Value::Int64(7)}));
+  EXPECT_FALSE(loaded->Find("K")->Contains({Value::Int64(3)}));
+  EXPECT_EQ(engine_.EqCheck("T", "L").value(), "equal");
 }
 
 TEST_F(EngineExtTest, OoGenRegistersWrapper) {

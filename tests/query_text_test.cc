@@ -60,11 +60,20 @@ TEST(QueryParserTest, Errors) {
 }
 
 TEST(QueryParserTest, RoundTripThroughToString) {
-  auto q = ParseQuery("Q(x) :- R(x, \"a\"), S(x, 3)");
+  for (const char* text :
+       {"Q(x) :- R(x, \"a\"), S(x, 3)", "Q(x) :- R(x, #t, null, 2.5, d:3)",
+        "Q(x) :- R(x, \"a \\\"b\\\"\", 1e-05, 1e-07, -2.0)"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status() << " from " << text;
+    auto again = ParseQuery(QueryToText(*q));
+    ASSERT_TRUE(again.ok()) << again.status() << " from " << QueryToText(*q);
+    EXPECT_EQ(again->ToString(), q->ToString());
+    EXPECT_EQ(again->head, q->head) << QueryToText(*q);
+    EXPECT_EQ(again->body, q->body) << QueryToText(*q);
+  }
+  auto q = ParseQuery("Q(x) :- R(x, #t, null, 2.5, d:3)");
   ASSERT_TRUE(q.ok());
-  auto again = ParseQuery(QueryToText(*q));
-  ASSERT_TRUE(again.ok()) << again.status() << " from " << QueryToText(*q);
-  EXPECT_EQ(again->ToString(), q->ToString());
+  EXPECT_EQ(QueryToText(*q), "Q(x) :- R(x, #t, null, 2.5, d:3)");
 }
 
 TEST(QueryParserTest, ConstantsUseTheInstanceValueGrammar) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "chase/chase.h"
 #include "engine/engine.h"
 #include "transgen/relational.h"
@@ -301,6 +303,16 @@ TEST(RelationalCompileTest, ExecutesABodyAtTheAtomLimit) {
   EXPECT_TRUE(fast->Equals(slow->target))
       << "fast:\n" << fast->ToString() << "slow:\n" << slow->target.ToString();
   EXPECT_EQ(fast->Find("Path")->size(), 3u);
+
+  // The loader's plan evaluates to the same rows through the algebra's
+  // join loop, one level per atom.
+  auto catalog = algebra::Catalog::FromSchema(deep.source());
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  auto table = algebra::Evaluate(*compiled->loaders.at("Path"), *catalog, db);
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ(std::set<instance::Tuple>(table->rows.begin(), table->rows.end()),
+            fast->Find("Path")->tuples());
+  EXPECT_EQ(table->rows.size(), 3u);
 }
 
 }  // namespace

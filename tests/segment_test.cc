@@ -1,5 +1,5 @@
 // Unit tests for the sealed run (instance/segment.h) and the run-backed
-// paths on RelationInstance: the set-order seal, min/max probe skipping,
+// paths on RelationInstance: the set-order seal, column-0 bound skipping,
 // shared-on-copy immutability, the single-range prefix probe, and the rule
 // that the first successful mutation drops the run. The chase-level seal
 // points and read agreement sweeps live in chase_diff_test.cc and
@@ -23,6 +23,13 @@ Tuple Row(std::int64_t a, std::int64_t b) {
   return {Value::Int64(a), Value::Int64(b)};
 }
 
+// Row `row` of a sealed run, read cell by cell.
+Tuple RowOf(const Segment& seg, std::size_t row) {
+  Tuple out;
+  for (std::size_t c = 0; c < seg.arity(); ++c) out.push_back(seg.at(row, c));
+  return out;
+}
+
 TEST(SegmentInserterTest, FromSortedCopiesSetOrderWithoutCompares) {
   std::set<Tuple> rows = {Row(2, 2), Row(1, 5), Row(2, 1)};
   SegmentOpStats stats;
@@ -30,16 +37,10 @@ TEST(SegmentInserterTest, FromSortedCopiesSetOrderWithoutCompares) {
   ASSERT_NE(seg, nullptr);
   EXPECT_EQ(seg->rows(), 3u);
   std::size_t r = 0;
-  for (const Tuple& t : rows) {
-    Tuple got;
-    seg->CopyRow(r++, &got);
-    EXPECT_EQ(got, t);
-  }
-  // Per-column bounds recorded at seal time; column 1 is not sorted.
-  EXPECT_EQ(seg->col_min(0), Value::Int64(1));
-  EXPECT_EQ(seg->col_max(0), Value::Int64(2));
-  EXPECT_EQ(seg->col_min(1), Value::Int64(1));
-  EXPECT_EQ(seg->col_max(1), Value::Int64(5));
+  for (const Tuple& t : rows) EXPECT_EQ(RowOf(*seg, r++), t);
+  // Column 0's bounds, which EqualRange reads, are its first and last rows.
+  EXPECT_EQ(seg->at(0, 0), Value::Int64(1));
+  EXPECT_EQ(seg->at(seg->rows() - 1, 0), Value::Int64(2));
   // Set iteration is already sorted and unique: no comparison work.
   EXPECT_EQ(stats.compares, 0u);
   EXPECT_EQ(stats.seals, 1u);
@@ -60,9 +61,7 @@ TEST(SegmentProbeTest, EqualRangeFindsPrefixAndMinMaxSkips) {
   SegmentOpStats probe;
   Segment::RowRange r = seg->EqualRange(key2, 1, &probe);
   EXPECT_EQ(r.end - r.begin, 2u);
-  Tuple got;
-  seg->CopyRow(r.begin, &got);
-  EXPECT_EQ(got, Row(2, 20));
+  EXPECT_EQ(RowOf(*seg, r.begin), Row(2, 20));
   EXPECT_EQ(probe.skips, 0u);
 
   // Key below min / above max: answered empty via bounds, counted as skip.
@@ -182,9 +181,7 @@ TEST(RelationSegmentTest, SegmentProbePrefixServesAndDeclines) {
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(range->size(), 2u);
   EXPECT_EQ(range->segment, rel.sealed_segment().get());
-  Tuple got;
-  range->segment->CopyRow(range->begin, &got);
-  EXPECT_EQ(got, Row(1, 10));
+  EXPECT_EQ(RowOf(*range->segment, range->begin), Row(1, 10));
 
   // An empty key selects every row of the run, in set order.
   auto all = rel.SegmentProbePrefix({});

@@ -2,10 +2,11 @@
 // schemas, instances and mapping, an instance of every value kind,
 // benchmark-shaped queries and fact literals) are mutated under a fixed
 // seed and a fixed budget, then fed to every parser and, as `apply`/`why`
-// lines, to an engine after one exchange. Every call must come back with a
-// Status; every instance that parses must render through InstanceToText and
-// parse back equal. It runs as an ordinary ctest, so the sanitizer gate
-// runs it too.
+// lines, to an engine after one exchange; script lines of every command
+// that takes repository names are mutated over a seeded repository. Every
+// call must come back with a Status; every instance that parses must
+// render through InstanceToText and parse back equal. It runs as an
+// ordinary ctest, so the sanitizer gate runs it too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -61,6 +62,40 @@ const std::vector<std::string> kFactSeeds = {
     "NamesP(1, \"Ada  Lovelace\")",
     "R(-1.5e-05, N7, d:-3, #t, null, \"a \\\"b\\\", (c) \\\\\")",
     "Empty()",
+};
+
+// A small ER schema for `modelgen`, and one valid line of every command
+// that takes repository names, over the example repository after one
+// exchange. All of them run once unmutated first, in order, so the names
+// they create exist before any mutant runs.
+const std::string kErSeed =
+    "(schema Er er\n"
+    "  (entity Person (attr Id int64) (attr Name string))\n"
+    "  (entity Student (parent Person) (attr Year int64))\n"
+    "  (entityset Persons Person))\n";
+const std::vector<std::string> kScriptSeeds = {
+    "exchange Dx mapSSp D",
+    "batchload Dy mapSSp D",
+    "eqcheck Dx Dy",
+    "apply +Names(3, \"Cy\")",
+    "maintain mapSSp",
+    "match S Sprime",
+    "invert mapInv mapSSp",
+    "compose mapRound mapSSp mapInv",
+    "inverse mapBack mapSSp",
+    "extract Sext mapExt mapSSp",
+    "diff Sdiff mapDiff mapSSp",
+    "merge Smerged toS toSp S Sprime Names.SID=NamesP.SID",
+    "modelgen Errel er2rel Er tph",
+    "oogen Soo wrapS S",
+    "nestedgen Sdoc docMap S",
+    "explain mapping mapSSp",
+    "explain mapping mapRound --json",
+    "explain mapping mapInv --dot",
+    "budget tuples 100000",
+    "budget off",
+    "stats",
+    "explain --json",
 };
 
 // One to four edits: flip a bit, insert a byte, delete a run, duplicate a
@@ -161,6 +196,56 @@ TEST(TextFuzzTest, ApplyAndWhyLinesAnswerWithAStatus) {
     }
   }
   // The engine still answers after the barrage.
+  Result<std::vector<std::string>> why =
+      engine.RunScript("why NamesP(1, \"Ada\")");
+  ASSERT_TRUE(why.ok()) << why.status();
+  EXPECT_NE(why->front().find("because"), std::string::npos);
+}
+
+// Mutated script lines over a seeded repository: every line answers with a
+// Status whatever names, counts and options it ends up with. Lines whose
+// first word is `trace` or `log` are skipped: the first writes a file, the
+// second writes one or re-points the event sink.
+TEST(TextFuzzTest, ScriptLinesOverASeededRepositoryAnswerWithAStatus) {
+  Result<model::Schema> source = ParseSchema(FileSeeds()[0]);
+  Result<model::Schema> target = ParseSchema(FileSeeds()[1]);
+  Result<instance::Instance> data = ParseInstance(FileSeeds()[2]);
+  Result<logic::Mapping> mapping = ParseMapping(FileSeeds()[4]);
+  Result<model::Schema> er = ParseSchema(kErSeed);
+  ASSERT_TRUE(source.ok() && target.ok() && data.ok() && mapping.ok());
+  ASSERT_TRUE(er.ok()) << er.status();
+  engine::Engine engine;
+  ASSERT_TRUE(engine.repo().PutSchema(*source).ok());
+  ASSERT_TRUE(engine.repo().PutSchema(*target).ok());
+  ASSERT_TRUE(engine.repo().PutSchema(*er).ok());
+  ASSERT_TRUE(engine.repo().PutInstance("D", *data).ok());
+  ASSERT_TRUE(engine.repo().PutMapping(*mapping).ok());
+  ASSERT_TRUE(engine.RunScript("exchange Dprime mapSSp D").ok());
+  for (const std::string& seed : kScriptSeeds) {
+    Result<std::vector<std::string>> valid = engine.RunScript(seed);
+    EXPECT_TRUE(valid.ok()) << seed << ": " << valid.status();
+  }
+  std::mt19937 rng(kSeed);
+  int ran = 0;
+  for (const std::string& seed : kScriptSeeds) {
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      std::string line = Mutate(seed, rng);
+      for (char& c : line) {
+        if (c == '\n' || c == '\r') c = ' ';
+      }
+      std::string command;
+      std::istringstream(line) >> command;
+      if (command == "trace" || command == "log") continue;
+      (void)engine.RunScript(line).status();
+      ++ran;
+    }
+  }
+  EXPECT_GT(ran, 0);
+  // The engine still answers once its inputs are restored: mutants may
+  // have overwritten any name and left a budget armed.
+  ASSERT_TRUE(engine.repo().PutInstance("D", *data).ok());
+  ASSERT_TRUE(engine.repo().PutMapping(*mapping).ok());
+  ASSERT_TRUE(engine.RunScript("budget off\nexchange Dprime mapSSp D").ok());
   Result<std::vector<std::string>> why =
       engine.RunScript("why NamesP(1, \"Ada\")");
   ASSERT_TRUE(why.ok()) << why.status();
