@@ -1,5 +1,5 @@
 // The sealed run (EXPERIMENTS.md section C22). The chase works on the set
-// and the insert log only and seals its finished target once on publish;
+// only and seals its finished target once on publish;
 // readers of the result then get the run's sorted columns. Three cases:
 //
 //   1. BM_SegmentChase — the transitive-closure chase grid from

@@ -41,12 +41,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # ClosureSegmentedDiffProperty cover the sealed run: the const
   # PrepareSegments seal under index_mu_, which shares its lock with the
   # lazy hash-index build, and reads of the run a chase sealed on publish.
-  # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep/
-  # SealPoint cover the incremental-exchange layer: tombstone-aware deltas
-  # over the insert log, and session maintenance driving Erase/Insert
-  # churn (which drops the run) against the lazily built log-position map
-  # under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|AnalysisTest|WatchdogForesight|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|SealPoint"
+  # EqualsUpToNulls/MaintainDRed/IncrementalSweep/SealPoint/RunDelta
+  # cover the incremental-exchange layer: session maintenance driving
+  # Erase/Insert churn, which drops the run and maintains the lazily built
+  # hash indexes under the same index_mu_, and the chase run's own delta
+  # lists, which an egd unification rewrites.
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|AnalysisTest|WatchdogForesight|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|MaintainDRed|IncrementalSweep|SealPoint|RunDelta"
 fi
 
 # Every gate appends its temp files here; one EXIT trap removes them all

@@ -166,12 +166,15 @@ class ChaseRun {
            const ChaseOptions& options)
       : source_(source), target_(std::move(target)), options_(options) {}
 
-  // Arms incremental-maintenance mode: restore/export semi-naive state
-  // through `session`, seed the provenance store with the previous call's
-  // derivations, and book every target-side insert/erase into `net_change`.
-  void AttachSession(ChaseSessionState* session, Provenance provenance,
-                     FactDelta* net_change) {
+  // Arms incremental-maintenance mode: restore/export the resume state
+  // through `session`, seed the run's deltas with the source tuples
+  // `inserted` since the state was exported, seed the provenance store with
+  // the previous call's derivations, and book every target-side
+  // insert/erase into `net_change`.
+  void AttachSession(ChaseSessionState* session, RunDeltas inserted,
+                     Provenance provenance, FactDelta* net_change) {
     session_ = session;
+    lists_ = std::move(inserted);
     provenance_ = std::move(provenance);
     net_change_ = net_change;
   }
@@ -254,19 +257,18 @@ class ChaseRun {
       next_label_ = std::max(options_.first_null_label,
                              std::max(source_max, target_.MaxNullLabel()) + 1);
     }
-    // Resumed runs restore the semi-naive frontier captured by the previous
-    // call instead of resetting it: rules re-match only above their old
-    // watermarks, and Skolem terms keep resolving to the nulls they already
-    // invented. A rule-count mismatch means the session was captured for a
-    // different rule set — start fresh rather than misattribute watermarks.
+    // A resumed run continues the previous call's fixpoint: every rule
+    // already matched in full, so it matches only against its deltas, which
+    // start as the seeded source inserts; and Skolem terms keep resolving to
+    // the nulls they already invented. A rule-count mismatch means the
+    // session was captured for a different rule set — start fresh instead.
     if (session_ != nullptr && session_->initialized &&
-        session_->watermarks.size() == stats_.rules.size()) {
-      watermarks_ = std::move(session_->watermarks);
+        session_->matched_once.size() == stats_.rules.size()) {
       matched_once_ = session_->matched_once;
       skolem_ = std::move(session_->skolem);
     } else {
-      watermarks_.assign(stats_.rules.size(), {});
       matched_once_.assign(stats_.rules.size(), false);
+      lists_.clear();  // a full first pass needs no seed
     }
     {
       std::size_t slot = 0;
@@ -284,7 +286,7 @@ class ChaseRun {
     plans_.clear();
     plans_.reserve(stats_.rules.size());
     for (const logic::SoTgdClause& clause : clauses) {
-      plans_.push_back(CompileRule(clause.body, clause.head, {}));
+      plans_.push_back(CompileRule(clause.body, clause.head, {}, read_db()));
       for (const auto& [l, r] : clause.equalities) {
         plans_.back().equalities.emplace_back(
             CompileTerm(l, plans_.back().slots),
@@ -292,20 +294,25 @@ class ChaseRun {
       }
     }
     for (const logic::Tgd& tgd : fo_tgds) {
-      plans_.push_back(
-          CompileRule(tgd.body, tgd.head, tgd.ExistentialVariables()));
+      plans_.push_back(CompileRule(tgd.body, tgd.head,
+                                   tgd.ExistentialVariables(), read_db()));
       plans_.back().head_probe = MatchPlan(tgd.head, plans_.back().slots,
                                            plans_.back().body_slots);
     }
     static const std::vector<Atom> kNoHead;
     for (const logic::Egd& egd : egds) {
-      plans_.push_back(CompileRule(egd.body, kNoHead, {}));
+      plans_.push_back(CompileRule(egd.body, kNoHead, {}, target_));
       plans_.back().left = plans_.back().slots.Find(egd.left);
       plans_.back().right = plans_.back().slots.Find(egd.right);
     }
     if (options_.track_provenance) {
       for (RulePlan& plan : plans_) RegisterWitnessRule(plan);
     }
+    positions_.clear();
+    for (const RulePlan& plan : plans_) {
+      positions_.emplace_back(plan.reads.size(), 0);
+    }
+    ResolveReads();
     // Times one rule's matching+firing for the current round and books the
     // aggregate-counter deltas into its RuleStats slot.
     auto attributed = [this](RuleStats& rule,
@@ -455,6 +462,12 @@ class ChaseRun {
         }
       }
     }
+    // At a fixpoint every rule has consumed its lists to the end, so no
+    // position needs to outlive the run.
+    for (std::size_t r = 0; r < plans_.size(); ++r) {
+      assert(breach_.has_value() || options_.naive ||
+             positions_[r] == Ends(plans_[r]));
+    }
     if (breach_.has_value()) {
       FinishBreach(events, &span);
     } else if (seal_on_publish) {
@@ -466,7 +479,6 @@ class ChaseRun {
     // Re-export the resume state. A breached run stopped mid-fixpoint, so
     // its frontier is not a safe resume point — invalidate instead.
     if (session_ != nullptr) {
-      session_->watermarks = std::move(watermarks_);
       session_->matched_once = matched_once_;
       session_->skolem = std::move(skolem_);
       session_->next_label = next_label_;
@@ -517,15 +529,22 @@ class ChaseRun {
     std::vector<std::pair<PlanTerm, PlanTerm>> equalities;  // SO premises
     Slot left = kNoSlot;  // egd equality
     Slot right = kNoSlot;
+    // The instance the body matches against.
+    const Instance* db = nullptr;
     // Body atom -> first body atom over the same relation: deltas and
     // delta accounting are per relation.
     std::vector<std::size_t> first_of_relation;
+    // First body atom over a relation -> that relation and its run list;
+    // null for the other atoms, and while the relation is undeclared.
+    std::vector<RunDeltas::value_type*> reads;
   };
 
   static RulePlan CompileRule(const std::vector<Atom>& body,
                               const std::vector<Atom>& head,
-                              const std::set<std::string>& existentials) {
+                              const std::set<std::string>& existentials,
+                              const Instance& db) {
     RulePlan plan;
+    plan.db = &db;
     plan.body_atoms = &body;
     plan.head_atoms = &head;
     plan.slots = SlotsOf(body);
@@ -539,67 +558,81 @@ class ChaseRun {
       while (body[first].relation != body[i].relation) ++first;
       plan.first_of_relation.push_back(first);
     }
+    plan.reads.assign(body.size(), nullptr);
     return plan;
   }
 
-  // One body-matching pass for rule `rule_index` plus the watermark
-  // snapshot that makes it repeatable. The snapshot is taken BEFORE
-  // matching, so tuples a rule inserts while firing land above it and get
-  // reprocessed next round. Callers commit via CommitWatermarks once every
-  // returned match has actually been processed — tgds commit right after
-  // matching, egds only after a violation-free pass (a unification
-  // invalidates the remaining matches, which must be re-derived). Matches
-  // stream into one flat buffer of body frames.
+  // Points every rule's first body atom over each relation at that
+  // relation's run list, creating the list. Runs when the run starts and
+  // again whenever a head declares a relation (a closure's heads can).
+  void ResolveReads() {
+    for (RulePlan& plan : plans_) {
+      const std::vector<Atom>& atoms = *plan.body_atoms;
+      for (std::size_t i = 0; i < atoms.size(); ++i) {
+        if (plan.first_of_relation[i] != i || plan.reads[i] != nullptr) {
+          continue;
+        }
+        const instance::RelationInstance* rel =
+            plan.db->Find(atoms[i].relation);
+        if (rel != nullptr) plan.reads[i] = &*lists_.try_emplace(rel).first;
+      }
+    }
+  }
+
+  // The end of each of the rule's run lists: where its next delta starts.
+  static std::vector<std::size_t> Ends(const RulePlan& plan) {
+    std::vector<std::size_t> ends(plan.reads.size(), 0);
+    for (std::size_t i = 0; i < ends.size(); ++i) {
+      if (plan.reads[i] != nullptr) ends[i] = plan.reads[i]->second.size();
+    }
+    return ends;
+  }
+
+  // One body-matching pass for rule `rule_index` plus the list positions
+  // that make it repeatable. The positions are taken BEFORE matching, so
+  // tuples a rule inserts while firing land after them and get reprocessed
+  // next round. Callers commit via CommitPositions once every returned
+  // match has actually been processed — tgds commit right after matching,
+  // egds only after a violation-free pass (a unification invalidates the
+  // remaining matches, which must be re-derived). Matches stream into one
+  // flat buffer of body frames.
   struct BodyMatch {
     std::vector<Value> rows;  // `count` frames of `stride` values
     std::size_t count = 0;
     std::size_t stride = 0;
-    std::map<std::string, std::size_t, std::less<>> watermarks;
+    std::vector<std::size_t> positions;  // indexed like RulePlan::reads
 
     const Value* row(std::size_t i) const { return rows.data() + i * stride; }
   };
 
-  std::map<std::string, std::size_t, std::less<>> SnapshotWatermarks(
-      const std::vector<Atom>& atoms, const Instance& db) const {
-    std::map<std::string, std::size_t, std::less<>> snap;
-    for (const Atom& atom : atoms) {
-      if (snap.count(atom.relation) > 0) continue;
-      const instance::RelationInstance* rel = db.Find(atom.relation);
-      snap.emplace(atom.relation, rel == nullptr ? 0 : rel->Watermark());
-    }
-    return snap;
-  }
-
-  BodyMatch MatchBody(std::size_t rule_index, const Instance& db) {
+  BodyMatch MatchBody(std::size_t rule_index) {
     RulePlan& plan = plans_[rule_index];
     const std::vector<Atom>& atoms = *plan.body_atoms;
     BodyMatch out;
     out.stride = plan.body_slots;
-    out.watermarks = SnapshotWatermarks(atoms, db);
+    out.positions = Ends(plan);
     if (options_.naive) {
       // The oracle matches into Assignments; they become frames here, so
       // firing has one code path.
-      for (const Assignment& a : MatchAtomsNaive(atoms, db)) {
+      for (const Assignment& a : MatchAtomsNaive(atoms, *plan.db)) {
         for (Slot s = 0; s < plan.body_slots; ++s) {
           out.rows.push_back(a.at(plan.slots.name(s)));
         }
         ++out.count;
       }
     } else if (matched_once_[rule_index]) {
-      std::size_t consumed = MatchDelta(plan, db, watermarks_[rule_index], &out);
+      std::size_t consumed = MatchDelta(plan, positions_[rule_index], &out);
       stats_.delta_tuples += consumed;
       if (consumed == 0) ++stats_.delta_skips;
     } else {
       frame_.resize(plan.body_slots);
       MatchPlan::Request request;
-      request.db = &db;
+      request.db = plan.db;
       request.cancel = watch_token_;
       out.count = plan.body.Run(request, frame_.data(), &out.rows);
       // The first full pass consumes the whole extension as its delta.
-      for (const auto& [name, mark] : out.watermarks) {
-        (void)mark;
-        const instance::RelationInstance* rel = db.Find(name);
-        if (rel != nullptr) stats_.delta_tuples += rel->size();
+      for (const RunDeltas::value_type* read : plan.reads) {
+        if (read != nullptr) stats_.delta_tuples += read->first->size();
       }
     }
     stats_.assignments_matched += out.count;
@@ -607,31 +640,31 @@ class ChaseRun {
   }
 
   // Semi-naive delta match: only matches where at least one body atom binds
-  // a tuple inserted since that relation's watermark. One pass per body-atom
-  // position — that atom enumerates its relation's delta (log refs, in
-  // insertion order) while the rest probe as usual. Sorting the frames and
-  // dropping duplicates (a match can touch two delta tuples) yields exactly
-  // the std::set<Assignment> order, because slots follow variable-name
-  // order. Returns the delta sizes consumed (per distinct body relation);
-  // zero means the caller could have skipped.
-  std::size_t MatchDelta(RulePlan& plan, const Instance& db,
-                         const std::map<std::string, std::size_t,
-                                        std::less<>>& watermarks,
+  // a tuple that arrived in its relation's run list at or after the rule's
+  // position. One pass per body-atom position — that atom enumerates its
+  // relation's delta (in arrival order, skipping erased entries) while the
+  // rest probe as usual. Sorting the frames and dropping duplicates (a match
+  // can touch two delta tuples) yields exactly the std::set<Assignment>
+  // order, because slots follow variable-name order. Returns the delta
+  // sizes consumed (per distinct body relation); zero means the caller
+  // could have skipped.
+  std::size_t MatchDelta(RulePlan& plan,
+                         const std::vector<std::size_t>& positions,
                          BodyMatch* out) {
     const std::vector<Atom>& atoms = *plan.body_atoms;
     std::vector<instance::RelationInstance::TupleRefs> deltas(atoms.size());
     std::size_t consumed = 0;
     for (std::size_t i = 0; i < atoms.size(); ++i) {
-      if (plan.first_of_relation[i] != i) continue;
-      const instance::RelationInstance* rel = db.Find(atoms[i].relation);
-      if (rel == nullptr) continue;
-      auto it = watermarks.find(atoms[i].relation);
-      deltas[i] = rel->DeltaSince(it == watermarks.end() ? 0 : it->second);
+      if (plan.reads[i] == nullptr) continue;
+      const std::vector<const Tuple*>& arrived = plan.reads[i]->second;
+      for (std::size_t k = positions[i]; k < arrived.size(); ++k) {
+        if (arrived[k] != nullptr) deltas[i].push_back(arrived[k]);
+      }
       consumed += deltas[i].size();
     }
     frame_.resize(plan.body_slots);
     MatchPlan::Request request;
-    request.db = &db;
+    request.db = plan.db;
     request.cancel = watch_token_;
     for (std::size_t i = 0; i < atoms.size(); ++i) {
       const instance::RelationInstance::TupleRefs& delta =
@@ -671,8 +704,8 @@ class ChaseRun {
     match->count = count;
   }
 
-  void CommitWatermarks(std::size_t rule_index, BodyMatch& match) {
-    watermarks_[rule_index] = std::move(match.watermarks);
+  void CommitPositions(std::size_t rule_index, BodyMatch& match) {
+    positions_[rule_index] = std::move(match.positions);
     matched_once_[rule_index] = true;
   }
 
@@ -821,14 +854,21 @@ class ChaseRun {
       Tuple& tuple = tuples[j];
       if (TargetRelation(atom) == nullptr) {
         target_.DeclareRelation(atom.relation, tuple.size());
+        ResolveReads();
       }
       instance::RelationInstance* rel = TargetRelation(atom);
       if (rel->arity() != tuple.size()) {
         return Status::InvalidArgument("arity mismatch on '" + atom.relation +
                                        "' during chase");
       }
-      bool inserted = options_.track_provenance ? rel->Insert(tuple)
-                                                : rel->Insert(std::move(tuple));
+      const Tuple* node = options_.track_provenance
+                              ? rel->Insert(tuple)
+                              : rel->Insert(std::move(tuple));
+      const bool inserted = node != nullptr;
+      if (inserted) {
+        auto list = lists_.find(rel);
+        if (list != lists_.end()) list->second.push_back(node);
+      }
       inserted_any |= inserted;
       // Sessions also record the witness for an already-present fact (a
       // multi-atom head can be partially satisfied), keeping the support
@@ -848,8 +888,8 @@ class ChaseRun {
                             std::size_t rule_index) {
     RulePlan& plan = plans_[rule_index];
     bool changed = false;
-    BodyMatch match = MatchBody(rule_index, read_db());
-    CommitWatermarks(rule_index, match);
+    BodyMatch match = MatchBody(rule_index);
+    CommitPositions(rule_index, match);
     head_tuples_.resize(plan.head.size());
     for (std::size_t i = 0; i < match.count; ++i) {
       const Value* frame = match.row(i);
@@ -920,8 +960,8 @@ class ChaseRun {
   Result<bool> FireTgd(const logic::Tgd& tgd, std::size_t rule_index) {
     RulePlan& plan = plans_[rule_index];
     bool changed = false;
-    BodyMatch match = MatchBody(rule_index, read_db());
-    CommitWatermarks(rule_index, match);
+    BodyMatch match = MatchBody(rule_index);
+    CommitPositions(rule_index, match);
     head_tuples_.resize(plan.head.size());
     for (std::size_t i = 0; i < match.count; ++i) {
       frame_.resize(plan.slots.size());
@@ -952,7 +992,7 @@ class ChaseRun {
     bool changed = false;
     while (true) {
       bool fired = false;
-      BodyMatch match = MatchBody(rule_index, target_);
+      BodyMatch match = MatchBody(rule_index);
       for (std::size_t i = 0; i < match.count; ++i) {
         if (plan.left == kNoSlot || plan.right == kNoSlot) {
           return Status::InvalidArgument("egd equality over unbound var: " +
@@ -971,10 +1011,10 @@ class ChaseRun {
         break;  // instance changed; recompute matches
       }
       if (!fired) {
-        // Every match at or below the snapshot is violation-free, so only
-        // now may the delta watermark advance. Unification rewrites
-        // (erase + reinsert) land above it and re-match next pass.
-        CommitWatermarks(rule_index, match);
+        // Every match before the positions is violation-free, so only now
+        // may they advance. Unification rewrites (erase + reinsert) land
+        // after them and re-match next pass.
+        CommitPositions(rule_index, match);
         break;
       }
     }
@@ -1017,17 +1057,27 @@ class ChaseRun {
           rewritten.push_back(std::move(nt));
         }
       }
+      if (removed.empty()) continue;
+      // The run list forgets the tuples about to be erased (they are the
+      // ones holding `from`); their rewritten forms arrive below.
+      auto list = lists_.find(&rel);
+      if (list != lists_.end()) {
+        for (const Tuple*& entry : list->second) {
+          if (entry != nullptr &&
+              std::find(entry->begin(), entry->end(), from) != entry->end()) {
+            entry = nullptr;
+          }
+        }
+      }
       for (const Tuple& t : removed) {
         rel.Erase(t);
         if (net_change_ != nullptr) --(*net_change_)[Fact{name, t}];
       }
       for (Tuple& t : rewritten) {
-        if (net_change_ != nullptr) {
-          Fact fact{name, t};
-          if (rel.Insert(std::move(t))) ++(*net_change_)[fact];
-        } else {
-          rel.Insert(std::move(t));
-        }
+        const Tuple* node = rel.Insert(std::move(t));
+        if (node == nullptr) continue;
+        if (list != lists_.end()) list->second.push_back(node);
+        if (net_change_ != nullptr) ++(*net_change_)[Fact{name, *node}];
       }
     }
     // Rewrite Skolem table images (and arguments).
@@ -1138,10 +1188,14 @@ class ChaseRun {
   std::vector<Value> probe_rows_;
   std::vector<Tuple> head_tuples_;
   std::vector<Tuple> head_scratch_;
-  // Semi-naive state, indexed like stats_.rules: the per-relation insert-log
-  // watermark as of each rule's last committed matching pass, and whether
-  // the rule has completed its first (full) pass.
-  std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks_;
+  // Semi-naive state. `lists_` holds the tuples that arrived during this
+  // run in every relation a rule body reads (seeded, when resuming, with the
+  // source inserts). Indexed like stats_.rules: each rule's positions in
+  // its lists as of its last committed matching pass (indexed like
+  // RulePlan::reads), and whether the rule has completed its first (full)
+  // pass.
+  RunDeltas lists_;
+  std::vector<std::vector<std::size_t>> positions_;
   std::vector<bool> matched_once_;
   // Incremental-maintenance hooks, both null outside ResumeChase: the
   // caller-owned resume state (restored at the top of Run, re-exported at
@@ -1363,6 +1417,7 @@ Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
                                 instance::Instance target,
                                 Provenance provenance,
                                 ChaseSessionState* state,
+                                RunDeltas inserted,
                                 FactDelta* net_change,
                                 const ChaseOptions& options) {
   ChaseOptions resumed = options;
@@ -1371,7 +1426,8 @@ Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
   resumed.track_provenance = true;
   AnalysisSetup setup(resumed, source);
   ChaseRun run(&source, std::move(target), setup.options());
-  run.AttachSession(state, std::move(provenance), net_change);
+  run.AttachSession(state, std::move(inserted), std::move(provenance),
+                    net_change);
   MM2_RETURN_IF_ERROR(RunMapping(run, mapping, options));
   return setup.Finish(run);
 }
@@ -1416,7 +1472,12 @@ Result<std::vector<Tuple>> Answers(const logic::ConjunctiveQuery& query,
     }
     if (!certain || !has_null) answers.insert(std::move(row));
   }
-  return std::vector<Tuple>(answers.begin(), answers.end());
+  std::vector<Tuple> out;
+  out.reserve(answers.size());
+  while (!answers.empty()) {
+    out.push_back(std::move(answers.extract(answers.begin()).value()));
+  }
+  return out;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,10 +78,11 @@ struct ChaseOptions {
   // never probes indexes, consults deltas or seals its result. Otherwise
   // matching runs compiled plans: a rule's first pass matches in full, and
   // every later pass only the assignments where at least one body atom
-  // binds a tuple from that relation's delta set (tuples inserted since the
-  // rule's per-relation watermark). Either way the chase reads and writes
-  // the set and the insert log only; a chase from an empty frontier seals
-  // its finished target once on publish (RelationInstance::PrepareSegments).
+  // binds a tuple from that relation's delta (the tuples that arrived in it
+  // during the run since the rule's last pass; see RunDeltas). Either way
+  // the chase reads and writes the sets only; a chase from an empty
+  // frontier seals its finished target once on publish
+  // (RelationInstance::PrepareSegments).
   bool naive = false;
   // --- Resource budgets (the watchdog; 0 = unlimited) --------------------
   // Soft limits checked at every round boundary. On breach the chase stops
@@ -210,16 +212,23 @@ Result<ChaseResult> RunChase(const logic::Mapping& mapping,
                              const ChaseOptions& options = {});
 
 // ---- Incremental maintenance ---------------------------------------------
-// Semi-naive chase state that survives a finished run, so a later call can
-// resume matching where the last one stopped instead of re-deriving the
-// whole target. Captured/restored by ResumeChase; owned by the caller
-// (runtime::ExchangeSession) between calls.
+// The tuples that arrived in each relation during one chase run, in arrival
+// order, keyed by the relation's handle: the run's semi-naive deltas. A
+// rule's next delta starts at its position in each list; a tuple erased
+// during the run leaves a nullptr entry, so positions never shift. The
+// lists live only as long as the run. At a fixpoint every rule has
+// consumed its lists to the end, so a resumed run starts every rule at
+// position 0 of lists seeded with the source tuples inserted since.
+using RunDeltas = std::unordered_map<const instance::RelationInstance*,
+                                     std::vector<const instance::Tuple*>>;
+
+// Chase state that survives a finished run, so a later call can resume
+// the fixpoint instead of re-deriving the whole target. Captured/restored by
+// ResumeChase; owned by the caller (runtime::ExchangeSession) between calls.
 struct ChaseSessionState {
   bool initialized = false;
-  // Indexed like ChaseStats::rules (SO-clauses, then tgds, then egds): each
-  // rule's per-relation insert-log watermark as of its last committed pass,
-  // and whether its first full pass has completed.
-  std::vector<std::map<std::string, std::size_t, std::less<>>> watermarks;
+  // Indexed like ChaseStats::rules (SO-clauses, then tgds, then egds):
+  // whether the rule's first full pass has completed.
   std::vector<bool> matched_once;
   // Skolem interpretation table: (function, args) -> labeled null. Kept so
   // a resumed SO chase reuses the same null for the same Skolem term.
@@ -243,19 +252,22 @@ using FactDelta = std::map<Fact, int>;
 
 // Runs the data-exchange chase like RunChase, but resuming from (and
 // re-exporting into) `state`: with an uninitialized state this is a full
-// first chase that additionally captures the resume state; with an
-// initialized one only assignments binding at least one tuple above the
-// per-rule watermarks are re-matched. `target` and `provenance` carry the
+// first chase that additionally captures the resume state and ignores
+// `inserted`; with an initialized one, `inserted` lists the tuples
+// inserted into `source` since the state was exported (nodes of its
+// relations), and only assignments that bind at least one of them, or a
+// fact the run derives, are matched. `target` and `provenance` carry the
 // previous call's result back in; a session's provenance also holds its
-// support index. `net_change`, when non-null, accumulates
-// the run's target-side fact delta. Forces provenance tracking (the DRed
-// substrate); a breach leaves `state` uninitialized since the partial
-// fixpoint is not resumable.
+// support index. `net_change`, when non-null, accumulates the run's
+// target-side fact delta. Forces provenance tracking (the DRed substrate);
+// a breach leaves `state` uninitialized since the partial fixpoint is not
+// resumable.
 Result<ChaseResult> ResumeChase(const logic::Mapping& mapping,
                                 const instance::Instance& source,
                                 instance::Instance target,
                                 Provenance provenance,
                                 ChaseSessionState* state,
+                                RunDeltas inserted,
                                 FactDelta* net_change,
                                 const ChaseOptions& options = {});
 

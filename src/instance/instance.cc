@@ -7,28 +7,15 @@
 
 namespace mm2::instance {
 
+// Indexes hold pointers into the *source* set, so a copy rebuilds them
+// lazily; runs are immutable, so copies share them.
 RelationInstance::RelationInstance(const RelationInstance& other)
-    : arity_(other.arity_),
-      tuples_(other.tuples_),
-      generation_(other.generation_),
-      run_(other.run_) {  // runs are immutable: shared, not deep-copied
-  // Indexes and the insert log hold pointers into the *source* set; rebuild
-  // the log over our own nodes (set order — deterministic) and let indexes
-  // re-materialize lazily. Watermark 0 still means "everything".
-  log_.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) log_.push_back(&t);
-}
+    : arity_(other.arity_), tuples_(other.tuples_), run_(other.run_) {}
 
 RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
   if (this == &other) return *this;
   arity_ = other.arity_;
   tuples_ = other.tuples_;
-  generation_ = other.generation_;
-  log_.clear();
-  log_.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) log_.push_back(&t);
-  log_pos_.clear();
-  log_pos_tracked_ = false;
   indexes_.clear();
   stats_.Store(IndexStats{});
   run_ = other.run_;
@@ -39,16 +26,11 @@ RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
 RelationInstance::RelationInstance(RelationInstance&& other) noexcept
     : arity_(other.arity_),
       tuples_(std::move(other.tuples_)),
-      generation_(other.generation_),
-      log_(std::move(other.log_)),
-      log_pos_(std::move(other.log_pos_)),
-      log_pos_tracked_(other.log_pos_tracked_),
       indexes_(std::move(other.indexes_)),
       run_(std::move(other.run_)) {
-  // Moving a std::set transfers its nodes, so log/index pointers survive.
+  // Moving a std::set transfers its nodes, so index pointers survive.
   stats_.Store(other.stats_.Load());
   seg_stats_.Store(other.seg_stats_.Load());
-  other.log_pos_tracked_ = false;  // its map moved away; must not trust it
 }
 
 RelationInstance& RelationInstance::operator=(
@@ -56,15 +38,10 @@ RelationInstance& RelationInstance::operator=(
   if (this == &other) return *this;
   arity_ = other.arity_;
   tuples_ = std::move(other.tuples_);
-  generation_ = other.generation_;
-  log_ = std::move(other.log_);
-  log_pos_ = std::move(other.log_pos_);
-  log_pos_tracked_ = other.log_pos_tracked_;
   indexes_ = std::move(other.indexes_);
   stats_.Store(other.stats_.Load());
   run_ = std::move(other.run_);
   seg_stats_.Store(other.seg_stats_.Load());
-  other.log_pos_tracked_ = false;  // its map moved away; must not trust it
   return *this;
 }
 
@@ -84,7 +61,6 @@ void RelationInstance::IndexInsert(const Tuple* tuple) {
         bucket.begin(), bucket.end(), tuple,
         [](const Tuple* a, const Tuple* b) { return *a < *b; });
     bucket.insert(pos, tuple);
-    stats_.indexed_tuples.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -99,53 +75,31 @@ void RelationInstance::IndexErase(const Tuple* tuple) {
   }
 }
 
-bool RelationInstance::Insert(Tuple tuple) {
+const Tuple* RelationInstance::Insert(Tuple tuple) {
   assert(tuple.size() == arity_ && "arity mismatch");
   auto [it, inserted] = tuples_.insert(std::move(tuple));
-  if (!inserted) return false;
-  ++generation_;
+  if (!inserted) return nullptr;
   const Tuple* node = &*it;
-  log_.push_back(node);
-  if (log_pos_tracked_) log_pos_.emplace(node, log_.size() - 1);
   run_.reset();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   IndexInsert(node);
-  return true;
+  return node;
 }
 
 bool RelationInstance::Erase(const Tuple& tuple) {
   auto it = tuples_.find(tuple);
   if (it == tuples_.end()) return false;
-  const Tuple* node = &*it;
   {
     std::unique_lock<std::shared_mutex> lock(index_mu_);
-    IndexErase(node);
-  }
-  // Tombstone rather than remove: log positions back caller watermarks.
-  if (!log_pos_tracked_) {
-    log_pos_.clear();
-    for (std::size_t i = 0; i < log_.size(); ++i) {
-      if (log_[i] != nullptr) log_pos_.emplace(log_[i], i);
-    }
-    log_pos_tracked_ = true;
-  }
-  auto pos_it = log_pos_.find(node);
-  if (pos_it != log_pos_.end()) {
-    log_[pos_it->second] = nullptr;
-    log_pos_.erase(pos_it);
+    IndexErase(&*it);
   }
   tuples_.erase(it);
-  ++generation_;
   run_.reset();
   return true;
 }
 
 void RelationInstance::Clear() {
   tuples_.clear();
-  log_.clear();
-  log_pos_.clear();
-  log_pos_tracked_ = false;
-  ++generation_;
   run_.reset();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   indexes_.clear();
@@ -159,7 +113,6 @@ RelationInstance::BuildIndexLocked(const ColumnSet& cols) const {
     index.buckets[Project(t, cols)].push_back(&t);
   }
   stats_.builds.fetch_add(1, std::memory_order_relaxed);
-  stats_.indexed_tuples.fetch_add(tuples_.size(), std::memory_order_relaxed);
   return indexes_.emplace(cols, std::move(index)).first;
 }
 
@@ -190,16 +143,6 @@ const RelationInstance::TupleRefs* RelationInstance::Probe(
   auto it = indexes_.find(cols);
   if (it == indexes_.end()) it = BuildIndexLocked(cols);
   return lookup(it->second, key);
-}
-
-RelationInstance::TupleRefs RelationInstance::DeltaSince(
-    std::size_t watermark) const {
-  TupleRefs out;
-  out.reserve(log_.size() - watermark);
-  for (std::size_t i = watermark; i < log_.size(); ++i) {
-    if (log_[i] != nullptr) out.push_back(log_[i]);
-  }
-  return out;
 }
 
 IndexStats RelationInstance::index_stats() const { return stats_.Load(); }
@@ -344,13 +287,6 @@ SegmentShape Instance::SegmentShapeTotal() const {
   SegmentShape total;
   for (const auto& [name, rel] : relations_) total += rel.segment_shape();
   return total;
-}
-
-std::map<std::string, std::size_t, std::less<>> Instance::InsertWatermarks()
-    const {
-  std::map<std::string, std::size_t, std::less<>> out;
-  for (const auto& [name, rel] : relations_) out[name] = rel.Watermark();
-  return out;
 }
 
 std::int64_t Instance::MaxNullLabel() const {

@@ -24,16 +24,14 @@ namespace mm2::instance {
 // Cumulative per-relation index telemetry; the chase diffs aggregate
 // snapshots around a run and mirrors them into `index.*` obs counters.
 struct IndexStats {
-  std::uint64_t probes = 0;         // Probe() calls
-  std::uint64_t probe_hits = 0;     // tuples yielded by probes
-  std::uint64_t builds = 0;         // lazy index constructions
-  std::uint64_t indexed_tuples = 0; // tuples hashed at build time
+  std::uint64_t probes = 0;      // Probe() calls
+  std::uint64_t probe_hits = 0;  // tuples yielded by probes
+  std::uint64_t builds = 0;      // lazy index constructions
 
   IndexStats& operator+=(const IndexStats& other) {
     probes += other.probes;
     probe_hits += other.probe_hits;
     builds += other.builds;
-    indexed_tuples += other.indexed_tuples;
     return *this;
   }
 };
@@ -48,11 +46,6 @@ struct IndexStats {
 //    Insert/Erase/Clear. Buckets keep tuples in set (sorted) order, so
 //    index-backed evaluation enumerates matches in the same deterministic
 //    order a full scan would.
-//  - A monotonically bumped generation counter (every successful mutation).
-//  - An append-only insert log backing per-relation delta sets: a caller
-//    holds a Watermark() and later asks DeltaSince(watermark) for exactly
-//    the tuples inserted since. Erased tuples are tombstoned in the log, so
-//    watermarks stay stable. This is what makes the chase semi-naive.
 //  - At most one sealed run (segment.h): an immutable column-major copy of
 //    the extension in set order. PrepareSegments() builds it; the first
 //    successful mutation drops it, so a run that exists is always current.
@@ -60,9 +53,9 @@ struct IndexStats {
 //
 // Thread safety: mm2 spawns no threads, so these guarantees serve callers
 // that share one relation across their own threads. Concurrent const access
-// (Probe/DeltaSince/tuples) is safe — index lookups take a shared lock, and
-// only the first Probe of a new column set upgrades to an exclusive lock to
-// build. PrepareSegments takes the exclusive lock too, but must not race
+// (Probe/tuples) is safe — index lookups take a shared lock, and only the
+// first Probe of a new column set upgrades to an exclusive lock to build.
+// PrepareSegments takes the exclusive lock too, but must not race
 // SegmentProbePrefix readers. Mutation still requires external
 // synchronization, like the containers this wraps.
 class RelationInstance {
@@ -86,9 +79,11 @@ class RelationInstance {
 
   const std::set<Tuple>& tuples() const { return tuples_; }
 
-  // Inserts; returns true if the tuple was new. Dies on arity mismatch in
-  // debug builds; callers go through Instance::Insert for checked inserts.
-  bool Insert(Tuple tuple);
+  // Inserts; returns the new tuple's node, or nullptr when the tuple was
+  // already present. The node stays valid until the tuple is erased. Dies on
+  // arity mismatch in debug builds; callers go through Instance::Insert for
+  // checked inserts.
+  const Tuple* Insert(Tuple tuple);
   bool Contains(const Tuple& tuple) const { return tuples_.count(tuple) > 0; }
   bool Erase(const Tuple& tuple);
   void Clear();
@@ -97,16 +92,6 @@ class RelationInstance {
   // positions in [0, arity)), in set order; nullptr when none. The returned
   // pointer stays valid until the next mutation of this relation.
   const TupleRefs* Probe(const ColumnSet& cols, const Tuple& key) const;
-
-  // Bumped by every successful Insert/Erase/Clear.
-  std::uint64_t generation() const { return generation_; }
-
-  // Insert-log position; pass to DeltaSince later to see what arrived
-  // in between. Watermark 0 covers the whole extension.
-  std::size_t Watermark() const { return log_.size(); }
-  // Tuples inserted at or after `watermark` and still present, in
-  // insertion order.
-  TupleRefs DeltaSince(std::size_t watermark) const;
 
   IndexStats index_stats() const;
 
@@ -146,21 +131,18 @@ class RelationInstance {
     std::atomic<std::uint64_t> probes{0};
     std::atomic<std::uint64_t> probe_hits{0};
     std::atomic<std::uint64_t> builds{0};
-    std::atomic<std::uint64_t> indexed_tuples{0};
 
     IndexStats Load() const {
       IndexStats s;
       s.probes = probes.load(std::memory_order_relaxed);
       s.probe_hits = probe_hits.load(std::memory_order_relaxed);
       s.builds = builds.load(std::memory_order_relaxed);
-      s.indexed_tuples = indexed_tuples.load(std::memory_order_relaxed);
       return s;
     }
     void Store(const IndexStats& s) {
       probes.store(s.probes, std::memory_order_relaxed);
       probe_hits.store(s.probe_hits, std::memory_order_relaxed);
       builds.store(s.builds, std::memory_order_relaxed);
-      indexed_tuples.store(s.indexed_tuples, std::memory_order_relaxed);
     }
   };
 
@@ -216,16 +198,6 @@ class RelationInstance {
 
   std::size_t arity_ = 0;
   std::set<Tuple> tuples_;
-  std::uint64_t generation_ = 0;
-  // Insertion order of live tuples; erased entries become nullptr so
-  // caller-held watermark positions never shift.
-  std::vector<const Tuple*> log_;
-  // Node -> log slot, built lazily on the first Erase and maintained by
-  // later Inserts: repeated erases (the incremental-maintenance write
-  // pattern) tombstone in O(log) lookups instead of an O(|log|) scan.
-  // Erase-free relations never pay for it.
-  std::map<const Tuple*, std::size_t> log_pos_;
-  bool log_pos_tracked_ = false;
   // Readers (Probe lookups) share; index construction, sealing and
   // mutation-path maintenance take it exclusively.
   mutable std::shared_mutex index_mu_;
@@ -253,7 +225,7 @@ class Instance {
   bool HasRelation(std::string_view name) const;
 
   // Checked insert: relation must exist and the arity must match; rejects
-  // before any index or log is touched.
+  // before any index is touched.
   Status Insert(std::string_view relation, Tuple tuple);
   // Unchecked variant used by inner loops that already validated shape.
   // Debug-asserts existence and arity.
@@ -288,8 +260,6 @@ class Instance {
   SegmentOpStats SegmentStatsTotal() const;
   // Relations holding a current sealed run.
   SegmentShape SegmentShapeTotal() const;
-  // relation -> current insert-log watermark, for delta-tracking readers.
-  std::map<std::string, std::size_t, std::less<>> InsertWatermarks() const;
 
   // Exact equality: same relation names, same tuple sets.
   bool Equals(const Instance& other) const;

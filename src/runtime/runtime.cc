@@ -528,7 +528,7 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
       chase::ResumeChase(session.mapping, session.source,
                          Instance::EmptyFor(mapping.target()),
                          chase::Provenance{}, &session.state,
-                         /*net_change=*/nullptr,
+                         /*inserted=*/{}, /*net_change=*/nullptr,
                          SessionChaseOptions(session)));
   AdoptChaseResult(&session, std::move(chased));
   span.SetAttribute("target_tuples", session.target.TotalTuples());
@@ -585,16 +585,25 @@ Result<Delta> MaintainSession(ExchangeSession& session,
     fallback = JournalTouches(session.state.unification_witnesses, candidates);
   }
 
-  // Source insertions (idempotent: re-inserting a present tuple is a no-op
-  // and must not pollute the delta log the resumed chase reads).
+  // Source insertions, listed for the resumed chase as its deltas
+  // (idempotent: re-inserting a present tuple is a no-op and no delta).
+  chase::RunDeltas inserted;
   std::size_t source_inserts = 0;
   for (const auto& [name, rel] : source_delta.inserts.relations()) {
+    if (rel.empty()) continue;
+    if (!session.source.HasRelation(name)) {
+      session.source.DeclareRelation(name, rel.arity());
+    }
+    instance::RelationInstance* into = session.source.FindMutable(name);
     for (const Tuple& t : rel.tuples()) {
-      if (!session.source.HasRelation(name)) {
-        session.source.DeclareRelation(name, t.size());
+      if (t.size() != into->arity()) {
+        return Status::InvalidArgument(
+            "arity mismatch inserting into '" + name + "': got " +
+            std::to_string(t.size()) + ", want " +
+            std::to_string(into->arity()));
       }
-      const instance::RelationInstance* existing = session.source.Find(name);
-      if (existing != nullptr && existing->Contains(t)) continue;
+      const Tuple* node = into->Insert(t);
+      if (node == nullptr) continue;
       // The session's null counter must stay ahead of labels arriving via
       // the delta itself, or the resumed chase (which trusts the counter
       // instead of rescanning the instances) could re-invent one.
@@ -603,7 +612,7 @@ Result<Delta> MaintainSession(ExchangeSession& session,
           session.state.next_label = v.label() + 1;
         }
       }
-      MM2_RETURN_IF_ERROR(session.source.Insert(name, t));
+      inserted[into].push_back(node);
       ++source_inserts;
     }
   }
@@ -620,7 +629,7 @@ Result<Delta> MaintainSession(ExchangeSession& session,
         chase::ResumeChase(session.mapping, session.source,
                            Instance::EmptyFor(session.mapping.target()),
                            chase::Provenance{}, &session.state,
-                           /*net_change=*/nullptr,
+                           /*inserted=*/{}, /*net_change=*/nullptr,
                            SessionChaseOptions(session)));
     AdoptChaseResult(&session, std::move(chased));
     out.inserts = session.target.Minus(old_target);
@@ -628,9 +637,9 @@ Result<Delta> MaintainSession(ExchangeSession& session,
   } else {
     // Step 3: erase the over-estimate (seeding the net delta). Complete
     // provenance makes this a true deletion — nothing can re-derive an
-    // erased fact, so no rule re-pass is scoped. The resumed chase only
-    // matches insertions above the old watermarks (semi-naive deltas) and
-    // re-checks egds against them.
+    // erased fact, so no rule re-pass is scoped. The resumed chase matches
+    // only the source insertions and what they derive (semi-naive deltas),
+    // and re-checks egds against them.
     chase::FactDelta net;
     for (const chase::Fact& fact : candidates) {
       if (session.target.Erase(fact.relation, fact.tuple).ok()) {
@@ -642,7 +651,8 @@ Result<Delta> MaintainSession(ExchangeSession& session,
         chase::ResumeChase(session.mapping, session.source,
                            std::move(session.target),
                            std::move(session.provenance), &session.state,
-                           &net, SessionChaseOptions(session)));
+                           std::move(inserted), &net,
+                           SessionChaseOptions(session)));
     AdoptChaseResult(&session, std::move(chased));
     // Net counts collapse churn: a fact erased by DRed and re-derived (or
     // rewritten away and back by an egd) sums to zero and is not reported.

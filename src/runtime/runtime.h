@@ -235,13 +235,12 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
 // ---------------------------------------------------------------------------
 
 // A resumable exchange: the materialized target plus everything the chase
-// needs to maintain it under source deltas without starting over — the
-// semi-naive frontier (per-rule watermarks), the Skolem memo (so re-derived
-// facts reuse the nulls they already invented), derivation witnesses and
-// their support index (the DRed substrate for deletions), and the journal
-// of facts that justified
-// egd/SO-equality unifications (the cases incremental deletion cannot
-// unwind in place).
+// needs to maintain it under source deltas without starting over — which
+// rules have matched in full, the Skolem memo (so re-derived facts reuse
+// the nulls they already invented), derivation witnesses and their support
+// index (the DRed substrate for deletions), and the journal of facts that
+// justified egd/SO-equality unifications (the cases incremental deletion
+// cannot unwind in place). No delta position outlives a chase run.
 struct ExchangeSession {
   logic::Mapping mapping;
   // AnalyzeMapping(mapping), built once when the session opens and
@@ -251,7 +250,7 @@ struct ExchangeSession {
   instance::Instance source;       // current source; deltas applied in place
   instance::Instance target;       // maintained canonical universal solution
   chase::Provenance provenance;    // witnesses plus the support index
-  chase::ChaseSessionState state;  // watermarks, skolem memo, journal
+  chase::ChaseSessionState state;  // matched rules, skolem memo, journal
   ExchangeOptions options;         // budgets and collector reused per maintain
   chase::ChaseStats last_stats;    // stats of the most recent (re)chase
   // Set when the most recent run stopped on a budget breach or cancel; the
@@ -275,9 +274,10 @@ Result<ExchangeSession> BeginExchangeSession(const logic::Mapping& mapping,
 // Applies a source delta to the session and maintains the target, returning
 // the induced target delta (what changed in the materialized solution).
 //
-// Insertions ride the semi-naive frontier: new source tuples land above the
-// per-rule watermarks, so the resumed chase re-matches only assignments
-// that bind at least one new tuple. Deletions prune recorded witnesses via
+// Insertions ride the semi-naive deltas: the source tuples a maintain
+// inserts (present ones are skipped) seed the resumed chase's delta lists,
+// so it matches only assignments that bind at least one new tuple or a
+// fact the run derives. Deletions prune recorded witnesses via
 // the session's source->target support index, visiting only facts the dead
 // tuples actually support — O(|delta| * fanout), never O(|target|). Session
 // provenance is complete (the chase books a witness for probe-satisfied

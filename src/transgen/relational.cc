@@ -185,8 +185,13 @@ Result<instance::Instance> ExecuteCompiledMapping(
       }
       MM2_ASSIGN_OR_RETURN(std::vector<instance::Tuple> rows,
                            chase::AllAnswers(query, source));
-      for (instance::Tuple& row : rows) {
-        MM2_RETURN_IF_ERROR(target.Insert(head.relation, std::move(row)));
+      if (rows.empty()) continue;
+      // The first row takes the checked insert, which refuses a missing
+      // relation or a mismatched arity; the rest have the same shape.
+      MM2_RETURN_IF_ERROR(target.Insert(head.relation, std::move(rows[0])));
+      instance::RelationInstance* rel = target.FindMutable(head.relation);
+      for (std::size_t i = 1; i < rows.size(); ++i) {
+        rel->Insert(std::move(rows[i]));
       }
     }
   }

@@ -71,8 +71,9 @@ TEST(ValueTest, HashAgreesWithEquality) {
 
 TEST(RelationInstanceTest, SetSemantics) {
   RelationInstance rel(2);
-  EXPECT_TRUE(rel.Insert({Value::Int64(1), Value::String("a")}));
-  EXPECT_FALSE(rel.Insert({Value::Int64(1), Value::String("a")}));
+  const Tuple* node = rel.Insert({Value::Int64(1), Value::String("a")});
+  EXPECT_EQ(node, &*rel.tuples().begin());  // the stored tuple's node
+  EXPECT_EQ(rel.Insert({Value::Int64(1), Value::String("a")}), nullptr);
   EXPECT_EQ(rel.size(), 1u);
   EXPECT_TRUE(rel.Contains({Value::Int64(1), Value::String("a")}));
   EXPECT_TRUE(rel.Erase({Value::Int64(1), Value::String("a")}));
@@ -134,64 +135,17 @@ TEST(RelationInstanceTest, IndexMaintainedAcrossMutations) {
   EXPECT_EQ(stats.probe_hits, 4u);  // 1 + 2 + 1 + 0 tuples yielded
 }
 
-TEST(RelationInstanceTest, GenerationBumpsOnMutationOnly) {
-  RelationInstance rel(1);
-  std::uint64_t g0 = rel.generation();
-  rel.Insert({Value::Int64(1)});
-  std::uint64_t g1 = rel.generation();
-  EXPECT_GT(g1, g0);
-  rel.Insert({Value::Int64(1)});  // duplicate: no state change
-  EXPECT_EQ(rel.generation(), g1);
-  rel.Erase({Value::Int64(2)});  // miss: no state change
-  EXPECT_EQ(rel.generation(), g1);
-  rel.Probe({0}, {Value::Int64(1)});  // reads never bump
-  EXPECT_EQ(rel.generation(), g1);
-  rel.Erase({Value::Int64(1)});
-  EXPECT_GT(rel.generation(), g1);
-}
-
-TEST(RelationInstanceTest, DeltaSinceTracksInsertsAndTombstonesErases) {
-  RelationInstance rel(1);
-  rel.Insert({Value::Int64(1)});
-  std::size_t mark = rel.Watermark();
-  EXPECT_TRUE(rel.DeltaSince(mark).empty());
-
-  rel.Insert({Value::Int64(2)});
-  rel.Insert({Value::Int64(3)});
-  RelationInstance::TupleRefs delta = rel.DeltaSince(mark);
-  ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ((*delta[0])[0], Value::Int64(2));
-  EXPECT_EQ((*delta[1])[0], Value::Int64(3));
-
-  // Erasing a delta tuple tombstones its log entry without shifting the
-  // watermark positions other readers hold.
-  rel.Erase({Value::Int64(2)});
-  delta = rel.DeltaSince(mark);
-  ASSERT_EQ(delta.size(), 1u);
-  EXPECT_EQ((*delta[0])[0], Value::Int64(3));
-
-  // Re-inserting appends a fresh log entry: visible as new delta.
-  std::size_t mark2 = rel.Watermark();
-  rel.Insert({Value::Int64(2)});
-  ASSERT_EQ(rel.DeltaSince(mark2).size(), 1u);
-  // Watermark 0 covers the whole extension.
-  EXPECT_EQ(rel.DeltaSince(0).size(), rel.size());
-}
-
 TEST(RelationInstanceTest, CopyAndMoveKeepStorageCoherent) {
   RelationInstance rel(2);
   rel.Insert({Value::Int64(1), Value::Int64(10)});
   rel.Insert({Value::Int64(2), Value::Int64(20)});
-  std::size_t mark = rel.Watermark();
   rel.Insert({Value::Int64(3), Value::Int64(30)});
   ASSERT_NE(rel.Probe({0}, {Value::Int64(1)}), nullptr);
 
-  // Copies rebuild over their own set nodes: same contents, same delta
-  // view, independent mutations.
+  // Copies rebuild over their own set nodes: same contents, independent
+  // mutations.
   RelationInstance copy = rel;
   EXPECT_EQ(copy.size(), 3u);
-  ASSERT_EQ(copy.DeltaSince(mark).size(), 1u);
-  EXPECT_EQ((*copy.DeltaSince(mark)[0])[0], Value::Int64(3));
   const RelationInstance::TupleRefs* hits =
       copy.Probe({0}, {Value::Int64(2)});
   ASSERT_NE(hits, nullptr);
@@ -205,7 +159,6 @@ TEST(RelationInstanceTest, CopyAndMoveKeepStorageCoherent) {
   hits = moved.Probe({0}, {Value::Int64(3)});
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ(hits->size(), 1u);
-  EXPECT_EQ(moved.DeltaSince(mark).size(), 1u);
 }
 
 TEST(RelationInstanceTest, ConcurrentProbesAreSafe) {
@@ -234,13 +187,11 @@ TEST(RelationInstanceTest, ConcurrentProbesAreSafe) {
 
 TEST(InstanceTest, InsertRejectsArityMismatchBeforeTouchingStorage) {
   // Regression: a mis-shaped tuple used to slip through into the extension;
-  // now Insert rejects it before any index or log entry exists.
+  // now Insert rejects it before any index entry exists.
   Instance db;
   db.DeclareRelation("R", 2);
   ASSERT_TRUE(db.Insert("R", {Value::Int64(1), Value::Int64(2)}).ok());
   const RelationInstance* rel = db.Find("R");
-  std::size_t mark = rel->Watermark();
-  std::uint64_t gen = rel->generation();
 
   EXPECT_EQ(db.Insert("R", {Value::Int64(7)}).code(),
             StatusCode::kInvalidArgument);
@@ -249,9 +200,6 @@ TEST(InstanceTest, InsertRejectsArityMismatchBeforeTouchingStorage) {
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(rel->size(), 1u);
-  EXPECT_EQ(rel->Watermark(), mark);
-  EXPECT_EQ(rel->generation(), gen);
-  EXPECT_TRUE(rel->DeltaSince(mark).empty());
 }
 
 #ifndef NDEBUG
@@ -275,10 +223,6 @@ TEST(InstanceTest, IndexStatsTotalSumsRelations) {
   EXPECT_EQ(total.probes, 3u);
   EXPECT_EQ(total.probe_hits, 2u);
   EXPECT_EQ(total.builds, 2u);
-
-  auto marks = db.InsertWatermarks();
-  EXPECT_EQ(marks.at("R"), db.Find("R")->Watermark());
-  EXPECT_EQ(marks.at("S"), db.Find("S")->Watermark());
 }
 
 TEST(InstanceTest, CheckedInsertValidatesShape) {
