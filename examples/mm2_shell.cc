@@ -240,19 +240,7 @@ int main() {
         std::cout << query.status() << "\n";
         continue;
       }
-      // Query matching probes the instance's on-demand indexes; mirror the
-      // probe traffic into the same `index.*` counters the chase feeds, so
-      // `stats`/`explain` attribute it.
-      mm2::instance::IndexStats probes0 = db->IndexStatsTotal();
       auto answers = mm2::rewrite::AnswerOnSource(*mapping, *query, *db);
-      mm2::instance::IndexStats probes1 = db->IndexStatsTotal();
-      mm2::obs::MetricsRegistry& metrics = engine.observability().metrics;
-      metrics.GetCounter("index.probes")
-          .Increment(probes1.probes - probes0.probes);
-      metrics.GetCounter("index.probe_hits")
-          .Increment(probes1.probe_hits - probes0.probe_hits);
-      metrics.GetCounter("index.builds")
-          .Increment(probes1.builds - probes0.builds);
       if (!answers.ok()) {
         std::cout << answers.status() << "\n";
         continue;

@@ -28,8 +28,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   BUILD_DIR="${BUILD_DIR_TSAN:-build-tsan}"
   # mm2 runs every call on its caller's thread; these suites cover the
   # state a caller may share across its own threads. RelationInstance /
-  # InstanceTest exercise the index/delta machinery (concurrent-probe
-  # test, naive-vs-indexed differential sweep). InternPool / ValueIntern
+  # InstanceTest exercise the lazy hash indexes (concurrent-probe test,
+  # naive-vs-indexed differential sweep). SharedReadTest runs chases and
+  # certain-answer queries over one shared const source, plain and sealed,
+  # each counting only its own reads. InternPool / ValueIntern
   # cover the sharded string pool: racing Intern() calls and lock-free
   # Get()s from freshly published chunks.
   # EventLog/CancelToken/Watchdog join the filter: the event log's ring
@@ -46,7 +48,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # Erase/Insert churn, which drops the run and maintains the lazily built
   # hash indexes under the same index_mu_, and the chase run's own delta
   # lists, which an egd unification rewrites.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|AnalysisTest|WatchdogForesight|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|MaintainDRed|IncrementalSweep|SealPoint|RunDelta"
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|SharedReadTest|InternPool|ValueIntern|AnalysisTest|WatchdogForesight|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|MaintainDRed|IncrementalSweep|SealPoint|RunDelta"
 fi
 
 # Every gate appends its temp files here; one EXIT trap removes them all

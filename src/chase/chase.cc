@@ -24,55 +24,76 @@ using logic::Term;
 
 namespace {
 
-// Tries to extend `assignment` so that `atom` maps onto `tuple`.
-// `newly_bound` collects pointers into the atom's term names (stable for
-// the duration of the match), so the per-descend unbind loop never copies
-// variable-name strings.
-bool MatchTuple(const Atom& atom, const Tuple& tuple, Assignment* assignment,
-                std::vector<const std::string*>* newly_bound) {
-  if (atom.terms.size() != tuple.size()) return false;
-  for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& term = atom.terms[i];
-    switch (term.kind()) {
-      case Term::Kind::kConstant:
-        if (!(term.value() == tuple[i])) return false;
-        break;
-      case Term::Kind::kVariable: {
-        auto it = assignment->find(term.name());
-        if (it != assignment->end()) {
-          if (!(it->second == tuple[i])) return false;
-        } else {
-          assignment->emplace(term.name(), tuple[i]);
-          newly_bound->push_back(&term.name());
-        }
-        break;
-      }
-      case Term::Kind::kFunction:
-        return false;  // function terms never occur in matchable bodies
-    }
-  }
-  return true;
-}
+// The naive oracle's nested loops: atoms in the order given, each a walk of
+// its relation's set, binding the slots of `frame` that `bound` does not
+// flag. Appends the first `stride` values of each match's frame to `*rows`,
+// stopping after `limit` matches (0 = all).
+struct NaiveMatch {
+  const std::vector<Atom>& atoms;
+  const SlotMap& slots;
+  const Instance& database;
+  Value* frame;
+  std::vector<char> bound;  // per slot
+  std::size_t stride;
+  std::vector<Value>* rows;
+  std::size_t limit;
+  std::size_t count = 0;
 
-void MatchAtomsNaiveRec(const std::vector<Atom>& atoms, std::size_t index,
-                        const Instance& database, Assignment* assignment,
-                        std::vector<Assignment>* out, std::size_t limit) {
-  if (limit != 0 && out->size() >= limit) return;
-  if (index == atoms.size()) {
-    out->push_back(*assignment);
-    return;
-  }
-  const Atom& atom = atoms[index];
-  const instance::RelationInstance* rel = database.Find(atom.relation);
-  if (rel == nullptr) return;
-  for (const Tuple& tuple : rel->tuples()) {
-    std::vector<const std::string*> newly_bound;
-    if (MatchTuple(atom, tuple, assignment, &newly_bound)) {
-      MatchAtomsNaiveRec(atoms, index + 1, database, assignment, out, limit);
+  // Binds `atom` onto `tuple`: constants must match, bound slots must
+  // agree, and unbound slots take the tuple's value (listed in
+  // `newly_bound`). Function terms never match.
+  bool Bind(const Atom& atom, const Tuple& tuple,
+            std::vector<Slot>* newly_bound) {
+    if (atom.terms.size() != tuple.size()) return false;
+    for (std::size_t i = 0; i < tuple.size(); ++i) {
+      const Term& term = atom.terms[i];
+      if (term.is_constant()) {
+        if (!(term.value() == tuple[i])) return false;
+        continue;
+      }
+      const Slot slot = term.is_variable() ? slots.Find(term.name()) : kNoSlot;
+      if (slot == kNoSlot) return false;
+      if (bound[slot]) {
+        if (!(frame[slot] == tuple[i])) return false;
+      } else {
+        frame[slot] = tuple[i];
+        bound[slot] = 1;
+        newly_bound->push_back(slot);
+      }
     }
-    for (const std::string* v : newly_bound) assignment->erase(*v);
-    if (limit != 0 && out->size() >= limit) return;
+    return true;
   }
+
+  void Rec(std::size_t index) {
+    if (index == atoms.size()) {
+      rows->insert(rows->end(), frame, frame + stride);
+      ++count;
+      return;
+    }
+    const instance::RelationInstance* rel =
+        database.Find(atoms[index].relation);
+    if (rel == nullptr) return;
+    std::vector<Slot> newly_bound;
+    for (const Tuple& tuple : rel->tuples()) {
+      if (Bind(atoms[index], tuple, &newly_bound)) Rec(index + 1);
+      for (Slot slot : newly_bound) bound[slot] = 0;
+      newly_bound.clear();
+      if (limit != 0 && count >= limit) return;
+    }
+  }
+};
+
+// Runs the oracle over `atoms` with slots [0, inputs) of `frame` bound and
+// returns the match count.
+std::size_t MatchNaive(const std::vector<Atom>& atoms, const SlotMap& slots,
+                       Slot inputs, const Instance& database, Value* frame,
+                       std::size_t stride, std::vector<Value>* rows,
+                       std::size_t limit) {
+  NaiveMatch match{atoms, slots, database, frame,
+                   std::vector<char>(slots.size(), 0), stride, rows, limit};
+  std::fill_n(match.bound.begin(), inputs, 1);
+  match.Rec(0);
+  return match.count;
 }
 
 // Every variable of `atoms` (function arguments included), one slot each in
@@ -89,60 +110,51 @@ SlotMap SlotsOf(const std::vector<Atom>& atoms) {
 // certain-answer queries and homomorphism tests. Returns the match count;
 // `*rows` holds that many frames of `slots.size()` values.
 std::size_t RunQueryPlan(const std::vector<Atom>& atoms, const SlotMap& slots,
-                         const Instance& database, bool any_order,
-                         std::size_t limit, std::vector<Value>* rows) {
+                         const Instance& database, std::size_t limit,
+                         std::vector<Value>* rows) {
   MatchPlan plan(atoms, slots, /*inputs=*/0);
   std::vector<Value> frame(slots.size());
   MatchPlan::Request request;
   request.db = &database;
-  request.any_order = any_order;
   return plan.Run(request, frame.data(), rows, limit);
 }
 
 }  // namespace
 
-std::vector<Assignment> MatchAtoms(const std::vector<Atom>& atoms,
-                                   const Instance& database,
-                                   std::size_t limit) {
-  const SlotMap slots = SlotsOf(atoms);
-  std::vector<Value> rows;
-  const std::size_t count = RunQueryPlan(atoms, slots, database,
-                                         /*any_order=*/false, limit, &rows);
-  // Frames become Assignments only here, at the public boundary.
-  std::vector<Assignment> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Value* row = rows.data() + i * slots.size();
-    for (Slot s = 0; s < slots.size(); ++s) {
-      out[i].emplace_hint(out[i].end(), slots.name(s), row[s]);
-    }
-  }
+Matches MatchAtoms(const std::vector<Atom>& atoms, const Instance& database,
+                   std::size_t limit) {
+  Matches out;
+  out.slots = SlotsOf(atoms);
+  out.count = RunQueryPlan(atoms, out.slots, database, limit, &out.rows);
   return out;
 }
 
-std::vector<Assignment> MatchAtomsNaive(const std::vector<Atom>& atoms,
-                                        const Instance& database,
-                                        std::size_t limit) {
-  std::vector<Assignment> out;
-  Assignment assignment;
-  MatchAtomsNaiveRec(atoms, 0, database, &assignment, &out, limit);
+Matches MatchAtomsNaive(const std::vector<Atom>& atoms,
+                        const Instance& database, std::size_t limit) {
+  Matches out;
+  out.slots = SlotsOf(atoms);
+  std::vector<Value> frame(out.slots.size());
+  out.count = MatchNaive(atoms, out.slots, /*inputs=*/0, database,
+                         frame.data(), out.slots.size(), &out.rows, limit);
   return out;
 }
 
 std::optional<logic::Term> GroundTerm(const logic::Term& term,
-                                      const Assignment& assignment) {
+                                      const SlotMap& slots,
+                                      const Value* frame) {
   switch (term.kind()) {
     case logic::Term::Kind::kConstant:
       return term;
     case logic::Term::Kind::kVariable: {
-      auto it = assignment.find(term.name());
-      if (it == assignment.end()) return std::nullopt;
-      return logic::Term::Const(it->second);
+      const Slot slot = slots.Find(term.name());
+      if (slot == kNoSlot) return std::nullopt;
+      return logic::Term::Const(frame[slot]);
     }
     case logic::Term::Kind::kFunction: {
       std::vector<logic::Term> args;
       args.reserve(term.args().size());
       for (const logic::Term& arg : term.args()) {
-        std::optional<logic::Term> g = GroundTerm(arg, assignment);
+        std::optional<logic::Term> g = GroundTerm(arg, slots, frame);
         if (!g.has_value()) return std::nullopt;
         args.push_back(std::move(*g));
       }
@@ -232,10 +244,6 @@ class ChaseRun {
       g_round_us = &m.GetGauge("chase.progress.round_us");
       g_rss = &m.GetGauge("chase.progress.rss_kb");
     }
-    instance::IndexStats storage0 = target_.IndexStatsTotal();
-    if (source_ != nullptr) storage0 += source_->IndexStatsTotal();
-    instance::SegmentOpStats seg0 = target_.SegmentStatsTotal();
-    if (source_ != nullptr) seg0 += source_->SegmentStatsTotal();
     // Only a chase from an empty frontier seals its result on publish. A
     // resumed maintenance pass stays delta-sized: sealing would cost
     // O(|target|), so its readers take the set paths.
@@ -250,12 +258,11 @@ class ChaseRun {
     // (labels smuggled in via source deltas included), so it skips the
     // O(|instance|) max-label sweep that would dominate a delta-sized pass.
     if (session_ != nullptr && session_->initialized) {
-      next_label_ = std::max(options_.first_null_label, session_->next_label);
+      next_label_ = session_->next_label;
     } else {
       const std::int64_t source_max =
           source_ == nullptr ? -1 : source_->MaxNullLabel();
-      next_label_ = std::max(options_.first_null_label,
-                             std::max(source_max, target_.MaxNullLabel()) + 1);
+      next_label_ = std::max(source_max, target_.MaxNullLabel()) + 1;
     }
     // A resumed run continues the previous call's fixpoint: every rule
     // already matched in full, so it matches only against its deltas, which
@@ -263,8 +270,8 @@ class ChaseRun {
     // the nulls they already invented. A rule-count mismatch means the
     // session was captured for a different rule set — start fresh instead.
     if (session_ != nullptr && session_->initialized &&
-        session_->matched_once.size() == stats_.rules.size()) {
-      matched_once_ = session_->matched_once;
+        session_->rules == stats_.rules.size()) {
+      matched_once_.assign(stats_.rules.size(), true);
       skolem_ = std::move(session_->skolem);
     } else {
       matched_once_.assign(stats_.rules.size(), false);
@@ -474,24 +481,20 @@ class ChaseRun {
       // The finished result is read, not chased: one seal gives its
       // readers the sorted run (prefix ranges, columnar scans).
       obs::ObsSpan seal_span(options_.obs, "chase.seal");
-      target_.PrepareAllSegments();
+      target_.PrepareAllSegments(&stats_.segment);
     }
     // Re-export the resume state. A breached run stopped mid-fixpoint, so
-    // its frontier is not a safe resume point — invalidate instead.
+    // its frontier is not a safe resume point — invalidate instead. A run
+    // that reached its fixpoint matched every rule in full.
     if (session_ != nullptr) {
-      session_->matched_once = matched_once_;
+      session_->rules = stats_.rules.size();
       session_->skolem = std::move(skolem_);
       session_->next_label = next_label_;
       session_->initialized = !breach_.has_value();
     }
-    instance::IndexStats storage1 = target_.IndexStatsTotal();
-    if (source_ != nullptr) storage1 += source_->IndexStatsTotal();
-    stats_.index_probes = storage1.probes - storage0.probes;
-    stats_.index_probe_hits = storage1.probe_hits - storage0.probe_hits;
-    stats_.index_builds = storage1.builds - storage0.builds;
-    instance::SegmentOpStats seg1 = target_.SegmentStatsTotal();
-    if (source_ != nullptr) seg1 += source_->SegmentStatsTotal();
-    stats_.segment = seg1 - seg0;
+    stats_.index_probes = index_stats_.probes;
+    stats_.index_probe_hits = index_stats_.probe_hits;
+    stats_.index_builds = index_stats_.builds;
     stats_.segment_shape = target_.SegmentShapeTotal();
     if (source_ != nullptr) stats_.segment_shape += source_->SegmentShapeTotal();
     span.SetAttribute("segment_seals", stats_.segment.seals);
@@ -507,6 +510,17 @@ class ChaseRun {
   Value FreshNull() {
     ++stats_.nulls_created;
     return Value::LabeledNull(next_label_++);
+  }
+
+  // A match request over `db` whose reads count into this run's stats.
+  MatchPlan::Request ReadRequest(const Instance* db,
+                                 const obs::CancelToken* cancel) {
+    MatchPlan::Request request;
+    request.db = db;
+    request.cancel = cancel;
+    request.index_stats = &index_stats_;
+    request.segment_stats = &stats_.segment;
+    return request;
   }
 
   // One constraint compiled for the run (see plan.h). Body variables take
@@ -612,24 +626,17 @@ class ChaseRun {
     out.stride = plan.body_slots;
     out.positions = Ends(plan);
     if (options_.naive) {
-      // The oracle matches into Assignments; they become frames here, so
-      // firing has one code path.
-      for (const Assignment& a : MatchAtomsNaive(atoms, *plan.db)) {
-        for (Slot s = 0; s < plan.body_slots; ++s) {
-          out.rows.push_back(a.at(plan.slots.name(s)));
-        }
-        ++out.count;
-      }
+      frame_.resize(plan.body_slots);
+      out.count = MatchNaive(atoms, plan.slots, /*inputs=*/0, *plan.db,
+                             frame_.data(), plan.body_slots, &out.rows, 0);
     } else if (matched_once_[rule_index]) {
       std::size_t consumed = MatchDelta(plan, positions_[rule_index], &out);
       stats_.delta_tuples += consumed;
       if (consumed == 0) ++stats_.delta_skips;
     } else {
       frame_.resize(plan.body_slots);
-      MatchPlan::Request request;
-      request.db = plan.db;
-      request.cancel = watch_token_;
-      out.count = plan.body.Run(request, frame_.data(), &out.rows);
+      out.count = plan.body.Run(ReadRequest(plan.db, watch_token_),
+                                frame_.data(), &out.rows);
       // The first full pass consumes the whole extension as its delta.
       for (const RunDeltas::value_type* read : plan.reads) {
         if (read != nullptr) stats_.delta_tuples += read->first->size();
@@ -644,8 +651,8 @@ class ChaseRun {
   // position. One pass per body-atom position — that atom enumerates its
   // relation's delta (in arrival order, skipping erased entries) while the
   // rest probe as usual. Sorting the frames and dropping duplicates (a match
-  // can touch two delta tuples) yields exactly the std::set<Assignment>
-  // order, because slots follow variable-name order. Returns the delta
+  // can touch two delta tuples) yields the order of a set of name-keyed
+  // assignments, because slots follow variable-name order. Returns the delta
   // sizes consumed (per distinct body relation); zero means the caller
   // could have skipped.
   std::size_t MatchDelta(RulePlan& plan,
@@ -663,9 +670,7 @@ class ChaseRun {
       consumed += deltas[i].size();
     }
     frame_.resize(plan.body_slots);
-    MatchPlan::Request request;
-    request.db = plan.db;
-    request.cancel = watch_token_;
+    MatchPlan::Request request = ReadRequest(plan.db, watch_token_);
     for (std::size_t i = 0; i < atoms.size(); ++i) {
       const instance::RelationInstance::TupleRefs& delta =
           deltas[plan.first_of_relation[i]];
@@ -934,27 +939,17 @@ class ChaseRun {
 
   // Restricted-chase satisfaction probe: looks for an extension of the
   // body frame in frame_ that covers the head atoms in the target, and
-  // leaves it in probe_rows_.
+  // leaves it in probe_rows_. It never polls the stop token: a probe cut
+  // short would read as unsatisfied and fire a satisfied trigger.
   bool HeadSatisfied(RulePlan& plan) {
     probe_rows_.clear();
     if (options_.naive) {
-      Assignment probe;
-      for (Slot s = 0; s < plan.body_slots; ++s) {
-        probe.emplace(plan.slots.name(s), frame_[s]);
-      }
-      std::vector<Assignment> extension;
-      MatchAtomsNaiveRec(*plan.head_atoms, 0, target_, &probe, &extension, 1);
-      if (extension.empty()) return false;
-      for (Slot s = 0; s < plan.slots.size(); ++s) {
-        auto it = extension.front().find(plan.slots.name(s));
-        probe_rows_.push_back(it == extension.front().end() ? Value()
-                                                            : it->second);
-      }
-      return true;
+      return MatchNaive(*plan.head_atoms, plan.slots, plan.body_slots,
+                        target_, frame_.data(), plan.slots.size(),
+                        &probe_rows_, 1) > 0;
     }
-    MatchPlan::Request request;
-    request.db = &target_;
-    return plan.head_probe.Run(request, frame_.data(), &probe_rows_, 1) > 0;
+    return plan.head_probe.Run(ReadRequest(&target_, nullptr), frame_.data(),
+                               &probe_rows_, 1) > 0;
   }
 
   Result<bool> FireTgd(const logic::Tgd& tgd, std::size_t rule_index) {
@@ -1023,20 +1018,41 @@ class ChaseRun {
 
   // Equates two values: a labeled null is rewritten to the other value
   // everywhere (preferring to keep constants); two distinct constants are
-  // an inconsistency.
+  // an inconsistency. A merge can collapse two Skolem entries onto one key
+  // with different values; those two values are queued and merged only
+  // after the current merge has rewritten everything, each resolved first
+  // through the merges made so far.
   Status UnifyValues(const Value& a, const Value& b) {
-    Value from;
-    Value to;
-    if (a.is_labeled_null()) {
-      from = a;
-      to = b;
-    } else if (b.is_labeled_null()) {
-      from = b;
-      to = a;
-    } else {
-      return Status::Inconsistent("egd forces distinct constants equal: " +
-                                  a.ToString() + " = " + b.ToString());
+    std::vector<std::pair<Value, Value>> pending = {{a, b}};
+    std::map<Value, Value> merged;  // null -> the value it became
+    auto resolve = [&merged](Value v) {
+      for (auto it = merged.find(v); it != merged.end(); it = merged.find(v)) {
+        v = it->second;
+      }
+      return v;
+    };
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      const Value x = resolve(pending[k].first);
+      const Value y = resolve(pending[k].second);
+      if (x == y) continue;
+      if (!x.is_labeled_null() && !y.is_labeled_null()) {
+        return Status::Inconsistent("egd forces distinct constants equal: " +
+                                    x.ToString() + " = " + y.ToString());
+      }
+      const Value& from = x.is_labeled_null() ? x : y;
+      const Value& to = x.is_labeled_null() ? y : x;
+      MergeNull(from, to, &pending);
+      merged.emplace(from, to);
     }
+    return Status::OK();
+  }
+
+  // Rewrites the labeled null `from` to `to` in the target, the Skolem
+  // table, the provenance and the unification journal. Skolem entries that
+  // collapse onto one key with different values keep the first and queue
+  // the pair on `*collisions`.
+  void MergeNull(const Value& from, const Value& to,
+                 std::vector<std::pair<Value, Value>>* collisions) {
     ++stats_.egd_unifications;
     // Rewrite every relation extension of the target (nulls only ever
     // live there).
@@ -1087,15 +1103,11 @@ class ChaseRun {
       for (Value& v : new_key.second) {
         if (v == from) v = to;
       }
-      Value new_value = (value == from) ? to : value;
-      auto it = new_skolem.find(new_key);
-      if (it != new_skolem.end() && !(it->second == new_value)) {
-        // Two entries collapse to the same key with different values:
-        // unify those too (recursion depth bounded by #nulls).
-        MM2_RETURN_IF_ERROR(UnifyValues(it->second, new_value));
-        return Status::OK();
+      const Value new_value = (value == from) ? to : value;
+      auto [it, fresh] = new_skolem.try_emplace(std::move(new_key), new_value);
+      if (!fresh && !(it->second == new_value)) {
+        collisions->emplace_back(it->second, new_value);
       }
-      new_skolem.emplace(std::move(new_key), std::move(new_value));
     }
     skolem_ = std::move(new_skolem);
     if (options_.track_provenance) provenance_.RewriteValue(from, to);
@@ -1110,7 +1122,6 @@ class ChaseRun {
         }
       }
     }
-    return Status::OK();
   }
 
   // Books a budget breach and trips the shared stop token, so in-flight
@@ -1177,6 +1188,8 @@ class ChaseRun {
   Instance target_;
   const ChaseOptions& options_;
   ChaseStats stats_;
+  // The run's hash-index reads; copied into stats_ when the run ends.
+  instance::IndexStats index_stats_;
   Provenance provenance_;
   std::int64_t next_label_ = 0;
   std::map<std::pair<std::string, std::vector<Value>>, Value> skolem_;
@@ -1446,16 +1459,14 @@ Result<ChaseResult> ChaseInstance(const std::vector<logic::Tgd>& tgds,
 namespace {
 
 // Evaluates a conjunctive query's body through one compiled plan and
-// projects every match onto the head. Answers land in a set, so the plan
-// may scan a sealed run's columns instead of walking the set. `certain`
+// projects every match onto the head, sorted and deduplicated. `certain`
 // drops rows carrying a labeled null.
 Result<std::vector<Tuple>> Answers(const logic::ConjunctiveQuery& query,
                                    const Instance& database, bool certain) {
   MM2_RETURN_IF_ERROR(query.Validate());
   const SlotMap slots = SlotsOf(query.body);
   std::vector<Value> rows;
-  const std::size_t count = RunQueryPlan(query.body, slots, database,
-                                         /*any_order=*/true, 0, &rows);
+  const std::size_t count = RunQueryPlan(query.body, slots, database, 0, &rows);
   std::vector<PlanTerm> head;
   for (const Term& t : query.head.terms) head.push_back(CompileTerm(t, slots));
   std::set<Tuple> answers;
@@ -1524,8 +1535,7 @@ bool ExistsHomomorphism(const Instance& from, const Instance& to) {
   const std::vector<Atom> atoms = InstanceAsAtoms(from);
   const SlotMap slots = SlotsOf(atoms);
   std::vector<Value> rows;
-  return RunQueryPlan(atoms, slots, to, /*any_order=*/true, /*limit=*/1,
-                      &rows) > 0;
+  return RunQueryPlan(atoms, slots, to, /*limit=*/1, &rows) > 0;
 }
 
 instance::Instance ComputeCore(const Instance& database, obs::Context* obs,

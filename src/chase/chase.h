@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "chase/plan.h"
 #include "chase/provenance.h"
 #include "common/status.h"
 #include "instance/instance.h"
@@ -28,8 +29,18 @@ struct MappingAnalysis;
 
 namespace mm2::chase {
 
-// A variable assignment produced by matching atoms against an instance.
-using Assignment = std::map<std::string, instance::Value>;
+// The matches of a conjunctive atom list: `count` frames of slots.size()
+// values, one per match, each slot holding the value its variable (named by
+// `slots`) took.
+struct Matches {
+  SlotMap slots;
+  std::vector<instance::Value> rows;
+  std::size_t count = 0;
+
+  const instance::Value* row(std::size_t i) const {
+    return rows.data() + i * slots.size();
+  }
+};
 
 // Finds every assignment of the variables in `atoms` such that each atom's
 // image is a tuple of `database`. Constants in atoms must match exactly;
@@ -41,32 +52,30 @@ using Assignment = std::map<std::string, instance::Value>;
 // most-bound-first, each depth reading the relation through the access path
 // its bound columns allow (sorted-prefix ranges, an ordered range over a
 // bound leading column, a constant-checking scan, or the hash index) in set
-// order. Matches become Assignments only on return.
-std::vector<Assignment> MatchAtoms(const std::vector<logic::Atom>& atoms,
-                                   const instance::Instance& database,
-                                   std::size_t limit = 0);
+// order. Every variable (function arguments included) has a slot, in name
+// order.
+Matches MatchAtoms(const std::vector<logic::Atom>& atoms,
+                   const instance::Instance& database, std::size_t limit = 0);
 
-// The original nested-loop matcher, kept verbatim as the differential-
-// testing oracle (`ChaseOptions::naive` routes the whole chase through it).
-// Same contract as MatchAtoms; never touches indexes.
-std::vector<Assignment> MatchAtomsNaive(const std::vector<logic::Atom>& atoms,
-                                        const instance::Instance& database,
-                                        std::size_t limit = 0);
+// The original nested-loop matcher, kept as the differential-testing oracle
+// (`ChaseOptions::naive` routes the whole chase through it): atoms in the
+// order given, each a walk of its relation's set. Same contract and slots
+// as MatchAtoms; never touches indexes or runs.
+Matches MatchAtomsNaive(const std::vector<logic::Atom>& atoms,
+                        const instance::Instance& database,
+                        std::size_t limit = 0);
 
-// A term under an assignment: a value, or a ground Skolem term (an
+// A term under a match frame: a value, or a ground Skolem term (an
 // unknown existential; ground Skolem terms compare structurally). Nullopt
-// when a variable is unassigned.
+// when a variable has no slot.
 std::optional<logic::Term> GroundTerm(const logic::Term& term,
-                                      const Assignment& assignment);
+                                      const SlotMap& slots,
+                                      const instance::Value* frame);
 
 struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
   // engine generates are weakly acyclic, so this is a safety net).
   std::size_t max_rounds = 10000;
-  // First label to use for invented nulls. A run also starts above every
-  // label in its source and target (an O(|instance|) sweep), or, resuming
-  // an initialized session, at the session's next label without the sweep.
-  std::int64_t first_null_label = 0;
   // Record why-provenance for every derived fact.
   bool track_provenance = false;
   // Refuse (Unsupported) first-order rule sets that are not weakly
@@ -159,8 +168,8 @@ struct ChaseStats {
   // Body assignments found across all rule-matching calls (the quantity
   // that dominates chase cost).
   std::size_t assignments_matched = 0;
-  // Storage-layer telemetry for this run, diffed from the instances'
-  // cumulative IndexStats around Run(). Zero on the naive path.
+  // Storage-layer telemetry for this run: the hash probes its match plans
+  // made, counted by the plans themselves. Zero on the naive path.
   std::uint64_t index_probes = 0;
   std::uint64_t index_probe_hits = 0;
   std::uint64_t index_builds = 0;
@@ -170,10 +179,9 @@ struct ChaseStats {
   // empty.
   std::size_t delta_tuples = 0;
   std::size_t delta_skips = 0;
-  // Sealed-run telemetry, mirrored as `storage.segment.*` and diffed from
-  // the instances' cumulative SegmentOpStats around Run() (like
-  // index_probes): the seal on publish, plus prefix probes served by runs
-  // the source already held.
+  // Sealed-run telemetry, mirrored as `storage.segment.*` and counted like
+  // index_probes: the seal on publish, plus the reads of runs the input
+  // already held (prefix ranges and path-3 scans).
   instance::SegmentOpStats segment;
   // Relations holding a current run when the run ended (the target and, in
   // exchange mode, the source).
@@ -226,10 +234,11 @@ using RunDeltas = std::unordered_map<const instance::RelationInstance*,
 // the fixpoint instead of re-deriving the whole target. Captured/restored by
 // ResumeChase; owned by the caller (runtime::ExchangeSession) between calls.
 struct ChaseSessionState {
+  // Set when a run reached its fixpoint, so every rule has matched in full.
   bool initialized = false;
-  // Indexed like ChaseStats::rules (SO-clauses, then tgds, then egds):
-  // whether the rule's first full pass has completed.
-  std::vector<bool> matched_once;
+  // The rule count (SO-clauses, tgds and egds) the state was captured for;
+  // a run over a different rule set starts fresh.
+  std::size_t rules = 0;
   // Skolem interpretation table: (function, args) -> labeled null. Kept so
   // a resumed SO chase reuses the same null for the same Skolem term.
   std::map<std::pair<std::string, std::vector<instance::Value>>,

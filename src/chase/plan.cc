@@ -248,7 +248,7 @@ void MatchPlan::Open(Depth& depth, const Request& request,
   auto read_run = [&](std::uint32_t prefix) {
     fill_key(prefix);
     std::optional<instance::SegmentRange> range =
-        rel->SegmentProbePrefix(depth.key_values);
+        rel->SegmentProbePrefix(depth.key_values, request.segment_stats);
     if (!range.has_value()) return false;
     cursor.kind = Cursor::Kind::kRun;
     cursor.segment = range->segment;
@@ -264,7 +264,7 @@ void MatchPlan::Open(Depth& depth, const Request& request,
       cursor.ref_end = cursor.ref + request.delta->size();
       return;
     case Path::kScan:
-      if (!request.any_order || !read_run(0)) walk(0);
+      if (!read_run(0)) walk(0);
       return;
     case Path::kPrefix:
       if (!read_run(depth.prefix)) walk(depth.prefix);
@@ -272,7 +272,7 @@ void MatchPlan::Open(Depth& depth, const Request& request,
     case Path::kHash: {
       fill_key(depth.cols.size());
       const RelationInstance::TupleRefs* refs =
-          rel->Probe(depth.cols, depth.key_values);
+          rel->Probe(depth.cols, depth.key_values, request.index_stats);
       if (refs == nullptr) return;
       cursor.kind = Cursor::Kind::kRefs;
       cursor.ref = refs->data();

@@ -5,8 +5,11 @@
 // list is compiled once (per chase run, or per query) into slot-indexed
 // term ops over a flat Value frame, and one iterative join executes it for
 // rule bodies, restricted-chase head probes, egds, SO clauses, certain-answer
-// queries and homomorphism tests. Variables never live in string-keyed maps
-// on this path; Assignment exists only at the public MatchAtoms boundary.
+// queries, homomorphism tests and batch loads. Variables never live in
+// string-keyed maps: matches leave as frames, read through the SlotMap
+// that compiled them. A plan is the one reader of a relation on this path
+// and counts its hash probes and sealed-run reads into stats its caller
+// owns.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,16 +32,15 @@ using Slot = std::uint32_t;
 inline constexpr Slot kNoSlot = static_cast<Slot>(-1);
 
 // Variable name -> slot. Variables are added in groups, each group in name
-// order, so a frame of one group sorts exactly like the std::map-based
-// Assignment over the same variables (a delta pass's row sort reproduces
-// the std::set<Assignment> firing order).
+// order, so frames of one group sort exactly like name-keyed maps of the
+// same variables would (a delta pass's row sort reproduces the firing order
+// of a set of such maps).
 class SlotMap {
  public:
   // Appends the variables of `names` that are not mapped yet, in name order.
   void Add(const std::set<std::string>& names);
   Slot Find(std::string_view name) const;
   std::size_t size() const { return names_.size(); }
-  const std::string& name(Slot slot) const { return names_[slot]; }
 
  private:
   std::vector<std::string> names_;  // slot -> name
@@ -84,8 +86,8 @@ std::vector<PlanAtom> CompileAtoms(const std::vector<logic::Atom>& atoms,
 //      leading bound prefix, the other bound columns checked in the frame;
 //   3. no bound leading column at the outermost atom of an unseeded plan, or
 //      no bound column at all: a scan that checks constants before binding
-//      (a walk of the set, or the sealed run's columns when the caller does
-//      not depend on order);
+//      (the sealed run's columns while the relation holds one, else a walk
+//      of the set; the run is the set's rows in the set's order);
 //   4. otherwise (inner depths, seeded probes): the relation's hash index.
 // A path-2 depth whose prefix range proves unselective moves to path 4: the
 // plan counts the rows such a depth walks per open, and once the average
@@ -99,13 +101,14 @@ class MatchPlan {
   struct Request {
     const instance::Instance* db = nullptr;
     const obs::CancelToken* cancel = nullptr;
-    // The caller collects its answers in a set, so path 3 may scan a
-    // sealed run's columns instead of walking the set.
-    bool any_order = false;
     // Semi-naive delta pass: atom `anchor` goes first and enumerates the
-    // `delta` log refs.
+    // `delta` refs.
     std::size_t anchor = kNoAnchor;
     const instance::RelationInstance::TupleRefs* delta = nullptr;
+    // Where the run's hash probes and sealed-run reads are counted; null
+    // counts nothing.
+    instance::IndexStats* index_stats = nullptr;
+    instance::SegmentOpStats* segment_stats = nullptr;
   };
 
   // Average rows a path-2 depth may walk per open before its atom moves to
@@ -150,7 +153,7 @@ class MatchPlan {
     instance::Value value;
   };
   enum class Path : std::uint8_t { kDelta, kPrefix, kScan, kHash };
-  // A row under a cursor: a set/log tuple or a sealed-run row.
+  // A row under a cursor: a set tuple, a delta ref or a sealed-run row.
   struct RowRef {
     const instance::Tuple* tuple = nullptr;
     const instance::Segment* segment = nullptr;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 
 namespace mm2::instance {
@@ -17,9 +19,7 @@ RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
   arity_ = other.arity_;
   tuples_ = other.tuples_;
   indexes_.clear();
-  stats_.Store(IndexStats{});
   run_ = other.run_;
-  seg_stats_.Store(SegmentOpStats{});
   return *this;
 }
 
@@ -29,8 +29,6 @@ RelationInstance::RelationInstance(RelationInstance&& other) noexcept
       indexes_(std::move(other.indexes_)),
       run_(std::move(other.run_)) {
   // Moving a std::set transfers its nodes, so index pointers survive.
-  stats_.Store(other.stats_.Load());
-  seg_stats_.Store(other.seg_stats_.Load());
 }
 
 RelationInstance& RelationInstance::operator=(
@@ -39,9 +37,7 @@ RelationInstance& RelationInstance::operator=(
   arity_ = other.arity_;
   tuples_ = std::move(other.tuples_);
   indexes_ = std::move(other.indexes_);
-  stats_.Store(other.stats_.Load());
   run_ = std::move(other.run_);
-  seg_stats_.Store(other.seg_stats_.Load());
   return *this;
 }
 
@@ -112,19 +108,17 @@ RelationInstance::BuildIndexLocked(const ColumnSet& cols) const {
     // Set iteration is sorted, so appended buckets stay in tuple order.
     index.buckets[Project(t, cols)].push_back(&t);
   }
-  stats_.builds.fetch_add(1, std::memory_order_relaxed);
   return indexes_.emplace(cols, std::move(index)).first;
 }
 
 const RelationInstance::TupleRefs* RelationInstance::Probe(
-    const ColumnSet& cols, const Tuple& key) const {
-  stats_.probes.fetch_add(1, std::memory_order_relaxed);
-  auto lookup = [this](const Index& index,
-                       const Tuple& k) -> const TupleRefs* {
+    const ColumnSet& cols, const Tuple& key, IndexStats* stats) const {
+  if (stats != nullptr) ++stats->probes;
+  auto lookup = [stats](const Index& index,
+                        const Tuple& k) -> const TupleRefs* {
     auto bucket = index.buckets.find(k);
     if (bucket == index.buckets.end()) return nullptr;
-    stats_.probe_hits.fetch_add(bucket->second.size(),
-                                std::memory_order_relaxed);
+    if (stats != nullptr) stats->probe_hits += bucket->second.size();
     return &bucket->second;
   };
   // Fast path: the index exists, so a shared lock suffices and concurrent
@@ -141,35 +135,30 @@ const RelationInstance::TupleRefs* RelationInstance::Probe(
   // lock, double-checking since another thread may have raced us here.
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   auto it = indexes_.find(cols);
-  if (it == indexes_.end()) it = BuildIndexLocked(cols);
+  if (it == indexes_.end()) {
+    it = BuildIndexLocked(cols);
+    if (stats != nullptr) ++stats->builds;
+  }
   return lookup(it->second, key);
 }
 
-IndexStats RelationInstance::index_stats() const { return stats_.Load(); }
-
-void RelationInstance::PrepareSegments() const {
+void RelationInstance::PrepareSegments(SegmentOpStats* stats) const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   if (run_ != nullptr) return;
-  SegmentOpStats local;
-  run_ = SegmentInserter::FromSorted(arity_, tuples_, &local);
-  seg_stats_.Add(local);
+  run_ = SegmentInserter::FromSorted(arity_, tuples_, stats);
 }
 
 std::optional<SegmentRange> RelationInstance::SegmentProbePrefix(
-    const Tuple& key) const {
+    const Tuple& key, SegmentOpStats* stats) const {
   if (run_ == nullptr || key.size() > arity_) return std::nullopt;
-  SegmentOpStats local;
   const Segment::RowRange rows =
-      run_->EqualRange(key.data(), key.size(), &local);
+      run_->EqualRange(key.data(), key.size(), stats);
   SegmentRange out{run_.get(), rows.begin, rows.end};
-  local.probes = 1;
-  local.probe_hits = out.size();
-  seg_stats_.Add(local);
+  if (stats != nullptr) {
+    ++stats->probes;
+    stats->probe_hits += out.size();
+  }
   return out;
-}
-
-SegmentOpStats RelationInstance::segment_stats() const {
-  return seg_stats_.Load();
 }
 
 Instance Instance::EmptyFor(const model::Schema& schema) {
@@ -265,22 +254,10 @@ bool Instance::HasLabeledNulls() const {
   return false;
 }
 
-IndexStats Instance::IndexStatsTotal() const {
-  IndexStats total;
-  for (const auto& [name, rel] : relations_) total += rel.index_stats();
-  return total;
-}
-
-void Instance::PrepareAllSegments() const {
+void Instance::PrepareAllSegments(SegmentOpStats* stats) const {
   for (const auto& [name, rel] : relations_) {
-    if (!rel.empty()) rel.PrepareSegments();
+    if (!rel.empty()) rel.PrepareSegments(stats);
   }
-}
-
-SegmentOpStats Instance::SegmentStatsTotal() const {
-  SegmentOpStats total;
-  for (const auto& [name, rel] : relations_) total += rel.segment_stats();
-  return total;
 }
 
 SegmentShape Instance::SegmentShapeTotal() const {
@@ -345,6 +322,33 @@ Tuple NullSkeleton(const Tuple& tuple) {
   return skeleton;
 }
 
+// Each null's occurrence signature: a hash of the sorted (relation, tuple
+// skeleton, column) of every place it occurs. An isomorphism maps a null
+// only onto a null with the same occurrences, so the matching search binds
+// a pair only when their signatures agree.
+std::unordered_map<std::int64_t, std::size_t> NullSignatures(
+    const std::map<std::string, const RelationInstance*>& rels) {
+  std::vector<std::pair<std::int64_t, std::size_t>> occurrences;
+  for (const auto& [name, rel] : rels) {
+    const std::size_t relation = std::hash<std::string>{}(name);
+    for (const Tuple& t : rel->tuples()) {
+      std::size_t shape = 0;
+      for (std::size_t c = 0; c < t.size(); ++c) {
+        if (!t[c].is_labeled_null()) continue;
+        if (shape == 0) shape = relation * 31 + TupleHash{}(NullSkeleton(t));
+        occurrences.emplace_back(t[c].label(), shape * 31 + c);
+      }
+    }
+  }
+  std::sort(occurrences.begin(), occurrences.end());
+  std::unordered_map<std::int64_t, std::size_t> signatures;
+  for (const auto& [label, occurrence] : occurrences) {
+    std::size_t& h = signatures[label];
+    h = h * 1000003 ^ occurrence;
+  }
+  return signatures;
+}
+
 }  // namespace
 
 bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
@@ -394,6 +398,10 @@ bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
       }
     }
   }
+  const std::unordered_map<std::int64_t, std::size_t> sig_a =
+      NullSignatures(rels_a);
+  const std::unordered_map<std::int64_t, std::size_t> sig_b =
+      NullSignatures(rels_b);
   std::vector<Group*> order;
   order.reserve(groups.size());
   for (auto& [key, group] : groups) {
@@ -403,18 +411,46 @@ bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
   // Backtracking search for a bijection over null labels that maps every
   // left tuple onto a distinct right tuple of its group. The skeleton
   // pre-partitioning keeps candidate lists small for chase-shaped
-  // instances (nulls mostly distinct per tuple pattern); the step budget
-  // bounds pathological automorphism-heavy inputs, which conservatively
-  // report "not equal". The search keeps its own stack, frame d matching
-  // left tuple `slots[d]`, so large instances cannot exhaust the call
-  // stack; `trail` logs the label pairs each frame's choice added.
-  std::vector<std::pair<std::size_t, const Tuple*>> slots;  // group, tuple
+  // instances (nulls mostly distinct per tuple pattern). The left tuples
+  // are visited breadth-first over shared nulls, so after the first tuple
+  // of a component each one shares a null with a tuple matched before it,
+  // and a pair of nulls binds only when their occurrence signatures agree:
+  // together they cut off a wrong pairing before the search permutes the
+  // interchangeable tuples around it. The step budget bounds pathological
+  // automorphism-heavy inputs, which conservatively report "not equal".
+  // The search keeps its own stack, frame d matching left tuple
+  // `slots[d]`, so large instances cannot exhaust the call stack; `trail`
+  // logs the label pairs each frame's choice added.
+  std::vector<std::pair<std::size_t, const Tuple*>> tuples;  // group, tuple
   std::vector<std::vector<char>> used(order.size());
+  std::unordered_map<std::int64_t, std::vector<std::size_t>> with_label;
   for (std::size_t g = 0; g < order.size(); ++g) {
-    for (const Tuple* t : order[g]->left) slots.emplace_back(g, t);
+    for (const Tuple* t : order[g]->left) {
+      for (const Value& v : *t) {
+        if (v.is_labeled_null()) with_label[v.label()].push_back(tuples.size());
+      }
+      tuples.emplace_back(g, t);
+    }
     used[g].assign(order[g]->right.size(), 0);
   }
-  if (slots.empty()) return true;
+  if (tuples.empty()) return true;
+  std::vector<std::pair<std::size_t, const Tuple*>> slots;
+  std::vector<char> queued(tuples.size(), 0);
+  for (std::size_t start = 0; start < tuples.size(); ++start) {
+    if (queued[start]) continue;
+    queued[start] = 1;
+    slots.push_back(tuples[start]);
+    for (std::size_t k = slots.size() - 1; k < slots.size(); ++k) {
+      for (const Value& v : *slots[k].second) {
+        if (!v.is_labeled_null()) continue;
+        for (std::size_t next : with_label[v.label()]) {
+          if (queued[next]) continue;
+          queued[next] = 1;
+          slots.push_back(tuples[next]);
+        }
+      }
+    }
+  }
   struct Frame {
     std::size_t mark;      // trail size before this frame's choice
     std::size_t next = 0;  // the right candidate to try next
@@ -455,6 +491,10 @@ bool InstanceEqualsUpToNulls(const Instance& a, const Instance& b) {
         if (fit != fwd.end() || rit != rev.end()) {
           ok = fit != fwd.end() && fit->second == r && rit != rev.end() &&
                rit->second == l;
+          continue;
+        }
+        if (sig_a.at(l) != sig_b.at(r)) {
+          ok = false;
           continue;
         }
         fwd.emplace(l, r);

@@ -1,7 +1,6 @@
 #ifndef MM2_INSTANCE_INSTANCE_H_
 #define MM2_INSTANCE_INSTANCE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -21,19 +20,13 @@
 
 namespace mm2::instance {
 
-// Cumulative per-relation index telemetry; the chase diffs aggregate
-// snapshots around a run and mirrors them into `index.*` obs counters.
+// Hash-index reads, counted into a struct the reader owns (a chase run
+// mirrors its own as the `index.*` obs counters). A relation keeps no read
+// state.
 struct IndexStats {
   std::uint64_t probes = 0;      // Probe() calls
   std::uint64_t probe_hits = 0;  // tuples yielded by probes
   std::uint64_t builds = 0;      // lazy index constructions
-
-  IndexStats& operator+=(const IndexStats& other) {
-    probes += other.probes;
-    probe_hits += other.probe_hits;
-    builds += other.builds;
-    return *this;
-  }
 };
 
 // The extension of one relation: a set of same-arity tuples. Set semantics
@@ -50,11 +43,14 @@ struct IndexStats {
 //    the extension in set order. PrepareSegments() builds it; the first
 //    successful mutation drops it, so a run that exists is always current.
 //    A chase seals its result once on publish; nothing else does.
+// It keeps no read state: every read counts into stats its caller passes
+// (a chase run's own, or none).
 //
 // Thread safety: mm2 spawns no threads, so these guarantees serve callers
 // that share one relation across their own threads. Concurrent const access
-// (Probe/tuples) is safe — index lookups take a shared lock, and only the
-// first Probe of a new column set upgrades to an exclusive lock to build.
+// (Probe/tuples/SegmentProbePrefix) is safe and writes nothing shared but
+// the lazy indexes: lookups take a shared lock, and only the first Probe of
+// a new column set upgrades to an exclusive lock to build.
 // PrepareSegments takes the exclusive lock too, but must not race
 // SegmentProbePrefix readers. Mutation still requires external
 // synchronization, like the containers this wraps.
@@ -90,17 +86,18 @@ class RelationInstance {
 
   // All tuples whose projection onto `cols` equals `key` (|key| == |cols|,
   // positions in [0, arity)), in set order; nullptr when none. The returned
-  // pointer stays valid until the next mutation of this relation.
-  const TupleRefs* Probe(const ColumnSet& cols, const Tuple& key) const;
-
-  IndexStats index_stats() const;
+  // pointer stays valid until the next mutation of this relation. Counts
+  // the probe, its hits and a lazy build into `*stats` when non-null.
+  const TupleRefs* Probe(const ColumnSet& cols, const Tuple& key,
+                         IndexStats* stats = nullptr) const;
 
   // --- The sealed run (sorted, immutable; see segment.h) ------------------
   // Seals the run over the current extension: a straight column-major copy
   // of the set, which is already sorted and unique. Const with cache
   // semantics like Probe's lazy index build, so const relations can be
-  // sealed by their readers. No-op while the run is current.
-  void PrepareSegments() const;
+  // sealed by their readers. No-op while the run is current; a seal counts
+  // into `*stats` when non-null.
+  void PrepareSegments(SegmentOpStats* stats = nullptr) const;
 
   // True while a run exists; every mutation drops it, so it is current.
   bool SegmentCurrent() const { return run_ != nullptr; }
@@ -109,8 +106,10 @@ class RelationInstance {
   // run, in set order (an empty key selects every row). nullopt when the
   // relation holds no run; callers then read the set. The segment pointer
   // follows the same validity contract as Probe(): no mutation until the
-  // caller is done.
-  std::optional<SegmentRange> SegmentProbePrefix(const Tuple& key) const;
+  // caller is done. Counts the probe, its rows and the search's compares
+  // and skips into `*stats` when non-null.
+  std::optional<SegmentRange> SegmentProbePrefix(
+      const Tuple& key, SegmentOpStats* stats = nullptr) const;
 
   // Sealed-run access for tests and benchmarks.
   SegmentPtr sealed_segment() const { return run_; }
@@ -118,74 +117,9 @@ class RelationInstance {
   std::size_t live_runs() const { return run_ == nullptr ? 0 : 1; }
   SegmentShape segment_shape() const { return SegmentShape{live_runs()}; }
 
-  SegmentOpStats segment_stats() const;
-
  private:
   struct Index {
     std::unordered_map<Tuple, TupleRefs, TupleHash> buckets;
-  };
-
-  // Telemetry counters are atomics so probe bookkeeping can happen under
-  // the shared (reader) lock without a data race.
-  struct AtomicIndexStats {
-    std::atomic<std::uint64_t> probes{0};
-    std::atomic<std::uint64_t> probe_hits{0};
-    std::atomic<std::uint64_t> builds{0};
-
-    IndexStats Load() const {
-      IndexStats s;
-      s.probes = probes.load(std::memory_order_relaxed);
-      s.probe_hits = probe_hits.load(std::memory_order_relaxed);
-      s.builds = builds.load(std::memory_order_relaxed);
-      return s;
-    }
-    void Store(const IndexStats& s) {
-      probes.store(s.probes, std::memory_order_relaxed);
-      probe_hits.store(s.probe_hits, std::memory_order_relaxed);
-      builds.store(s.builds, std::memory_order_relaxed);
-    }
-  };
-
-  // Same discipline for run telemetry: probes run under the shared reader
-  // contract, so the counters must be atomics. Accumulated from
-  // call-local SegmentOpStats to keep the hot paths cheap.
-  struct AtomicSegmentStats {
-    std::atomic<std::uint64_t> seals{0};
-    std::atomic<std::uint64_t> sealed_rows{0};
-    std::atomic<std::uint64_t> compares{0};
-    std::atomic<std::uint64_t> probes{0};
-    std::atomic<std::uint64_t> probe_hits{0};
-    std::atomic<std::uint64_t> skips{0};
-
-    void Add(const SegmentOpStats& s) {
-      auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t v) {
-        if (v != 0) c.fetch_add(v, std::memory_order_relaxed);
-      };
-      bump(seals, s.seals);
-      bump(sealed_rows, s.sealed_rows);
-      bump(compares, s.compares);
-      bump(probes, s.probes);
-      bump(probe_hits, s.probe_hits);
-      bump(skips, s.skips);
-    }
-    void Store(const SegmentOpStats& s) {
-      seals.store(s.seals, std::memory_order_relaxed);
-      sealed_rows.store(s.sealed_rows, std::memory_order_relaxed);
-      compares.store(s.compares, std::memory_order_relaxed);
-      probes.store(s.probes, std::memory_order_relaxed);
-      probe_hits.store(s.probe_hits, std::memory_order_relaxed);
-      skips.store(s.skips, std::memory_order_relaxed);
-    }
-    SegmentOpStats Load() const {
-      SegmentOpStats s;
-      s.seals = seals.load(std::memory_order_relaxed);
-      s.sealed_rows = sealed_rows.load(std::memory_order_relaxed);
-      s.compares = compares.load(std::memory_order_relaxed);
-      s.probes = probes.load(std::memory_order_relaxed);
-      s.probe_hits = probe_hits.load(std::memory_order_relaxed);
-      s.skips = skips.load(std::memory_order_relaxed);
-      return s;
-    }
   };
 
   void IndexInsert(const Tuple* tuple);
@@ -202,11 +136,9 @@ class RelationInstance {
   // mutation-path maintenance take it exclusively.
   mutable std::shared_mutex index_mu_;
   mutable std::map<ColumnSet, Index> indexes_;
-  mutable AtomicIndexStats stats_;
   // The sealed run, shared across copies (it never mutates); null until
   // PrepareSegments and again after every successful mutation.
   mutable SegmentPtr run_;
-  mutable AtomicSegmentStats seg_stats_;
 };
 
 // A database instance: relation name -> extension. An Instance is a member
@@ -251,13 +183,9 @@ class Instance {
 
   // Seals every non-empty relation's run (const cache semantics; see
   // RelationInstance::PrepareSegments). Empty relations have nothing to
-  // read and stay run-free.
-  void PrepareAllSegments() const;
+  // read and stay run-free. Seals count into `*stats` when non-null.
+  void PrepareAllSegments(SegmentOpStats* stats = nullptr) const;
 
-  // Summed index telemetry across all relations.
-  IndexStats IndexStatsTotal() const;
-  // Summed segment telemetry across all relations.
-  SegmentOpStats SegmentStatsTotal() const;
   // Relations holding a current sealed run.
   SegmentShape SegmentShapeTotal() const;
 

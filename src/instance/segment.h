@@ -11,8 +11,8 @@
 
 namespace mm2::instance {
 
-// There is one tuple store (RelationInstance: the ordered set, the insert
-// log, lazy hash indexes and at most one sealed run), so there is nothing
+// There is one tuple store (RelationInstance: the ordered set, lazy hash
+// indexes and at most one sealed run), so there is nothing
 // left to choose. The enum and its two helpers remain only because
 // benchmark harnesses stamp the resolved name into their headers:
 // ResolveStorageMode returns its argument and reads no environment.
@@ -21,9 +21,9 @@ enum class StorageMode { kDefault };
 StorageMode ResolveStorageMode(StorageMode requested);
 const char* StorageModeName(StorageMode mode);
 
-// Cumulative telemetry for the sealed-run operations. The chase diffs
-// per-relation totals around a run (exactly like IndexStats) and mirrors
-// the live fields as the `storage.segment.*` counter family.
+// Telemetry for the sealed-run operations, counted into a struct the
+// reader owns (like IndexStats). A chase run counts its own and mirrors the
+// live fields as the `storage.segment.*` counter family.
 struct SegmentOpStats {
   std::uint64_t seals = 0;        // runs sealed (PrepareSegments)
   std::uint64_t sealed_rows = 0;  // rows written by seals
@@ -43,27 +43,6 @@ struct SegmentOpStats {
 
   bool any() const {
     return seals != 0 || compares != 0 || probes != 0 || skips != 0;
-  }
-
-  SegmentOpStats& operator+=(const SegmentOpStats& o) {
-    seals += o.seals;
-    sealed_rows += o.sealed_rows;
-    compares += o.compares;
-    probes += o.probes;
-    probe_hits += o.probe_hits;
-    skips += o.skips;
-    return *this;
-  }
-
-  SegmentOpStats operator-(const SegmentOpStats& o) const {
-    SegmentOpStats d;
-    d.seals = seals - o.seals;
-    d.sealed_rows = sealed_rows - o.sealed_rows;
-    d.compares = compares - o.compares;
-    d.probes = probes - o.probes;
-    d.probe_hits = probe_hits - o.probe_hits;
-    d.skips = skips - o.skips;
-    return d;
   }
 };
 

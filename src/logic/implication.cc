@@ -38,12 +38,11 @@ Result<bool> Implies(const Mapping& mapping, const Tgd& tgd) {
     canonical.InsertUnchecked(atom.relation, std::move(tuple));
   }
 
-  // Chase the canonical database with the mapping's constraints. Labels
-  // for invented nulls must not collide with the frozen ones.
-  chase::ChaseOptions options;
-  options.first_null_label = label;
+  // Chase the canonical database with the mapping's constraints. The chase
+  // invents nulls above every label its source holds, so they never collide
+  // with the frozen ones.
   MM2_ASSIGN_OR_RETURN(chase::ChaseResult chased,
-                       chase::RunChase(mapping, canonical, options));
+                       chase::RunChase(mapping, canonical));
 
   // The tgd is implied iff the head matches in the chase result with the
   // universal variables pinned to their frozen nulls (existentials free);
@@ -63,7 +62,7 @@ Result<bool> Implies(const Mapping& mapping, const Tgd& tgd) {
     }
     head.push_back(std::move(bound));
   }
-  return !chase::MatchAtoms(head, chased.target, /*limit=*/1).empty();
+  return chase::MatchAtoms(head, chased.target, /*limit=*/1).count > 0;
 }
 
 Result<bool> AreEquivalent(const Mapping& a, const Mapping& b) {

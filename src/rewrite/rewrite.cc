@@ -52,14 +52,15 @@ Result<std::vector<Tuple>> EvaluateRewriting(const RewriteResult& rewriting,
                                              const Instance& source) {
   std::set<Tuple> answers;
   for (const SoTgdClause& clause : rewriting.rules.clauses) {
-    for (const chase::Assignment& assignment :
-         chase::MatchAtoms(clause.body, source)) {
+    const chase::Matches matches = chase::MatchAtoms(clause.body, source);
+    for (std::size_t i = 0; i < matches.count; ++i) {
+      const Value* frame = matches.row(i);
       // Equalities: certain only when both sides ground to the same term
       // (two equal constants, or structurally identical Skolem terms).
       bool certain = true;
       for (const auto& [l, r] : clause.equalities) {
-        std::optional<Term> gl = chase::GroundTerm(l, assignment);
-        std::optional<Term> gr = chase::GroundTerm(r, assignment);
+        std::optional<Term> gl = chase::GroundTerm(l, matches.slots, frame);
+        std::optional<Term> gr = chase::GroundTerm(r, matches.slots, frame);
         if (!gl.has_value() || !gr.has_value() || !(*gl == *gr)) {
           certain = false;
           break;
@@ -71,7 +72,7 @@ Result<std::vector<Tuple>> EvaluateRewriting(const RewriteResult& rewriting,
         row.reserve(head.terms.size());
         bool ground_constants = true;
         for (const Term& t : head.terms) {
-          std::optional<Term> g = chase::GroundTerm(t, assignment);
+          std::optional<Term> g = chase::GroundTerm(t, matches.slots, frame);
           if (!g.has_value() || !g->is_constant() ||
               g->value().is_labeled_null()) {
             ground_constants = false;

@@ -1,5 +1,6 @@
 #include "runtime/constraints.h"
 
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -28,25 +29,27 @@ std::vector<EgdViolation> CheckEgds(const Instance& database,
                                     std::size_t limit) {
   std::vector<EgdViolation> violations;
   for (const Egd& egd : egds) {
+    const chase::Matches matches = chase::MatchAtoms(egd.body, database);
+    const chase::Slot left = matches.slots.Find(egd.left);
+    const chase::Slot right = matches.slots.Find(egd.right);
+    if (left == chase::kNoSlot || right == chase::kNoSlot) continue;
     std::size_t found = 0;
-    for (const chase::Assignment& assignment :
-         chase::MatchAtoms(egd.body, database)) {
-      auto li = assignment.find(egd.left);
-      auto ri = assignment.find(egd.right);
-      if (li == assignment.end() || ri == assignment.end()) continue;
-      if (li->second == ri->second) continue;
+    for (std::size_t i = 0; i < matches.count; ++i) {
+      const Value* frame = matches.row(i);
+      if (frame[left] == frame[right]) continue;
       EgdViolation violation;
       violation.egd = egd;
-      violation.left_value = li->second;
-      violation.right_value = ri->second;
+      violation.left_value = frame[left];
+      violation.right_value = frame[right];
       // Reconstruct the two witness facts (first and last body atom images
       // carrying the disagreeing values; fall back to the first atom).
       auto instantiate = [&](const Atom& atom) {
         chase::Fact fact;
         fact.relation = atom.relation;
         for (const Term& t : atom.terms) {
-          fact.tuple.push_back(t.is_constant() ? t.value()
-                                               : assignment.at(t.name()));
+          fact.tuple.push_back(t.is_constant()
+                                   ? t.value()
+                                   : frame[matches.slots.Find(t.name())]);
         }
         return fact;
       };
@@ -92,7 +95,7 @@ Result<bool> ImpliesTargetEgd(const Mapping& mapping,
     // Freeze.
     std::set<std::string> vars;
     for (const Atom& a : clause.body) a.CollectVariables(&vars);
-    chase::Assignment freeze;
+    std::map<std::string, Value> freeze;
     std::int64_t label = 0;
     for (const std::string& v : vars) {
       freeze[v] = Value::LabeledNull(label++);
@@ -117,12 +120,14 @@ Result<bool> ImpliesTargetEgd(const Mapping& mapping,
     }
     // Re-match the clause body against the closed instance; every match is
     // a potential violation pattern.
-    for (const chase::Assignment& assignment :
-         chase::MatchAtoms(clause.body, closed->target)) {
+    const chase::Matches matches =
+        chase::MatchAtoms(clause.body, closed->target);
+    for (std::size_t i = 0; i < matches.count; ++i) {
+      const Value* frame = matches.row(i);
       bool premise_holds = true;
       for (const auto& [l, r] : clause.equalities) {
-        std::optional<Term> gl = chase::GroundTerm(l, assignment);
-        std::optional<Term> gr = chase::GroundTerm(r, assignment);
+        std::optional<Term> gl = chase::GroundTerm(l, matches.slots, frame);
+        std::optional<Term> gr = chase::GroundTerm(r, matches.slots, frame);
         // Structurally distinct ground Skolem terms denote independent
         // invented values on the canonical target; the premise equality
         // then fails there. (Conservative: see header.)
@@ -134,8 +139,10 @@ Result<bool> ImpliesTargetEgd(const Mapping& mapping,
       if (!premise_holds) continue;
       if (clause.head.empty() || clause.head[0].terms.size() != 2) continue;
       const std::vector<Term>& equated = clause.head[0].terms;
-      std::optional<Term> gl = chase::GroundTerm(equated[0], assignment);
-      std::optional<Term> gr = chase::GroundTerm(equated[1], assignment);
+      std::optional<Term> gl =
+          chase::GroundTerm(equated[0], matches.slots, frame);
+      std::optional<Term> gr =
+          chase::GroundTerm(equated[1], matches.slots, frame);
       if (!gl.has_value() || !gr.has_value()) continue;
       if (!(*gl == *gr)) {
         // The equated positions can carry distinct values: counterexample.

@@ -250,7 +250,7 @@ struct ExchangeSession {
   instance::Instance source;       // current source; deltas applied in place
   instance::Instance target;       // maintained canonical universal solution
   chase::Provenance provenance;    // witnesses plus the support index
-  chase::ChaseSessionState state;  // matched rules, skolem memo, journal
+  chase::ChaseSessionState state;  // rule count, skolem memo, journal
   ExchangeOptions options;         // budgets and collector reused per maintain
   chase::ChaseStats last_stats;    // stats of the most recent (re)chase
   // Set when the most recent run stopped on a budget breach or cancel; the

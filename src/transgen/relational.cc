@@ -1,6 +1,5 @@
 #include "transgen/relational.h"
 
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -175,24 +174,38 @@ Result<instance::Instance> ExecuteCompiledMapping(
     const instance::Instance& source) {
   instance::Instance target = instance::Instance::EmptyFor(mapping.target());
   for (const Tgd& tgd : mapping.tgds()) {
-    const std::set<std::string> bound = tgd.BodyVariables();
+    const chase::Matches matches = chase::MatchAtoms(tgd.body, source);
+    if (matches.count == 0) continue;
     for (const Atom& head : tgd.head) {
-      logic::ConjunctiveQuery query{head, tgd.body};
-      for (Term& t : query.head.terms) {
-        if (t.is_variable() && bound.count(t.name()) == 0) {
-          t = Term::Const(Value::Null());
-        }
+      // Each column reads a constant, a body slot, or NULL for an
+      // existential.
+      std::vector<chase::PlanTerm> columns;
+      for (const Term& t : head.terms) {
+        columns.push_back(chase::CompileTerm(t, matches.slots));
       }
-      MM2_ASSIGN_OR_RETURN(std::vector<instance::Tuple> rows,
-                           chase::AllAnswers(query, source));
-      if (rows.empty()) continue;
+      auto project = [&](std::size_t i) {
+        const Value* frame = matches.row(i);
+        instance::Tuple row;
+        row.reserve(columns.size());
+        for (const chase::PlanTerm& c : columns) {
+          switch (c.kind) {
+            case chase::PlanTerm::Kind::kConstant:
+              row.push_back(c.value);
+              break;
+            case chase::PlanTerm::Kind::kSlot:
+              row.push_back(frame[c.slot]);
+              break;
+            default:
+              row.push_back(Value::Null());
+          }
+        }
+        return row;
+      };
       // The first row takes the checked insert, which refuses a missing
       // relation or a mismatched arity; the rest have the same shape.
-      MM2_RETURN_IF_ERROR(target.Insert(head.relation, std::move(rows[0])));
+      MM2_RETURN_IF_ERROR(target.Insert(head.relation, project(0)));
       instance::RelationInstance* rel = target.FindMutable(head.relation);
-      for (std::size_t i = 1; i < rows.size(); ++i) {
-        rel->Insert(std::move(rows[i]));
-      }
+      for (std::size_t i = 1; i < matches.count; ++i) rel->Insert(project(i));
     }
   }
   return target;

@@ -46,14 +46,14 @@ struct CompiledRelationalMapping {
 Result<CompiledRelationalMapping> CompileRelationalMapping(
     const logic::Mapping& mapping);
 
-// Loads the target of `mapping` from `source` (`batchload`): each head atom
-// of each tgd is answered over its body by the chase's match plans
-// (chase::AllAnswers), every existential head variable reading plain NULL.
-// Values compare as the chase compares them (NULL equals NULL, `1` does not
-// equal `1.0`), so the result equals `exchange`'s on every relation the
-// chase fills without labeled nulls. A tgd with k head atoms matches its
-// body k times. `compiled` is not read; callers compile first so that
-// mappings the loader cannot express are refused.
+// Loads the target of `mapping` from `source` (`batchload`): each tgd's
+// body is matched once by the chase's match plans (chase::MatchAtoms), and
+// every match's frame is projected onto each head atom and inserted into
+// the target, every existential head variable reading plain NULL. Values
+// compare as the chase compares them (NULL equals NULL, `1` does not equal
+// `1.0`), so the result equals `exchange`'s on every relation the chase
+// fills without labeled nulls. `compiled` is not read; callers compile
+// first so that mappings the loader cannot express are refused.
 Result<instance::Instance> ExecuteCompiledMapping(
     const CompiledRelationalMapping& compiled, const logic::Mapping& mapping,
     const instance::Instance& source);

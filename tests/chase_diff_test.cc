@@ -446,7 +446,8 @@ void ExpectSameReads(const Instance& sealed, const Instance& plain,
       std::vector<Term> terms = vars;
       terms[0] = Term::Const(v);
       const std::vector<Atom> lookup = {Atom{name, terms}};
-      EXPECT_EQ(MatchAtoms(lookup, sealed), MatchAtoms(lookup, plain))
+      EXPECT_EQ(MatchAtoms(lookup, sealed).rows,
+                MatchAtoms(lookup, plain).rows)
           << "seed " << seed << " " << name << " " << v.ToString();
     }
   }

@@ -52,17 +52,18 @@ Instance SourceDb() {
 
 TEST(MatchAtomsTest, SingleAtomBindsVariables) {
   Instance db = SourceDb();
-  std::vector<Assignment> matches =
-      MatchAtoms({Atom{"Emp", {V("x"), V("d")}}}, db);
-  EXPECT_EQ(matches.size(), 2u);
+  Matches matches = MatchAtoms({Atom{"Emp", {V("x"), V("d")}}}, db);
+  EXPECT_EQ(matches.count, 2u);
+  EXPECT_EQ(matches.slots.size(), 2u);
+  EXPECT_EQ(matches.rows.size(), 4u);
 }
 
 TEST(MatchAtomsTest, ConstantsFilter) {
   Instance db = SourceDb();
-  std::vector<Assignment> matches = MatchAtoms(
+  Matches matches = MatchAtoms(
       {Atom{"Emp", {V("x"), Term::Const(Value::String("eng"))}}}, db);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].at("x"), Value::Int64(2));
+  ASSERT_EQ(matches.count, 1u);
+  EXPECT_EQ(matches.row(0)[matches.slots.Find("x")], Value::Int64(2));
 }
 
 TEST(MatchAtomsTest, RepeatedVariablesEnforceEquality) {
@@ -70,7 +71,7 @@ TEST(MatchAtomsTest, RepeatedVariablesEnforceEquality) {
   db.DeclareRelation("R", 2);
   ASSERT_TRUE(db.Insert("R", {Value::Int64(1), Value::Int64(1)}).ok());
   ASSERT_TRUE(db.Insert("R", {Value::Int64(1), Value::Int64(2)}).ok());
-  EXPECT_EQ(MatchAtoms({Atom{"R", {V("x"), V("x")}}}, db).size(), 1u);
+  EXPECT_EQ(MatchAtoms({Atom{"R", {V("x"), V("x")}}}, db).count, 1u);
 }
 
 TEST(MatchAtomsTest, JoinAcrossAtoms) {
@@ -80,20 +81,20 @@ TEST(MatchAtomsTest, JoinAcrossAtoms) {
   ASSERT_TRUE(db.Insert("R", {Value::Int64(1), Value::Int64(2)}).ok());
   ASSERT_TRUE(db.Insert("S", {Value::Int64(2), Value::Int64(3)}).ok());
   ASSERT_TRUE(db.Insert("S", {Value::Int64(9), Value::Int64(9)}).ok());
-  std::vector<Assignment> matches = MatchAtoms(
+  Matches matches = MatchAtoms(
       {Atom{"R", {V("x"), V("y")}}, Atom{"S", {V("y"), V("z")}}}, db);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].at("z"), Value::Int64(3));
+  ASSERT_EQ(matches.count, 1u);
+  EXPECT_EQ(matches.row(0)[matches.slots.Find("z")], Value::Int64(3));
 }
 
 TEST(MatchAtomsTest, LimitStopsEarly) {
   Instance db = SourceDb();
-  EXPECT_EQ(MatchAtoms({Atom{"Emp", {V("x"), V("d")}}}, db, 1).size(), 1u);
+  EXPECT_EQ(MatchAtoms({Atom{"Emp", {V("x"), V("d")}}}, db, 1).count, 1u);
 }
 
 TEST(MatchAtomsTest, MissingRelationYieldsNoMatches) {
   Instance db = SourceDb();
-  EXPECT_TRUE(MatchAtoms({Atom{"Nope", {V("x")}}}, db).empty());
+  EXPECT_EQ(MatchAtoms({Atom{"Nope", {V("x")}}}, db).count, 0u);
 }
 
 TEST(ChaseTest, FullTgdCopiesData) {

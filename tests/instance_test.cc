@@ -109,25 +109,26 @@ TEST(RelationInstanceTest, ProbeFindsMatchesInSetOrder) {
 
 TEST(RelationInstanceTest, IndexMaintainedAcrossMutations) {
   RelationInstance rel(2);
+  IndexStats stats;
   rel.Insert({Value::Int64(1), Value::Int64(10)});
-  ASSERT_NE(rel.Probe({0}, {Value::Int64(1)}), nullptr);  // build the index
+  // Build the index.
+  ASSERT_NE(rel.Probe({0}, {Value::Int64(1)}, &stats), nullptr);
 
   rel.Insert({Value::Int64(1), Value::Int64(11)});  // maintained, not rebuilt
   const RelationInstance::TupleRefs* hits =
-      rel.Probe({0}, {Value::Int64(1)});
+      rel.Probe({0}, {Value::Int64(1)}, &stats);
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ(hits->size(), 2u);
 
   rel.Erase({Value::Int64(1), Value::Int64(10)});
-  hits = rel.Probe({0}, {Value::Int64(1)});
+  hits = rel.Probe({0}, {Value::Int64(1)}, &stats);
   ASSERT_NE(hits, nullptr);
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*(*hits)[0])[1], Value::Int64(11));
 
   rel.Clear();
-  EXPECT_EQ(rel.Probe({0}, {Value::Int64(1)}), nullptr);
+  EXPECT_EQ(rel.Probe({0}, {Value::Int64(1)}, &stats), nullptr);
 
-  IndexStats stats = rel.index_stats();
   // Insert/Erase maintained the one lazily built index in place; Clear
   // dropped it, so the post-Clear probe rebuilt (over the empty set).
   EXPECT_EQ(stats.builds, 2u);
@@ -209,21 +210,6 @@ TEST(InstanceDeathTest, InsertUncheckedAssertsOnArityMismatch) {
   EXPECT_DEATH(db.InsertUnchecked("R", {Value::Int64(1)}), "arity");
 }
 #endif
-
-TEST(InstanceTest, IndexStatsTotalSumsRelations) {
-  Instance db;
-  db.DeclareRelation("R", 1);
-  db.DeclareRelation("S", 1);
-  ASSERT_TRUE(db.Insert("R", {Value::Int64(1)}).ok());
-  ASSERT_TRUE(db.Insert("S", {Value::Int64(2)}).ok());
-  db.Find("R")->Probe({0}, {Value::Int64(1)});
-  db.Find("S")->Probe({0}, {Value::Int64(2)});
-  db.Find("S")->Probe({0}, {Value::Int64(3)});
-  IndexStats total = db.IndexStatsTotal();
-  EXPECT_EQ(total.probes, 3u);
-  EXPECT_EQ(total.probe_hits, 2u);
-  EXPECT_EQ(total.builds, 2u);
-}
 
 TEST(InstanceTest, CheckedInsertValidatesShape) {
   Instance db;

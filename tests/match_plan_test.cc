@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/chase.h"
@@ -118,7 +119,12 @@ std::vector<Atom> RandomAtoms(Rng& rng, const std::vector<std::size_t>& arities,
   return atoms;
 }
 
-std::vector<Assignment> Sorted(std::vector<Assignment> v) {
+// The match frames, sorted and deduplicated.
+std::vector<Tuple> Sorted(const Matches& matches) {
+  std::vector<Tuple> v;
+  for (std::size_t i = 0; i < matches.count; ++i) {
+    v.emplace_back(matches.row(i), matches.row(i) + matches.slots.size());
+  }
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
   return v;
@@ -133,16 +139,17 @@ TEST_P(MatchPlanDiffProperty, AgreesWithNaiveOracle) {
   std::set<std::string> vars;
   std::vector<Atom> atoms = RandomAtoms(rng, arities, &vars);
 
-  std::vector<Assignment> naive = MatchAtomsNaive(atoms, db);
+  const Matches naive = MatchAtomsNaive(atoms, db);
   EXPECT_EQ(Sorted(MatchAtoms(atoms, db)), Sorted(naive))
       << "seed " << GetParam();
 
   // A single atom enumerates in set order on every access path, so the
   // first match is the oracle's first match.
   std::vector<Atom> single = {atoms.front()};
-  EXPECT_EQ(MatchAtoms(single, db, 1), MatchAtomsNaive(single, db, 1))
+  EXPECT_EQ(MatchAtoms(single, db, 1).rows,
+            MatchAtomsNaive(single, db, 1).rows)
       << "seed " << GetParam();
-  EXPECT_EQ(MatchAtoms(single, db), MatchAtomsNaive(single, db))
+  EXPECT_EQ(MatchAtoms(single, db).rows, MatchAtomsNaive(single, db).rows)
       << "seed " << GetParam();
 
   // Certain and possible answers against a projection of the oracle.
@@ -155,11 +162,13 @@ TEST_P(MatchPlanDiffProperty, AgreesWithNaiveOracle) {
   query.body = atoms;
   std::set<Tuple> all;
   std::set<Tuple> certain;
-  for (const Assignment& a : naive) {
+  for (std::size_t i = 0; i < naive.count; ++i) {
     Tuple row;
     bool has_null = false;
+    const Value* frame = naive.row(i);
     for (const Term& t : query.head.terms) {
-      row.push_back(t.is_constant() ? t.value() : a.at(t.name()));
+      row.push_back(t.is_constant() ? t.value()
+                                    : frame[naive.slots.Find(t.name())]);
       has_null |= row.back().is_labeled_null();
     }
     if (!has_null) certain.insert(row);
@@ -192,12 +201,14 @@ TEST(MatchPlanAccessTest, NonLeadingLookupBuildsNoHashIndex) {
   ConjunctiveQuery query;
   query.head = Atom{"Q", {Term::Var("x")}};
   query.body = {Atom{"T", {Term::Var("x"), Term::Const(Value::Int64(3))}}};
-  const std::uint64_t builds0 = db.IndexStatsTotal().builds;
   auto answers = CertainAnswers(query, db);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(answers->size(), 8u);
-  EXPECT_EQ(MatchAtoms(query.body, db).size(), 8u);
-  EXPECT_EQ(db.IndexStatsTotal().builds, builds0);
+  EXPECT_EQ(MatchAtoms(query.body, db).count, 8u);
+  // Neither read built the index over column 1: a later probe builds it.
+  instance::IndexStats stats;
+  ASSERT_NE(db.Find("T")->Probe({1}, {Value::Int64(3)}, &stats), nullptr);
+  EXPECT_EQ(stats.builds, 1u);
 }
 
 TEST(MatchPlanAccessTest, HeadProbeBoundOnLeadingColumnBuildsNoHashIndex) {
@@ -256,6 +267,85 @@ TEST(MatchPlanAccessTest, UnselectiveLeadingColumnSwitchesToHashIndex) {
       EXPECT_GE(result->stats.index_builds, 1u) << "k " << k;
     } else {
       EXPECT_EQ(result->stats.index_builds, 0u) << "k " << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shared reads
+// ---------------------------------------------------------------------------
+
+// Callers may share one const source across their own threads; each run
+// counts exactly its own reads. Against the same run made alone on a copy
+// of the source, every storage count matches except index builds: each
+// thread builds its own target's indexes, and each lazy source index is
+// built once, by whichever thread probes it first. `scripts/check.sh
+// --tsan` runs this suite under ThreadSanitizer.
+TEST(SharedReadTest, ConcurrentRunsCountTheirOwnReads) {
+  constexpr std::size_t kThreads = 3;
+  for (std::uint64_t seed : {1, 2, 5, 9}) {
+    GoldenScenario s = MakeGoldenScenario(seed);
+    const Mapping mapping =
+        Mapping::FromTgds("fo", s.source, s.target, s.tgds, s.egds);
+    ConjunctiveQuery query;
+    query.head.relation = "Q";
+    query.body = s.tgds.front().body;
+    for (const std::string& v : s.tgds.front().BodyVariables()) {
+      query.head.terms.push_back(Term::Var(v));
+    }
+    for (bool sealed : {false, true}) {
+      const std::string where =
+          "seed " + std::to_string(seed) + (sealed ? " sealed" : " plain");
+      Instance alone = s.db;
+      Instance shared = s.db;
+      if (sealed) {
+        alone.PrepareAllSegments();
+        shared.PrepareAllSegments();
+      }
+      auto cold = RunChase(mapping, alone);
+      auto warm = RunChase(mapping, alone);  // source indexes built
+      auto answers = CertainAnswers(query, alone);
+      ASSERT_TRUE(cold.ok() && warm.ok() && answers.ok()) << where;
+
+      std::vector<ChaseStats> stats(kThreads);
+      std::vector<std::vector<Tuple>> got(kThreads);
+      std::vector<char> ok(kThreads, 0);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          auto run = RunChase(mapping, shared);
+          auto read = CertainAnswers(query, shared);
+          if (!run.ok() || !read.ok()) return;
+          stats[t] = run->stats;
+          got[t] = *read;
+          ok[t] = 1;
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+
+      std::uint64_t builds = 0;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        ASSERT_TRUE(ok[t]) << where << " thread " << t;
+        const ChaseStats& mine = stats[t];
+        const ChaseStats& want = cold->stats;
+        EXPECT_EQ(mine.index_probes, want.index_probes) << where;
+        EXPECT_EQ(mine.index_probe_hits, want.index_probe_hits) << where;
+        EXPECT_EQ(mine.segment.seals, want.segment.seals) << where;
+        EXPECT_EQ(mine.segment.sealed_rows, want.segment.sealed_rows)
+            << where;
+        EXPECT_EQ(mine.segment.compares, want.segment.compares) << where;
+        EXPECT_EQ(mine.segment.probes, want.segment.probes) << where;
+        EXPECT_EQ(mine.segment.probe_hits, want.segment.probe_hits) << where;
+        EXPECT_EQ(mine.segment.skips, want.segment.skips) << where;
+        EXPECT_EQ(mine.segment_shape.live_segments,
+                  want.segment_shape.live_segments)
+            << where;
+        EXPECT_EQ(got[t], *answers) << where;
+        builds += mine.index_builds;
+      }
+      EXPECT_EQ(builds, cold->stats.index_builds +
+                            (kThreads - 1) * warm->stats.index_builds)
+          << where;
     }
   }
 }

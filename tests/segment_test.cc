@@ -85,26 +85,28 @@ TEST(RelationSegmentTest, PrepareSealsAndTracksCurrency) {
   rel.Insert(Row(1, 1));
   EXPECT_FALSE(rel.SegmentCurrent());
 
-  rel.PrepareSegments();
+  SegmentOpStats stats;
+  rel.PrepareSegments(&stats);
   EXPECT_TRUE(rel.SegmentCurrent());
   EXPECT_EQ(rel.sealed_rows(), 2u);
   EXPECT_EQ(rel.live_runs(), 1u);
-  EXPECT_EQ(rel.segment_stats().seals, 1u);
+  EXPECT_EQ(stats.seals, 1u);
 
   // A current run makes a second seal a no-op.
   SegmentPtr sealed = rel.sealed_segment();
-  rel.PrepareSegments();
+  rel.PrepareSegments(&stats);
   EXPECT_EQ(rel.sealed_segment().get(), sealed.get());
-  EXPECT_EQ(rel.segment_stats().seals, 1u);
+  EXPECT_EQ(stats.seals, 1u);
 
   // An insert drops the run; the next seal rebuilds it from the set.
   rel.Insert(Row(3, 3));
   EXPECT_FALSE(rel.SegmentCurrent());
-  rel.PrepareSegments();
+  rel.PrepareSegments(&stats);
   EXPECT_TRUE(rel.SegmentCurrent());
   EXPECT_EQ(rel.sealed_rows(), 3u);
-  EXPECT_EQ(rel.segment_stats().seals, 2u);
-  EXPECT_EQ(rel.segment_stats().compares, 0u);  // set order: no sort
+  EXPECT_EQ(stats.seals, 2u);
+  EXPECT_EQ(stats.sealed_rows, 5u);
+  EXPECT_EQ(stats.compares, 0u);  // set order: no sort
 }
 
 // The first successful mutation drops the run; a mutation that changes
@@ -173,28 +175,30 @@ TEST(RelationSegmentTest, SegmentProbePrefixServesAndDeclines) {
   rel.Insert(Row(2, 20));
 
   // Never sealed: declined, so the caller reads the set.
-  EXPECT_FALSE(rel.SegmentProbePrefix({Value::Int64(1)}).has_value());
-  EXPECT_EQ(rel.segment_stats().probes, 0u);
+  SegmentOpStats stats;
+  EXPECT_FALSE(rel.SegmentProbePrefix({Value::Int64(1)}, &stats).has_value());
+  EXPECT_EQ(stats.probes, 0u);
 
   rel.PrepareSegments();
-  auto range = rel.SegmentProbePrefix({Value::Int64(1)});
+  auto range = rel.SegmentProbePrefix({Value::Int64(1)}, &stats);
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(range->size(), 2u);
   EXPECT_EQ(range->segment, rel.sealed_segment().get());
   EXPECT_EQ(RowOf(*range->segment, range->begin), Row(1, 10));
 
   // An empty key selects every row of the run, in set order.
-  auto all = rel.SegmentProbePrefix({});
+  auto all = rel.SegmentProbePrefix({}, &stats);
   ASSERT_TRUE(all.has_value());
   EXPECT_EQ(all->begin, 0u);
   EXPECT_EQ(all->end, 3u);
 
   // An engaged-but-empty range still counts as a served probe.
-  auto miss = rel.SegmentProbePrefix({Value::Int64(9)});
+  auto miss = rel.SegmentProbePrefix({Value::Int64(9)}, &stats);
   ASSERT_TRUE(miss.has_value());
   EXPECT_TRUE(miss->empty());
-  EXPECT_EQ(rel.segment_stats().probes, 3u);
-  EXPECT_EQ(rel.segment_stats().probe_hits, 5u);
+  EXPECT_EQ(stats.probes, 3u);
+  EXPECT_EQ(stats.probe_hits, 5u);
+  EXPECT_EQ(stats.skips, 1u);  // 9 lies past column 0's last value
 
   // A mutation since the seal dropped the run: declined again.
   rel.Insert(Row(3, 30));
@@ -209,12 +213,13 @@ TEST(InstanceSegmentTest, PrepareAllSegmentsSealsEveryRelation) {
   db.InsertUnchecked("R", Row(1, 1));
   db.InsertUnchecked("R", Row(2, 2));
   db.InsertUnchecked("S", {Value::Int64(7)});
-  db.PrepareAllSegments();
+  SegmentOpStats stats;
+  db.PrepareAllSegments(&stats);
   EXPECT_TRUE(db.Find("R")->SegmentCurrent());
   EXPECT_TRUE(db.Find("S")->SegmentCurrent());
   EXPECT_FALSE(db.Find("E")->SegmentCurrent());
   EXPECT_EQ(db.Find("R")->sealed_rows(), 2u);
-  EXPECT_EQ(db.SegmentStatsTotal().seals, 2u);
+  EXPECT_EQ(stats.seals, 2u);
   EXPECT_EQ(db.SegmentShapeTotal().live_segments, 2u);
 }
 
